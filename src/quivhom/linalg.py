@@ -26,18 +26,36 @@ Element = Union[Fraction, int]
 _INT64_MODULUS_LIMIT = 2**31
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for
+# every n below this bound (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; moduli past the proven range raise ValueError."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large: primality is certified "
+                         f"only below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -560,16 +578,6 @@ def unvec_matrix(field: FieldSpec, vec: Sequence, rows: int, cols: int,
         for r in range(rows):
             out.add(r, c, vec[offset + c * rows + r])
     return out.build()
-
-
-def vec_postcompose(c: ExactMatrix, x_cols: int) -> ExactMatrix:
-    """Matrix of X -> C·X on column-major coordinates (X has x_cols columns)."""
-    return kron(ExactMatrix.identity(c.field, x_cols), c)
-
-
-def vec_precompose(b: ExactMatrix, x_rows: int) -> ExactMatrix:
-    """Matrix of X -> X·B on column-major coordinates (X has x_rows rows)."""
-    return kron(b.transpose(), ExactMatrix.identity(b.field, x_rows))
 
 
 def vec_twisted_postcompose(c: ExactMatrix, m: int, x_cols: int) -> ExactMatrix:

@@ -25,8 +25,7 @@ from .linalg import (
     solve,
     unvec_matrix,
     vec_matrix,
-    vec_precompose,
-    vec_twisted_postcompose,
+    vstack,
 )
 from .quiver import Path, Quiver
 
@@ -136,6 +135,19 @@ class TwistedRep:
         return self.phi[a].submatrix(0, self.dims[self.quiver.head(a)],
                                      m_index * d, (m_index + 1) * d)
 
+    def summand_data(self):
+        """Input of connecting_terms: summands are the basis vectors.
+
+        Returns the per-vertex dimensions, the identity order of each
+        tensor basis of M_a⊗V_ta, and the rows of each phi_a with None for
+        zero entries.
+        """
+        order = [range(self.twist[a] * self.dims[t])
+                 for a, (t, _) in enumerate(self.quiver.arrows)]
+        rows = [[[x if x != 0 else None for x in row] for row in m.to_lists()]
+                for m in self.phi]
+        return self.dims, order, rows
+
     def compatible_with(self, other: "TwistedRep") -> None:
         if (self.quiver != other.quiver or self.twist != other.twist
                 or self.field != other.field):
@@ -240,6 +252,36 @@ def _arrow_layout(V: TwistedRep, W: TwistedRep):
     return offsets, pos
 
 
+def connecting_terms(V, W):
+    """Terms of the connecting map f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a.
+
+    V and W are two TwistedReps or two QSheafP1s (see summand_data).  Each
+    term (a, i, (s, r), (c, r2), coefficient, sign) says that the (r, s)
+    entry of f_i, acted on by the coefficient, lands in the (r2, c) entry of
+    the arrow-a component; c indexes M_a⊗V_ta in stored order.  Zero
+    coefficients are skipped; the caller supplies how a coefficient acts.
+    """
+    v_sizes, v_order, phi = V.summand_data()
+    w_sizes, w_order, psi = W.summand_data()
+    for a, (t, h) in enumerate(V.quiver.arrows):
+        # f_ha ∘ phi_a: row s of phi_a feeds column c of the product
+        for s in range(v_sizes[h]):
+            for c, cf in enumerate(phi[a][s]):
+                if cf is not None:
+                    for r in range(w_sizes[h]):
+                        yield a, h, (s, r), (c, r), cf, 1
+        # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
+        # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
+        for n, c in enumerate(v_order[a]):
+            m, s = divmod(n, v_sizes[t])
+            for r in range(w_sizes[t]):
+                j = w_order[a][m * w_sizes[t] + r]
+                for r2 in range(w_sizes[h]):
+                    cf = psi[a][r2][j]
+                    if cf is not None:
+                        yield a, t, (s, r), (c, r2), cf, -1
+
+
 def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
     """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)).
 
@@ -251,15 +293,9 @@ def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
     voff, vdim = _hom_layout(V, W)
     aoff, adim = _arrow_layout(V, W)
     out = MatrixBuilder(V.field, adim, vdim)
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        m = V.twist[a]
-        # f_ha ∘ phi_a: right composition with phi_a on vec(f_ha)
-        if V.dims[h] * W.dims[h] > 0:
-            out.add_block(aoff[a], voff[h], vec_precompose(V.phi[a], W.dims[h]))
-        # psi_a ∘ (1⊗f_ta)
-        if V.dims[t] * W.dims[t] > 0:
-            block = vec_twisted_postcompose(W.phi[a], m, V.dims[t])
-            out.add_block(aoff[a], voff[t], block.scale(-1))
+    for a, i, (s, r), (c, r2), cf, sign in connecting_terms(V, W):
+        out.add(aoff[a] + c * W.dims[V.quiver.head(a)] + r2,
+                voff[i] + s * W.dims[i] + r, sign * cf)
     return out.build()
 
 
@@ -344,52 +380,23 @@ def _projection_block(field: FieldSpec, dw: int, dv: int) -> ExactMatrix:
 def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
     """True iff some morphism s: V -> E satisfies proj ∘ s = id_V.
 
-    Decided exactly, by solving the combined linear system of intertwining
-    equations and the section condition.
+    Decided exactly, by solving the intertwining equations delta(V, E)·s = 0
+    stacked with the section condition proj_i ∘ s_i = id.
     """
     V.compatible_with(W)
-    V.compatible_with(E)
     field = V.field
-    n = V.quiver.n_vertices
-    # unknowns: vec(s_i), s_i of shape E_i x V_i
-    soff = []
-    pos = 0
-    for i in range(n):
-        soff.append(pos)
-        pos += V.dims[i] * E.dims[i]
-    total_cols = pos
-
-    rows = 0
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        rows += V.twist[a] * V.dims[t] * E.dims[h]
-    for i in range(n):
-        rows += V.dims[i] * V.dims[i]
-
-    system = MatrixBuilder(field, rows, total_cols)
-    rhs = [field.zero()] * rows
+    delta = delta_matrix(V, E)
+    soff, _ = _hom_layout(V, E)
+    section = MatrixBuilder(field, sum(d * d for d in V.dims), delta.ncols)
+    rhs = [field.zero()] * delta.nrows
     r = 0
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        m = V.twist[a]
-        block_rows = m * V.dims[t] * E.dims[h]
-        if V.dims[h] * E.dims[h] > 0:
-            system.add_block(r, soff[h], vec_precompose(V.phi[a], E.dims[h]))
-        if V.dims[t] * E.dims[t] > 0:
-            system.add_block(
-                r, soff[t],
-                vec_twisted_postcompose(E.phi[a], m, V.dims[t]).scale(-1),
-            )
-        r += block_rows
-    for i in range(n):
-        proj = _projection_block(field, W.dims[i], V.dims[i])
-        if V.dims[i] > 0:
-            system.add_block(r, soff[i], kron(
-                ExactMatrix.identity(field, V.dims[i]), proj
-            ))
-            ident = vec_matrix(ExactMatrix.identity(field, V.dims[i]))
-            for k, x in enumerate(ident):
-                rhs[r + k] = x
-        r += V.dims[i] * V.dims[i]
-    return solve(system.build(), rhs) is not None
+    for i, d in enumerate(V.dims):
+        if d > 0:
+            proj = _projection_block(field, W.dims[i], d)
+            section.add_block(r, soff[i], kron(ExactMatrix.identity(field, d), proj))
+            rhs += vec_matrix(ExactMatrix.identity(field, d))
+        r += d * d
+    return solve(vstack([delta, section.build()]), rhs) is not None
 
 
 def ext1_classes(V: TwistedRep, W: TwistedRep) -> List[List[ExactMatrix]]:

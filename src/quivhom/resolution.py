@@ -112,11 +112,12 @@ def resolution_matrices(V: TwistedRep, max_degree: int,
     """Matrices of eps and d on the degree-<= max_degree truncation."""
     if layout is None:
         layout = resolution_layout(V, max_degree)
-    basis = layout.basis
-    field = V.field
-    n = max_degree
+    return _eps_matrix(V, layout), _d_matrix(V, layout)
 
-    eps = MatrixBuilder(field, layout.f_total, V.total_dim())
+
+def _eps_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
+    basis = layout.basis
+    eps = MatrixBuilder(V.field, layout.f_total, V.total_dim())
     v_offsets = []
     pos = 0
     for d in V.dims:
@@ -125,7 +126,7 @@ def resolution_matrices(V: TwistedRep, max_degree: int,
     for i in range(V.quiver.n_vertices):
         if V.dims[i] == 0:
             continue
-        for l in range(n + 1):
+        for l in range(basis.max_degree + 1):
             base = layout.f_offsets[(i, l)]
             for (p, dim_p, off) in basis.entries[(i, l)]:
                 if V.dims[p.tail] == 0:
@@ -135,11 +136,16 @@ def resolution_matrices(V: TwistedRep, max_degree: int,
                     block = path_matrix(V, p, t)
                     eps.add_block(base + (off + t) * V.dims[i],
                                   v_offsets[p.tail], block)
+    return eps.build()
 
+
+def _d_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
+    basis = layout.basis
+    field = V.field
     d_out = MatrixBuilder(field, layout.g_total, layout.f_total)
     for a, (t, h) in enumerate(V.quiver.arrows):
         m = V.twist[a]
-        for l in range(n):
+        for l in range(basis.max_degree):
             row = layout.g_offsets[(a, l)]
             # alpha_ha composed with the multiplication map mu_a
             if V.dims[h] > 0:
@@ -151,7 +157,7 @@ def resolution_matrices(V: TwistedRep, max_degree: int,
             if V.dims[t] > 0 and V.dims[h] > 0:
                 block = vec_twisted_postcompose(V.phi[a], m, basis.dim[(t, l)])
                 d_out.add_block(row, layout.f_offsets[(t, l)], block.scale(-1))
-    return eps.build(), d_out.build()
+    return d_out.build()
 
 
 @dataclass(frozen=True)
@@ -172,9 +178,9 @@ def check_resolution_exactness(V: TwistedRep, max_degree: int) -> ExactnessRepor
     total = V.total_dim()
     eps_injective = rank(eps) == total
     composite_zero = (d @ eps).is_zero()
-    nullity = d.ncols - rank(d)
-    ker_d_eq_im_eps = composite_zero and nullity == total
-    d_surjective = rank(d) == d.nrows
+    rank_d = rank(d)
+    ker_d_eq_im_eps = composite_zero and d.ncols - rank_d == total
+    d_surjective = rank_d == d.nrows
     return ExactnessReport(eps_injective, ker_d_eq_im_eps, d_surjective)
 
 
@@ -266,7 +272,7 @@ def lift_beta(V: TwistedRep, beta: GradedMapFamily,
                         out.add_block(0, tt + off, col)
             alpha[(i, l)] = out.build()
 
-    eps, d = resolution_matrices(V, n, layout)
+    d = _d_matrix(V, layout)
     avec = alpha_to_vector(layout, alpha)
     bvec = beta_to_vector(layout, bmats)
     image = d.apply(avec)

@@ -10,11 +10,15 @@ is negative).  Cohomology is the explicit two-chart calculus:
   i + j = -d; multiplying a class by a form and dropping every monomial
   with a non-negative exponent realises the Yoneda product.
 
-Two independent routes compute Ext between twisted sheaves: the long exact
-sequence assembled from the connecting maps on H0 and H1
-(ext_quiver_sheaf), and the hypercohomology of the two-term complex of
-sheaf Homs computed as a Cech total complex on the standard two-chart
-cover with a finite Laurent window (cech_hyper).  They must agree.
+Two routes compute Ext between twisted sheaves: the long exact sequence
+assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
+hypercohomology of the two-term complex of sheaf Homs computed as a Cech
+total complex on the standard two-chart cover with a finite Laurent window
+(cech_hyper).  They must agree.  One summand walk, rep.connecting_terms,
+assembles delta0, delta1 and the Cech horizontal maps, as it does the
+vector-mode delta and split system.  So their agreement cross-checks the
+cohomology models but not the walk; tests/test_connecting_map.py checks
+the walk column by column.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
+from .rep import connecting_terms
 
 
 def h0_dim(d: int) -> int:
@@ -226,6 +231,19 @@ class QSheafP1:
             phi.append(FormMatrix.zero(field, src, vertex_bundles[h]))
         return QSheafP1(quiver, field, twist_bundles, vertex_bundles, phi)
 
+    def summand_data(self):
+        """Input of connecting_terms: summands are the line bundles.
+
+        Returns the per-vertex ranks, each tensor bundle's inv_perm (natural
+        index -> sorted position) and the rows of each phi_a with None for
+        zero forms.
+        """
+        ranks = [b.rank for b in self.vertex_bundles]
+        order = [tb.inv_perm for tb in self.tensors]
+        rows = [[[None if f.is_zero() else f for f in row] for row in m.entries]
+                for m in self.phi]
+        return ranks, order, rows
+
     def compatible_with(self, other: "QSheafP1") -> None:
         if (self.quiver != other.quiver or self.field != other.field
                 or self.twist_bundles != other.twist_bundles):
@@ -311,113 +329,55 @@ def _arrow_layouts(V: QSheafP1, W: QSheafP1, q: int):
 
 # -- the connecting maps on H0 and H1 ----------------------------------------
 
-def delta0_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
-    """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)) on global sections."""
+def _monomial_times_form(k: int, src_deg: int, form: BinForm) -> List[Tuple[int, object]]:
+    """Product of the monomial x^k y^(src_deg-k) with a form.
+
+    Returns (x-exponent, coefficient) for the nonzero monomials of the product.
+    """
+    return [(k + k2, cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
+
+
+def _class_times_form(k: int, src_deg: int, form: BinForm) -> List[Tuple[int, object]]:
+    """Yoneda product of the class x^(-i) y^(-j) (i = k+1, i+j = -src_deg) with a form.
+
+    Returns (k', coefficient) for the surviving overlap classes
+    x^(-(k'+1)) y^(...); monomials with a non-negative exponent are
+    coboundaries and are dropped.
+    """
+    i_exp, j_exp = k + 1, -src_deg - k - 1
+    out = []
+    for k2 in range(form.degree + 1):
+        cf = form.coefficient(k2)
+        if cf != 0 and i_exp - k2 >= 1 and j_exp - (form.degree - k2) >= 1:
+            out.append((k - k2, cf))
+    return out
+
+
+def _cohomology_delta(V: QSheafP1, W: QSheafP1, q: int, times_form) -> ExactMatrix:
+    """The connecting map on H^q, a form acting on H^q basis elements by times_form."""
     V.compatible_with(W)
-    dom_lay, dom_off, dom_dim = _vertex_layouts(V, W, 0)
-    cod_lay, cod_off, cod_dim = _arrow_layouts(V, W, 0)
+    dom_lay, dom_off, dom_dim = _vertex_layouts(V, W, q)
+    cod_lay, cod_off, cod_dim = _arrow_layouts(V, W, q)
+    dim_of = h0_dim if q == 0 else h1_dim
     out = MatrixBuilder(V.field, cod_dim, dom_dim)
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        vb_t, vb_h = V.vertex_bundles[t], V.vertex_bundles[h]
-        wb_t, wb_h = W.vertex_bundles[t], W.vertex_bundles[h]
-        tv, tw = V.tensors[a], W.tensors[a]
-        rank_m = V.twist_bundles[a].rank
-        # f_ha ∘ phi_a: a single monomial x^k in entry (r, s) of Hom(V_h, W_h)
-        # multiplies phi_a's row s into codomain entries (r, c)
-        for s in range(vb_h.rank):
-            for r in range(wb_h.rank):
-                d1 = wb_h.twists[r] - vb_h.twists[s]
-                for k in range(h0_dim(d1)):
-                    col = dom_off[h] + dom_lay[h].coord(s, r, k)
-                    for c in range(tv.bundle.rank):
-                        form = V.phi[a].entry(s, c)
-                        if form.is_zero():
-                            continue
-                        base = cod_off[a] + cod_lay[a].offsets[(c, r)]
-                        for k2 in range(form.degree + 1):
-                            cf = form.coefficient(k2)
-                            if cf != 0:
-                                out.add(base + k + k2, col, cf)
-        # psi_a ∘ (1⊗f_ta): entry (r, s) of Hom(V_t, W_t) appears in the
-        # tensor columns (m, s) against psi_a's columns (m, r)
-        for s in range(vb_t.rank):
-            for r in range(wb_t.rank):
-                d1 = wb_t.twists[r] - vb_t.twists[s]
-                for k in range(h0_dim(d1)):
-                    col = dom_off[t] + dom_lay[t].coord(s, r, k)
-                    for m in range(rank_m):
-                        c = tv.inv_perm[m * vb_t.rank + s]
-                        j = tw.inv_perm[m * wb_t.rank + r]
-                        for r2 in range(wb_h.rank):
-                            form = W.phi[a].entry(r2, j)
-                            if form.is_zero():
-                                continue
-                            base = cod_off[a] + cod_lay[a].offsets[(c, r2)]
-                            for k2 in range(form.degree + 1):
-                                cf = form.coefficient(k2)
-                                if cf != 0:
-                                    out.add(base + k + k2, col, -cf)
+    for a, i, (s, r), (c, r2), form, sign in connecting_terms(V, W):
+        d = W.vertex_bundles[i].twists[r] - V.vertex_bundles[i].twists[s]
+        base = cod_off[a] + cod_lay[a].offsets[(c, r2)]
+        for k in range(dim_of(d)):
+            col = dom_off[i] + dom_lay[i].coord(s, r, k)
+            for k2, cf in times_form(k, d, form):
+                out.add(base + k2, col, sign * cf)
     return out.build()
 
 
-def _class_times_form(i_exp: int, src_deg: int, form: BinForm) -> List[Tuple[int, object]]:
-    """Yoneda product of the class x^(-i) y^(-j) (i+j = -src_deg) with a form.
-
-    Returns (i', coefficient) for the surviving overlap classes; monomials
-    with a non-negative exponent are coboundaries and are dropped.
-    """
-    j_exp = -src_deg - i_exp
-    out = []
-    if form.is_zero():
-        return out
-    for k2 in range(form.degree + 1):
-        cf = form.coefficient(k2)
-        if cf == 0:
-            continue
-        i_new = i_exp - k2
-        j_new = j_exp - (form.degree - k2)
-        if i_new >= 1 and j_new >= 1:
-            out.append((i_new, cf))
-    return out
+def delta0_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
+    """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)) on global sections."""
+    return _cohomology_delta(V, W, 0, _monomial_times_form)
 
 
 def delta1_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
     """Matrix of the connecting map on first cohomology, via overlap classes."""
-    V.compatible_with(W)
-    dom_lay, dom_off, dom_dim = _vertex_layouts(V, W, 1)
-    cod_lay, cod_off, cod_dim = _arrow_layouts(V, W, 1)
-    out = MatrixBuilder(V.field, cod_dim, dom_dim)
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        vb_t, vb_h = V.vertex_bundles[t], V.vertex_bundles[h]
-        wb_t, wb_h = W.vertex_bundles[t], W.vertex_bundles[h]
-        tv, tw = V.tensors[a], W.tensors[a]
-        rank_m = V.twist_bundles[a].rank
-        for s in range(vb_h.rank):
-            for r in range(wb_h.rank):
-                d1 = wb_h.twists[r] - vb_h.twists[s]
-                for idx in range(h1_dim(d1)):
-                    i_exp = idx + 1
-                    col = dom_off[h] + dom_lay[h].coord(s, r, idx)
-                    for c in range(tv.bundle.rank):
-                        form = V.phi[a].entry(s, c)
-                        base = cod_off[a] + cod_lay[a].offsets[(c, r)]
-                        for (i_new, cf) in _class_times_form(i_exp, d1, form):
-                            out.add(base + i_new - 1, col, cf)
-        for s in range(vb_t.rank):
-            for r in range(wb_t.rank):
-                d1 = wb_t.twists[r] - vb_t.twists[s]
-                for idx in range(h1_dim(d1)):
-                    i_exp = idx + 1
-                    col = dom_off[t] + dom_lay[t].coord(s, r, idx)
-                    for m in range(rank_m):
-                        c = tv.inv_perm[m * vb_t.rank + s]
-                        j = tw.inv_perm[m * wb_t.rank + r]
-                        for r2 in range(wb_h.rank):
-                            form = W.phi[a].entry(r2, j)
-                            base = cod_off[a] + cod_lay[a].offsets[(c, r2)]
-                            for (i_new, cf) in _class_times_form(i_exp, d1, form):
-                                out.add(base + i_new - 1, col, -cf)
-    return out.build()
+    return _cohomology_delta(V, W, 1, _class_times_form)
 
 
 # -- Ext via the long exact sequence ------------------------------------------
@@ -518,8 +478,6 @@ class _CechLevel:
 def _add_form_mul(out: MatrixBuilder, row0: int, col0: int, form: BinForm,
                   src: _Window, dst: _Window, sign: int):
     """Multiplication by a form between Laurent windows (t-exponent shifts)."""
-    if form.is_zero():
-        return
     for k in range(form.degree + 1):
         cf = form.coefficient(k)
         if cf == 0:
@@ -547,43 +505,6 @@ def _add_cech(out: MatrixBuilder, row0: int, col0: int, level: _CechLevel,
         base_c = col0 + level.chart1_offset(k)
         for e in range(c1.lo, c1.hi + 1):
             out.add(base_r + e - ov.lo, base_c + e - c1.lo, -sign * one)
-
-
-def _add_delta_level(out: MatrixBuilder, row0: int, col0: int,
-                     V: QSheafP1, W: QSheafP1,
-                     c0_index: Dict, c1_index: Dict,
-                     src_windows, dst_windows,
-                     src_offset, dst_offset, sign: int):
-    """The sheaf-level connecting map on one Cech degree (fixed windows)."""
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        vb_t, vb_h = V.vertex_bundles[t], V.vertex_bundles[h]
-        wb_t, wb_h = W.vertex_bundles[t], W.vertex_bundles[h]
-        tv, tw = V.tensors[a], W.tensors[a]
-        rank_m = V.twist_bundles[a].rank
-        for s in range(vb_h.rank):
-            for r in range(wb_h.rank):
-                src = c0_index[(h, s, r)]
-                for c in range(tv.bundle.rank):
-                    form = V.phi[a].entry(s, c)
-                    if form.is_zero():
-                        continue
-                    dst = c1_index[(a, c, r)]
-                    _add_form_mul(out, row0 + dst_offset(dst), col0 + src_offset(src),
-                                  form, src_windows(src), dst_windows(dst), sign)
-        for s in range(vb_t.rank):
-            for r in range(wb_t.rank):
-                src = c0_index[(t, s, r)]
-                for m in range(rank_m):
-                    c = tv.inv_perm[m * vb_t.rank + s]
-                    j = tw.inv_perm[m * wb_t.rank + r]
-                    for r2 in range(wb_h.rank):
-                        form = W.phi[a].entry(r2, j)
-                        if form.is_zero():
-                            continue
-                        dst = c1_index[(a, c, r2)]
-                        _add_form_mul(out, row0 + dst_offset(dst),
-                                      col0 + src_offset(src),
-                                      form, src_windows(src), dst_windows(dst), -sign)
 
 
 def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
@@ -623,27 +544,21 @@ def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, in
     t2 = lev1.q1_total
 
     d0 = MatrixBuilder(V.field, t1, t0)
-    # horizontal map on chart 0 and chart 1 sections
-    _add_delta_level(d0, 0, 0, V, W, c0_index, c1_index,
-                     lambda k: lev0.chart0[k], lambda k: lev1.chart0[k],
-                     lambda k: lev0.chart0_offset(k), lambda k: lev1.chart0_offset(k
-                     ), 1)
-    _add_delta_level(d0, 0, 0, V, W, c0_index, c1_index,
-                     lambda k: lev0.chart1[k], lambda k: lev1.chart1[k],
-                     lambda k: lev0.chart1_offset(k), lambda k: lev1.chart1_offset(k
-                     ), 1)
-    # vertical Cech difference of C0
-    _add_cech(d0, lev1.q0_total, 0, lev0, 1, V.field)
-    d0 = d0.build()
-
     d1 = MatrixBuilder(V.field, t2, t1)
-    # Cech difference of C1 applied to the Cech0(C1) block
+    for a, i, (s, r), (c, r2), form, sign in connecting_terms(V, W):
+        src, dst = c0_index[(i, s, r)], c1_index[(a, c, r2)]
+        # horizontal map on chart 0 and chart 1 sections
+        _add_form_mul(d0, lev1.chart0_offset(dst), lev0.chart0_offset(src), form,
+                      lev0.chart0[src], lev1.chart0[dst], sign)
+        _add_form_mul(d0, lev1.chart1_offset(dst), lev0.chart1_offset(src), form,
+                      lev0.chart1[src], lev1.chart1[dst], sign)
+        # minus the horizontal map on overlap sections of C0
+        _add_form_mul(d1, lev1.q1_offsets[dst], lev1.q0_total + lev0.q1_offsets[src],
+                      form, lev0.overlap[src], lev1.overlap[dst], -sign)
+    # vertical Cech differences of C0, and of C1 on the Cech0(C1) block
+    _add_cech(d0, lev1.q0_total, 0, lev0, 1, V.field)
     _add_cech(d1, 0, 0, lev1, 1, V.field)
-    # minus the horizontal map on overlap sections of C0
-    _add_delta_level(d1, 0, lev1.q0_total, V, W, c0_index, c1_index,
-                     lambda k: lev0.overlap[k], lambda k: lev1.overlap[k],
-                     lambda k: lev0.q1_offsets[k], lambda k: lev1.q1_offsets[k], -1)
-    d1 = d1.build()
+    d0, d1 = d0.build(), d1.build()
 
     r0, r1 = rank(d0), rank(d1)
     hh0 = t0 - r0

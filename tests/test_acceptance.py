@@ -6,6 +6,7 @@ the stated runtime budgets of the randomised suites.  Run with
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import sympy
 
+import quivhom
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, FieldSpec
@@ -202,15 +204,20 @@ def test_criterion_8_higgs_fixture():
 
 def test_criterion_9_determinism(tmp_path):
     cmd = [sys.executable, "-m", "quivhom.cli"]
-    gen1 = subprocess.run(cmd + ["gen", "--seed", "11", "--mode", "p1"],
-                          capture_output=True, check=True)
-    gen2 = subprocess.run(cmd + ["gen", "--seed", "11", "--mode", "p1"],
-                          capture_output=True, check=True)
+    # the subprocesses import the same package as this test, installed or not
+    src = str(Path(quivhom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run(cmd + list(argv), capture_output=True, check=True,
+                              env=env)
+
+    gen1 = run("gen", "--seed", "11", "--mode", "p1")
+    gen2 = run("gen", "--seed", "11", "--mode", "p1")
     instance = tmp_path / "instance.json"
     instance.write_bytes(gen1.stdout)
-    rep1 = subprocess.run(cmd + ["hyper", str(instance), "V", "W", "--verify",
-                                 "--json"], capture_output=True, check=True)
-    rep2 = subprocess.run(cmd + ["hyper", str(instance), "V", "W", "--verify",
-                                 "--json"], capture_output=True, check=True)
+    rep1 = run("hyper", str(instance), "V", "W", "--verify", "--json")
+    rep2 = run("hyper", str(instance), "V", "W", "--verify", "--json")
     _report(9, "identical seeds and inputs give byte-identical reports",
             gen1.stdout == gen2.stdout and rep1.stdout == rep2.stdout)

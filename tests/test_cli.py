@@ -1,6 +1,7 @@
 """Command line front-end: commands, exit codes, report formats."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,23 @@ def test_unknown_key_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "ext", str(f), "V", "W")
     assert code == 3
     assert "$" in err and "extra" in err
+
+
+@pytest.mark.parametrize("modulus, want", [
+    (2**61 - 1, 0),
+    (1099511627791 * 1099512676421, 3),    # two primes near 2**40
+])
+def test_huge_modulus_decided_quickly(tmp_path, capsys, modulus, want):
+    doc = generate_document(0)
+    doc["field"] = {"fp": modulus}
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ext", str(f), "V", "W")
+    assert time.perf_counter() - start < 1.0
+    assert code == want
+    if want == 3:
+        assert "$.field.fp" in err
 
 
 def test_validation_error_names_path(tmp_path, capsys):
