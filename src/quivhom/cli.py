@@ -24,7 +24,7 @@ from typing import Optional
 
 from .generate import generate_document
 from .instances import Instance, InstanceError, load_instance
-from .linalg import ExactMatrix, rank
+from .linalg import CrossCheckError, ExactMatrix, rank
 from .rep import TwistedRep, delta_matrix, hom_space
 from .resolution import (
     GradedMapFamily,
@@ -61,6 +61,8 @@ def _configure_logging():
     level = os.environ.get("QUIVHOM_LOG", "quiet").strip().lower()
     levels = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     if level not in levels:
+        sys.stderr.write(f"quivhom: warning: unknown QUIVHOM_LOG value {level!r}; "
+                         f"accepted: {', '.join(levels)}; using quiet\n")
         level = "quiet"
     logging.basicConfig(stream=sys.stderr, level=levels[level],
                         format="quivhom: %(levelname)s: %(message)s")
@@ -247,7 +249,7 @@ def cmd_check(args) -> int:
     try:
         lift_beta(V, GradedMapFamily(max_degree=n, beta=beta), layout)
         lift_ok = True
-    except AssertionError:
+    except AssertionError:  # a failed round trip; CrossCheckError passes through
         lift_ok = False
 
     checks = {
@@ -364,6 +366,10 @@ def main(argv=None) -> int:
     except CliError as e:
         sys.stderr.write(f"quivhom: {e}\n")
         return e.code
+    except CrossCheckError as e:
+        sys.stderr.write(f"quivhom: internal cross-check failed: {e}; "
+                         "this indicates a bug\n")
+        return EXIT_CROSS_CHECK
 
 
 if __name__ == "__main__":

@@ -1,15 +1,25 @@
-"""Exact dense linear algebra over the rationals and over prime fields.
+"""Exact sparse linear algebra over the rationals and over prime fields.
 
 Every computation in this package (morphism spaces, extension groups,
 resolution ranks, Cech cohomology) bottoms out in the kernels of this
 module.  Arithmetic is exact: rational entries are `fractions.Fraction`
 (always in lowest terms), prime-field entries are integers in [0, p).
-Elimination pivots deterministically on the first nonzero entry in column
-order, so ranks, kernels and solutions are reproducible byte for byte.
 
-Prime-field matrices are stored in numpy int64 arrays purely as exact
-integer containers; every operation reduces mod p and stays well inside
-the int64 range (an object-dtype fallback covers enormous moduli).
+There is one storage layout and one code path for both kinds of field.  A
+matrix is a tuple of rows, each row a `{column: value}` dict holding only
+the nonzero entries; no zero is ever stored, so equal matrices have equal
+rows.  The assembled matrices are about 1 % nonzero, which is why rows are
+sparse rather than dense.
+
+One routine, `_echelon`, does all elimination.  It reduces each row in
+turn against the pivot rows found so far, leftmost column first, and adds
+what is left as a new pivot row; with reduced=True it back-substitutes to
+the reduced row echelon form.  The pivot columns of any echelon form of a
+matrix are the columns where the rank of the leading columns grows, and
+the reduced row echelon form is unique, so neither depends on the order
+in which rows are taken or pivots are found.  Ranks, kernel bases,
+solutions and cokernel representatives are therefore the same as those of
+textbook Gaussian elimination, and reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -18,12 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 Element = Union[Fraction, int]
 
-# int64 is safe for mod-p updates as long as p*p fits comfortably.
-_INT64_MODULUS_LIMIT = 2**31
+
+class CrossCheckError(RuntimeError):
+    """An internal cross-check failed.  This is a bug, never a property of the input."""
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly for
@@ -98,6 +107,10 @@ class FieldSpec:
             return int(value) % self.modulus
         return Fraction(value)
 
+    def inv(self, x: Element) -> Element:
+        """Multiplicative inverse of a nonzero field element."""
+        return pow(x, -1, self.modulus) if self.is_prime_field else 1 / x
+
     def zero(self) -> Element:
         return 0 if self.is_prime_field else Fraction(0)
 
@@ -108,14 +121,29 @@ class FieldSpec:
         return "Q" if not self.is_prime_field else f"F{self.modulus}"
 
 
-class ExactMatrix:
-    """Dense matrix over a FieldSpec, immutable after construction.
+def _canonical(field: FieldSpec, acc: dict) -> dict:
+    """Row of field elements from a {column: int or element} sum, zeros dropped."""
+    p = field.modulus
+    out = {}
+    for j, v in acc.items():
+        # ints and Fractions are reduced cheaply; anything else is coerced
+        if p is not None and type(v) is int:
+            v %= p
+        elif p is not None or type(v) is not Fraction:
+            v = field.element(v)
+        if v:
+            out[j] = v
+    return out
 
-    Rational matrices hold tuples of Fractions; prime-field matrices hold
-    a read-only numpy integer array with entries reduced into [0, p).
+
+class ExactMatrix:
+    """Sparse matrix over a FieldSpec, immutable after construction.
+
+    `_rows` is a tuple of `{column: nonzero field element}` dicts.  No code
+    mutates a row once it belongs to a matrix, so matrices may share rows.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_a", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int,
                  entries: Optional[Sequence[Sequence]] = None):
@@ -124,53 +152,19 @@ class ExactMatrix:
         self.field = field
         self.nrows = rows
         self.ncols = cols
-        if field.is_prime_field:
-            p = field.modulus
-            dtype = np.int64 if p < _INT64_MODULUS_LIMIT else object
-            a = np.zeros((rows, cols), dtype=dtype)
-            if entries is not None:
-                self._check_shape(entries)
-                for i, row in enumerate(entries):
-                    for j, x in enumerate(row):
-                        a[i, j] = field.element(x)
-            a.setflags(write=False)
-            self._a = a
-            self._rows = None
+        if entries is None:
+            self._rows = tuple({} for _ in range(rows))
         else:
-            if entries is None:
-                zero = Fraction(0)
-                self._rows = tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
-            else:
-                self._check_shape(entries)
-                self._rows = tuple(
-                    tuple(Fraction(x) for x in row) for row in entries
-                )
-            self._a = None
-
-    def _check_shape(self, entries):
-        if len(entries) != self.nrows or any(len(r) != self.ncols for r in entries):
-            raise ValueError(
-                f"entries do not form a {self.nrows}x{self.ncols} matrix"
-            )
-
-    # -- fast internal constructors -------------------------------------
+            if len(entries) != rows or any(len(r) != cols for r in entries):
+                raise ValueError(f"entries do not form a {rows}x{cols} matrix")
+            self._rows = tuple(_canonical(field, dict(enumerate(r))) for r in entries)
 
     @classmethod
-    def _wrap_numpy(cls, field: FieldSpec, a: np.ndarray) -> "ExactMatrix":
+    def _wrap(cls, field: FieldSpec, rows: tuple, ncols: int) -> "ExactMatrix":
+        """Adopt canonical sparse rows without copying or checking them."""
         m = cls.__new__(cls)
         m.field = field
-        m.nrows, m.ncols = a.shape
-        a.setflags(write=False)
-        m._a = a
-        m._rows = None
-        return m
-
-    @classmethod
-    def _wrap_rows(cls, field: FieldSpec, rows: tuple, nrows: int, ncols: int) -> "ExactMatrix":
-        m = cls.__new__(cls)
-        m.field = field
-        m.nrows, m.ncols = nrows, ncols
-        m._a = None
+        m.nrows, m.ncols = len(rows), ncols
         m._rows = rows
         return m
 
@@ -182,16 +176,8 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        m = cls(field, n, n)
-        if field.is_prime_field:
-            a = np.array(m._a)
-            np.fill_diagonal(a, 1 % field.modulus)
-            return cls._wrap_numpy(field, a)
-        one = Fraction(1)
-        rows = tuple(
-            tuple(one if i == j else Fraction(0) for j in range(n)) for i in range(n)
-        )
-        return cls._wrap_rows(field, rows, n, n)
+        one = field.one()
+        return cls._wrap(field, tuple({i: one} for i in range(n)), n)
 
     @classmethod
     def column(cls, field: FieldSpec, vec: Sequence) -> "ExactMatrix":
@@ -205,39 +191,34 @@ class ExactMatrix:
 
     def __getitem__(self, key) -> Element:
         i, j = key
-        if self._a is not None:
-            return int(self._a[i, j])
-        return self._rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
+        return self._rows[i].get(j, self.field.zero())
 
     def row_list(self, i: int) -> list:
-        if self._a is not None:
-            return [int(x) for x in self._a[i]]
-        return list(self._rows[i])
+        row = self._rows[i]
+        zero = self.field.zero()
+        return [row.get(j, zero) for j in range(self.ncols)]
 
     def column_list(self, j: int) -> list:
-        if self._a is not None:
-            return [int(x) for x in self._a[:, j]]
-        return [r[j] for r in self._rows]
+        zero = self.field.zero()
+        return [r.get(j, zero) for r in self._rows]
 
     def to_lists(self) -> list:
         return [self.row_list(i) for i in range(self.nrows)]
 
     def is_zero(self) -> bool:
-        if self._a is not None:
-            return not np.any(self._a)
-        return all(x == 0 for row in self._rows for x in row)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
-            return False
-        if self._a is not None:
-            return bool(np.array_equal(self._a, other._a))
-        return self._rows == other._rows
+        return (self.field == other.field and self.shape == other.shape
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self.shape, tuple(map(tuple, self.to_lists()))))
+        return hash((self.field, self.shape,
+                     tuple(tuple(sorted(r.items())) for r in self._rows)))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
@@ -245,47 +226,37 @@ class ExactMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "ExactMatrix":
-        if self._a is not None:
-            return ExactMatrix._wrap_numpy(self.field, self._a.T.copy())
-        rows = tuple(
-            tuple(self._rows[i][j] for i in range(self.nrows))
-            for j in range(self.ncols)
-        )
-        return ExactMatrix._wrap_rows(self.field, rows, self.ncols, self.nrows)
+        cols = tuple({} for _ in range(self.ncols))
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return ExactMatrix._wrap(self.field, cols, self.nrows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_space(other)
-        if self._a is not None:
-            return ExactMatrix._wrap_numpy(
-                self.field, (self._a + other._a) % self.field.modulus
-            )
-        rows = tuple(
-            tuple(x + y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self._rows, other._rows)
-        )
-        return ExactMatrix._wrap_rows(self.field, rows, self.nrows, self.ncols)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_space(other)
-        if self._a is not None:
-            return ExactMatrix._wrap_numpy(
-                self.field, (self._a - other._a) % self.field.modulus
-            )
-        rows = tuple(
-            tuple(x - y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self._rows, other._rows)
-        )
-        return ExactMatrix._wrap_rows(self.field, rows, self.nrows, self.ncols)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        if self.field != other.field or self.shape != other.shape:
+            raise ValueError("matrices live in different spaces")
+        rows = []
+        for r1, r2 in zip(self._rows, other._rows):
+            acc = dict(r1)
+            for j, y in r2.items():
+                acc[j] = acc.get(j, 0) + sign * y
+            rows.append(_canonical(self.field, acc))
+        return ExactMatrix._wrap(self.field, tuple(rows), self.ncols)
 
     def __neg__(self) -> "ExactMatrix":
         return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.element(c)
-        if self._a is not None:
-            return ExactMatrix._wrap_numpy(self.field, (self._a * c) % self.field.modulus)
-        rows = tuple(tuple(c * x for x in r) for r in self._rows)
-        return ExactMatrix._wrap_rows(self.field, rows, self.nrows, self.ncols)
+        rows = tuple(_canonical(self.field, {j: c * x for j, x in r.items()})
+                     for r in self._rows)
+        return ExactMatrix._wrap(self.field, rows, self.ncols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field != other.field:
@@ -294,78 +265,70 @@ class ExactMatrix:
             raise ValueError(
                 f"shape mismatch for product: {self.shape} @ {other.shape}"
             )
-        if self._a is not None:
-            p = self.field.modulus
-            a, b = self._a, other._a
-            if a.dtype == np.int64 and (p - 1) ** 2 * max(self.ncols, 1) < 2**62:
-                prod = (a @ b) % p
-            else:
-                # np.matmul rejects object arrays; np.dot handles them exactly
-                prod = np.dot(a.astype(object), b.astype(object)) % p
-            return ExactMatrix._wrap_numpy(self.field, prod)
-        bt = other.transpose()._rows
-        rows = tuple(
-            tuple(sum(x * y for x, y in zip(r, c)) for c in bt)
-            for r in self._rows
-        )
-        return ExactMatrix._wrap_rows(self.field, rows, self.nrows, other.ncols)
+        b = other._rows
+        rows = []
+        for r in self._rows:
+            acc = {}
+            for k, x in r.items():
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            rows.append(_canonical(self.field, acc))
+        return ExactMatrix._wrap(self.field, tuple(rows), other.ncols)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product, returning a plain list of field elements."""
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
-        col = ExactMatrix.column(self.field, [self.field.element(x) for x in vec])
-        return (self @ col).column_list(0)
+        v = [self.field.element(x) for x in vec]
+        zero, p = self.field.zero(), self.field.modulus
+        out = [sum((x * v[j] for j, x in r.items()), zero) for r in self._rows]
+        return out if p is None else [x % p for x in out]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
-        if self._a is not None:
-            return ExactMatrix._wrap_numpy(self.field, self._a[r0:r1, c0:c1].copy())
-        rows = tuple(tuple(r[c0:c1]) for r in self._rows[r0:r1])
-        return ExactMatrix._wrap_rows(self.field, rows, r1 - r0, c1 - c0)
-
-    def _require_same_space(self, other: "ExactMatrix"):
-        if self.field != other.field or self.shape != other.shape:
-            raise ValueError("matrices live in different spaces")
+        rows = tuple({j - c0: x for j, x in r.items() if c0 <= j < c1}
+                     for r in self._rows[r0:r1])
+        return ExactMatrix._wrap(self.field, rows, c1 - c0)
 
 
 class MatrixBuilder:
-    """Mutable accumulator used to assemble large block matrices."""
+    """Mutable accumulator used to assemble large block matrices.
+
+    Entries are summed unreduced and brought into the field by build(),
+    which also rejects any (i, j) outside the shape.
+    """
 
     def __init__(self, field: FieldSpec, rows: int, cols: int):
         self.field = field
         self.nrows = rows
         self.ncols = cols
-        if field.is_prime_field:
-            dtype = np.int64 if field.modulus < _INT64_MODULUS_LIMIT else object
-            self._a = np.zeros((rows, cols), dtype=dtype)
-        else:
-            self._rows = [[Fraction(0)] * cols for _ in range(rows)]
+        self._rows = {}
 
     def add(self, i: int, j: int, value):
-        if self.field.is_prime_field:
-            self._a[i, j] = (self._a[i, j] + self.field.element(value)) % self.field.modulus
-        else:
-            self._rows[i][j] += Fraction(value)
+        """Add an int or a field element at (i, j)."""
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = {}
+        row[j] = row.get(j, 0) + value
 
     def add_block(self, r0: int, c0: int, block: ExactMatrix):
         if block.field != self.field:
             raise ValueError("block over a different field")
-        if self.field.is_prime_field:
-            self._a[r0:r0 + block.nrows, c0:c0 + block.ncols] = (
-                self._a[r0:r0 + block.nrows, c0:c0 + block.ncols] + block._a
-            ) % self.field.modulus
-        else:
-            for i in range(block.nrows):
-                src = block._rows[i]
-                dst = self._rows[r0 + i]
-                for j in range(block.ncols):
-                    dst[c0 + j] += src[j]
+        for i, src in enumerate(block._rows):
+            if src:
+                dst = self._rows.setdefault(r0 + i, {})
+                for j, x in src.items():
+                    dst[c0 + j] = dst.get(c0 + j, 0) + x
 
     def build(self) -> ExactMatrix:
-        if self.field.is_prime_field:
-            return ExactMatrix._wrap_numpy(self.field, self._a)
-        rows = tuple(tuple(r) for r in self._rows)
-        return ExactMatrix._wrap_rows(self.field, rows, self.nrows, self.ncols)
+        rows = [{}] * self.nrows
+        for i, acc in self._rows.items():
+            if not (0 <= i < self.nrows and 0 <= min(acc) and max(acc) < self.ncols):
+                j = next(j for j in sorted(acc)
+                         if not (0 <= i < self.nrows and 0 <= j < self.ncols))
+                raise IndexError(f"entry ({i}, {j}) outside a "
+                                 f"{self.nrows}x{self.ncols} matrix")
+            rows[i] = _canonical(self.field, acc)
+        return ExactMatrix._wrap(self.field, tuple(rows), self.ncols)
 
 
 # -- stacking and tensoring -----------------------------------------------
@@ -374,16 +337,18 @@ def hstack(blocks: Iterable[ExactMatrix]) -> ExactMatrix:
     blocks = list(blocks)
     if not blocks:
         raise ValueError("hstack of no blocks")
-    rows = blocks[0].nrows
-    field = blocks[0].field
-    out = MatrixBuilder(field, rows, sum(b.ncols for b in blocks))
-    c = 0
-    for b in blocks:
-        if b.nrows != rows:
+    rows = [dict(r) for r in blocks[0]._rows]
+    c = blocks[0].ncols
+    for b in blocks[1:]:
+        if b.nrows != len(rows):
             raise ValueError("hstack blocks disagree on row count")
-        out.add_block(0, c, b)
+        if b.field != blocks[0].field:
+            raise ValueError("hstack blocks over different fields")
+        for dst, src in zip(rows, b._rows):
+            for j, x in src.items():
+                dst[c + j] = x
         c += b.ncols
-    return out.build()
+    return ExactMatrix._wrap(blocks[0].field, tuple(rows), c)
 
 
 def vstack(blocks: Iterable[ExactMatrix]) -> ExactMatrix:
@@ -391,107 +356,71 @@ def vstack(blocks: Iterable[ExactMatrix]) -> ExactMatrix:
     if not blocks:
         raise ValueError("vstack of no blocks")
     cols = blocks[0].ncols
-    field = blocks[0].field
-    out = MatrixBuilder(field, sum(b.nrows for b in blocks), cols)
-    r = 0
     for b in blocks:
         if b.ncols != cols:
             raise ValueError("vstack blocks disagree on column count")
-        out.add_block(r, 0, b)
-        r += b.nrows
-    return out.build()
+        if b.field != blocks[0].field:
+            raise ValueError("vstack blocks over different fields")
+    rows = tuple(r for b in blocks for r in b._rows)
+    return ExactMatrix._wrap(blocks[0].field, rows, cols)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; the left factor indexes the most significant blocks."""
     if a.field != b.field:
         raise ValueError("kron over different fields")
-    field = a.field
-    if field.is_prime_field and a._a.dtype == np.int64 and b._a.dtype == np.int64:
-        return ExactMatrix._wrap_numpy(field, np.kron(a._a, b._a) % field.modulus)
-    out = MatrixBuilder(field, a.nrows * b.nrows, a.ncols * b.ncols)
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            x = a[i, j]
-            if x == 0:
-                continue
-            out.add_block(i * b.nrows, j * b.ncols, b.scale(x))
-    return out.build()
+    n = b.ncols
+    rows = tuple(_canonical(a.field, {j * n + l: x * y for j, x in ra.items()
+                                      for l, y in rb.items()})
+                 for ra in a._rows for rb in b._rows)
+    return ExactMatrix._wrap(a.field, rows, a.ncols * n)
 
 
 # -- elimination ------------------------------------------------------------
 
-def _eliminate_mod_p(a: np.ndarray, p: int, reduced: bool):
-    """Row-reduce mod p in place on a copy; returns (matrix, pivot columns).
+def _subtract_multiple(row: dict, f: Element, prow: dict, p: Optional[int]):
+    """row -= f * prow in place, dropping entries that become zero."""
+    for j, x in prow.items():
+        v = row.get(j, 0) - f * x
+        if p is not None:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
-    Pivot choice: first row with a nonzero entry, columns left to right.
-    With reduced=True the result is the reduced row echelon form.
+
+def _echelon(m: ExactMatrix, reduced: bool) -> list:
+    """Pivot rows [(pivot column, row)] of an echelon form of m, by column.
+
+    Each pivot row is scaled to 1 at its pivot column and has no entries
+    left of it.  With reduced=True the rows form the reduced row echelon
+    form: no pivot row has an entry in another row's pivot column.
     """
-    a = a.copy() % p
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        sub = a[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        if not reduced:
-            col[:r] = 0
-        rows_to_fix = np.nonzero(col)[0]
-        if rows_to_fix.size:
-            a[rows_to_fix] = (a[rows_to_fix] - col[rows_to_fix, None] * a[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _eliminate_fractions(rows, ncols: int, reduced: bool):
-    a = [list(r) for r in rows]
-    m = len(a)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        span = range(m) if reduced else range(r + 1, m)
-        for i in span:
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _rref(m: ExactMatrix, reduced: bool = True):
-    if m.field.is_prime_field:
-        a, pivots = _eliminate_mod_p(m._a, m.field.modulus, reduced)
-        return ExactMatrix._wrap_numpy(m.field, a), pivots
-    rows, pivots = _eliminate_fractions(m._rows, m.ncols, reduced)
-    rows = tuple(tuple(r) for r in rows)
-    return ExactMatrix._wrap_rows(m.field, rows, m.nrows, m.ncols), pivots
+    field, p = m.field, m.field.modulus
+    pivots = {}
+    for src in m._rows:
+        row = dict(src)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = field.inv(row[c])
+                pivots[c] = _canonical(field, {j: x * inv for j, x in row.items()})
+                break
+            _subtract_multiple(row, row[c], prow, p)
+    order = sorted(pivots)
+    if reduced:
+        # right to left: rows at later pivots are already fully reduced
+        for c in reversed(order):
+            row = pivots[c]
+            for c2 in [j for j in row if j != c and j in pivots]:
+                _subtract_multiple(row, row[c2], pivots[c2], p)
+    return [(c, pivots[c]) for c in order]
 
 
 def rank(m: ExactMatrix) -> int:
-    _, pivots = _rref(m, reduced=False)
-    return len(pivots)
+    return len(_echelon(m, reduced=False))
 
 
 def cokernel_dimension(m: ExactMatrix) -> int:
@@ -504,36 +433,33 @@ def kernel_basis(m: ExactMatrix) -> list:
     One vector per free column j: entry 1 at j, minus the echelon entry at
     each pivot column.  Vectors are returned as lists of field elements.
     """
-    r, pivots = _rref(m, reduced=True)
-    pivot_set = set(pivots)
+    field = m.field
+    echelon = _echelon(m, reduced=True)
+    pivot_set = {c for c, _ in echelon}
     free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    zero = m.field.zero()
-    for j in free:
-        v = [zero] * m.ncols
-        v[j] = m.field.one()
-        for k, c in enumerate(pivots):
-            x = r[k, j]
-            if x != 0:
-                v[c] = -x % m.field.modulus if m.field.is_prime_field else -x
-        basis.append(v)
-    # rank-nullity, checked on every call
-    assert len(basis) == m.ncols - len(pivots)
-    return basis
+    basis = {j: [field.zero()] * m.ncols for j in free}
+    for j, v in basis.items():
+        v[j] = field.one()
+    for c, row in echelon:
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = -x % field.modulus if field.is_prime_field else -x
+    if len(basis) != m.ncols - len(echelon):
+        raise CrossCheckError("kernel basis violates rank-nullity")
+    return list(basis.values())
 
 
 def solve(m: ExactMatrix, b: Sequence) -> Optional[list]:
     """One solution x of m·x = b, or None when the system is inconsistent."""
     if len(b) != m.nrows:
         raise ValueError(f"right-hand side length {len(b)} != {m.nrows} rows")
-    bcol = ExactMatrix.column(m.field, [m.field.element(x) for x in b])
-    aug = hstack([m, bcol])
-    r, pivots = _rref(aug, reduced=True)
-    if pivots and pivots[-1] == m.ncols:
+    aug = hstack([m, ExactMatrix.column(m.field, b)])
+    echelon = _echelon(aug, reduced=True)
+    if echelon and echelon[-1][0] == m.ncols:
         return None
     x = [m.field.zero()] * m.ncols
-    for k, c in enumerate(pivots):
-        x[c] = r[k, m.ncols]
+    for c, row in echelon:
+        x[c] = row.get(m.ncols, x[c])
     return x
 
 
@@ -545,14 +471,16 @@ def cokernel_representatives(m: ExactMatrix) -> list:
     coker(m).
     """
     aug = hstack([m, ExactMatrix.identity(m.field, m.nrows)])
-    _, pivots = _rref(aug, reduced=False)
+    pivots = [c for c, _ in _echelon(aug, reduced=False)]
     picked = [c - m.ncols for c in pivots if c >= m.ncols]
+    # the pivots inside m's columns are exactly the pivots of m
+    if len(picked) != m.nrows - (len(pivots) - len(picked)):
+        raise CrossCheckError("cokernel representatives miscounted")
     reps = []
     for k in picked:
         v = [m.field.zero()] * m.nrows
         v[k] = m.field.one()
         reps.append(v)
-    assert len(reps) == m.nrows - rank(m)
     return reps
 
 

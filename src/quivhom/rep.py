@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import (
+    CrossCheckError,
     ExactMatrix,
     FieldSpec,
     MatrixBuilder,
@@ -310,7 +311,8 @@ def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
             for i in range(V.quiver.n_vertices)
         ]
         f = RepMorphism(V, W, blocks)
-        assert f.is_morphism()
+        if not f.is_morphism():
+            raise CrossCheckError("a kernel vector of delta is not a morphism")
         morphisms.append(f)
     return morphisms
 
@@ -358,10 +360,12 @@ def build_extension(V: TwistedRep, W: TwistedRep,
             out.add_block(W.dims[h], c0 + dwt, V.arrow_block(a, j))
         phi.append(out.build())
     E = TwistedRep(V.quiver, V.twist, field, dims, phi)
-    assert RepMorphism(W, E, [_inclusion_block(field, W.dims[i], V.dims[i])
-                              for i in range(V.quiver.n_vertices)]).is_morphism()
-    assert RepMorphism(E, V, [_projection_block(field, W.dims[i], V.dims[i])
-                              for i in range(V.quiver.n_vertices)]).is_morphism()
+    n = V.quiver.n_vertices
+    if not (RepMorphism(W, E, [_inclusion_block(field, W.dims[i], V.dims[i])
+                               for i in range(n)]).is_morphism()
+            and RepMorphism(E, V, [_projection_block(field, W.dims[i], V.dims[i])
+                                   for i in range(n)]).is_morphism()):
+        raise CrossCheckError("the extension's inclusion or projection is not a morphism")
     return E
 
 

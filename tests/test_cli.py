@@ -1,11 +1,15 @@
 """Command line front-end: commands, exit codes, report formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import quivhom
 from quivhom.cli import main
 from quivhom.generate import generate_document
 from quivhom.instances import (
@@ -206,6 +210,52 @@ def test_log_env_variable(capsys, monkeypatch):
     # logging config is process-global; just ensure the command still works
     code, out, _ = run(capsys, "ext", HIGGS, "V", "W", "--json")
     assert code == 0
+
+
+def test_unknown_log_level_warns_once(capsys, monkeypatch):
+    monkeypatch.delenv("QUIVHOM_LOG", raising=False)
+    code, quiet_out, quiet_err = run(capsys, "ext", HIGGS, "V", "W", "--json")
+    monkeypatch.setenv("QUIVHOM_LOG", "verbose")
+    code2, out, err = run(capsys, "ext", HIGGS, "V", "W", "--json")
+    assert (code2, out) == (code, quiet_out)
+    assert quiet_err == ""
+    assert err.count("\n") == 1
+    assert "'verbose'" in err and "quiet, info, debug" in err
+
+
+def _python(*args):
+    # the subprocesses import the same package as this test, installed or not
+    src = str(Path(quivhom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("QUIVHOM_LOG", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_cli_does_not_import_numpy():
+    proc = _python("-c", "import quivhom.cli, sys; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("patch, argv", [
+    # hom_space re-verifies every kernel vector as a morphism
+    ("quivhom.rep.RepMorphism.is_morphism = lambda self: False",
+     ["ext", JORDAN, "J2", "J2", "--bases"]),
+    # cmd_check must not report a cross-check failure as a failed round trip
+    ("def fail(*args, **kwargs):\n    raise CrossCheckError('forced')\n"
+     "quivhom.cli.lift_beta = fail",
+     ["check", JORDAN, "J2"]),
+], ids=["hom_space", "check"])
+def test_cross_check_failure_exits_5_under_python_O(patch, argv):
+    script = ("import sys\nimport quivhom.cli, quivhom.rep\n"
+              "from quivhom.linalg import CrossCheckError\n"
+              "if not sys.flags.optimize:\n    sys.exit(99)\n"
+              f"{patch}\nsys.exit(quivhom.cli.main({argv!r}))\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 5, proc.stderr
+    assert "internal cross-check failed" in proc.stderr
 
 
 def test_load_instance_rejects_unsorted_twists():

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from quivhom.linalg import (
     _MR_LIMIT,
+    CrossCheckError,
     ExactMatrix,
     FieldSpec,
+    MatrixBuilder,
     _is_prime,
     cokernel_dimension,
     cokernel_representatives,
@@ -225,3 +227,116 @@ def test_vec_composition_operators(seed):
     eye = ExactMatrix.identity(field, m)
     assert (vec_twisted_postcompose(cm, m, n).apply(vec_matrix(x))
             == vec_matrix(cm @ kron(eye, x)))
+
+
+# -- the sparse storage against a plain list-of-lists reference -------------
+
+P61 = FieldSpec.prime(2**61 - 1)
+
+
+def _sparse_lists(field, rng, rows, cols):
+    """Dense lists of field elements, about half of them zero."""
+    def entry():
+        if rng.random() < 0.5:
+            return field.zero()
+        if field.is_prime_field:
+            return rng.randrange(field.modulus)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _reduce(field, x):
+    return x % field.modulus if field.is_prime_field else x
+
+
+def _ref_matmul(field, a, b, inner, cols):
+    return [[_reduce(field, sum((r[k] * b[k][j] for k in range(inner)), field.zero()))
+             for j in range(cols)] for r in a]
+
+
+def _ref_kron(field, a, b):
+    return [[_reduce(field, x * y) for x in ra for y in rb] for ra in a for rb in b]
+
+
+@given(st.integers(0, 10**6), st.sampled_from([F5, P61, Q]))
+@settings(max_examples=60, deadline=None)
+def test_operations_match_list_reference(seed, field):
+    rng = random.Random(seed)
+    r, c, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+    la, lb = _sparse_lists(field, rng, r, c), _sparse_lists(field, rng, r, c)
+    lc = _sparse_lists(field, rng, c, k)
+    a, b = ExactMatrix(field, r, c, la), ExactMatrix(field, r, c, lb)
+    cm = ExactMatrix(field, c, k, lc)
+    red = lambda x: _reduce(field, x)  # noqa: E731
+    assert a.to_lists() == la
+    assert (a + b).to_lists() == [[red(x + y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
+    assert (a - b).to_lists() == [[red(x - y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
+    s = rng.randint(-3, 3)
+    assert a.scale(s).to_lists() == [[red(field.element(s) * x) for x in p] for p in la]
+    assert (-a).to_lists() == [[red(-x) for x in p] for p in la]
+    assert (a @ cm).to_lists() == _ref_matmul(field, la, lc, c, k)
+    assert a.transpose().to_lists() == [[la[i][j] for i in range(r)] for j in range(c)]
+    assert kron(a, cm).to_lists() == _ref_kron(field, la, lc)
+    r0, r1 = sorted(rng.randint(0, r) for _ in range(2))
+    c0, c1 = sorted(rng.randint(0, c) for _ in range(2))
+    assert a.submatrix(r0, r1, c0, c1).to_lists() == [p[c0:c1] for p in la[r0:r1]]
+    assert hstack([a, b]).to_lists() == [p + q for p, q in zip(la, lb)]
+    assert vstack([a, b]).to_lists() == la + lb
+    v = [rng.randint(-9, 9) for _ in range(c)]
+    assert a.apply(v) == [red(sum((x * field.element(y) for x, y in zip(p, v)), field.zero()))
+                          for p in la]
+    # the entry types are those of the field, also where an entry is zero
+    kind = int if field.is_prime_field else Fraction
+    assert all(type(x) is kind for p in (a @ cm).to_lists() + [a.apply(v)] for x in p)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([F5, P61, Q]))
+@settings(max_examples=40, deadline=None)
+def test_no_zero_is_stored(seed, field):
+    rng = random.Random(seed)
+    r, c = rng.randint(0, 4), rng.randint(0, 4)
+    la, lb = _sparse_lists(field, rng, r, c), _sparse_lists(field, rng, r, c)
+    a, b = ExactMatrix(field, r, c, la), ExactMatrix(field, r, c, lb)
+    zeros = ExactMatrix.zeros(field, r, c)
+    assert a - a == zeros and (a - a).is_zero()
+    assert hash(a - a) == hash(zeros)
+    # the same matrix along three routes: entries, a sum, a builder with cancellation
+    via_sum = (a + b) - b
+    builder = MatrixBuilder(field, r, c)
+    for i in range(r):
+        for j in range(c):
+            builder.add(i, j, la[i][j])
+            builder.add(i, j, 1)
+            builder.add(i, j, -1)
+    builder.add_block(0, 0, b)
+    builder.add_block(0, 0, b.scale(-1))
+    via_builder = builder.build()
+    for m in (via_sum, via_builder, a.transpose().transpose(), a @ ExactMatrix.identity(field, c)):
+        assert m == a and hash(m) == hash(a)
+    assert (a == b) == (la == lb)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 3), (5, 7)])
+def test_builder_rejects_entries_outside_the_shape(i, j):
+    for field in (F5, Q):
+        builder = MatrixBuilder(field, 2, 3)
+        builder.add(0, 0, 1)
+        builder.add(i, j, 1)
+        with pytest.raises(IndexError, match="outside a 2x3 matrix"):
+            builder.build()
+    builder = MatrixBuilder(F5, 2, 3)
+    builder.add_block(1, 2, ExactMatrix.identity(F5, 2))
+    with pytest.raises(IndexError):
+        builder.build()
+
+
+def test_cross_checks_raise_cross_check_error(monkeypatch):
+    # a raised error, unlike an assert, survives python -O
+    import quivhom.linalg as linalg
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda m, reduced: [(0, {0: 1})] * (m.nrows + 1))
+    m = ExactMatrix.identity(F5, 2)
+    with pytest.raises(CrossCheckError):
+        kernel_basis(ExactMatrix.zeros(F5, 2, 0))
+    with pytest.raises(CrossCheckError):
+        cokernel_representatives(m)
