@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .linalg import ExactMatrix, MatrixBuilder, solve, vec_matrix
+from .linalg import CrossCheckError, ExactMatrix, MatrixBuilder, solve, vec_matrix
 from .quiver import Path, enumerate_paths
 from .rep import TwistedRep, hom_space, path_matrix, path_tensor_dim
 
@@ -146,15 +146,15 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     for c in range(d_out):
         sol = solve(hom_cols, back.column_list(c))
         if sol is None:
-            raise AssertionError("backward image is not a morphism")
+            raise CrossCheckError("backward image is not a morphism")
         for r, x in enumerate(sol):
             coords.add(r, c, x)
     backward = coords.build()
 
     if h != d_out:
-        raise AssertionError("adjunction dimensions disagree")
+        raise CrossCheckError("adjunction dimensions disagree")
     if forward @ backward != ExactMatrix.identity(field, d_out):
-        raise AssertionError("forward ∘ backward is not the identity")
+        raise CrossCheckError("forward ∘ backward is not the identity")
     if backward @ forward != ExactMatrix.identity(field, h):
-        raise AssertionError("backward ∘ forward is not the identity")
+        raise CrossCheckError("backward ∘ forward is not the identity")
     return forward, backward

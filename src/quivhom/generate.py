@@ -12,6 +12,10 @@ from __future__ import annotations
 import random
 from typing import List
 
+from .quiver import Quiver
+from .rep import TwistData
+from .resolution import GradedBasis, ResolutionLayout
+
 GEN_FIELD = {"fp": 101}
 
 # size guards, keeping the acceptance-suite runtime bounds comfortable
@@ -20,29 +24,10 @@ _RESOLUTION_DEGREE = 4
 _MAX_CECH_DIM = 2000
 
 
-def _graded_dims(n_vertices: int, arrows, twists, max_degree: int) -> List[List[int]]:
-    """dims[l][i] = dim e_i A_l, via the leading-arrow recursion."""
-    dims = [[1] * n_vertices]
-    for _ in range(max_degree):
-        prev = dims[-1]
-        cur = [0] * n_vertices
-        for a, (t, h) in enumerate(arrows):
-            cur[h] += twists[a] * prev[t]
-        dims.append(cur)
-    return dims
-
-
 def _vector_size_ok(n: int, arrows, twists, dims_by_module) -> bool:
-    graded = _graded_dims(n, arrows, twists, _RESOLUTION_DEGREE)
-    for dims in dims_by_module:
-        f_total = sum(dims[i] * graded[l][i]
-                      for i in range(n) for l in range(_RESOLUTION_DEGREE + 1))
-        g_total = sum(twists[a] * graded[l][t] * dims[h]
-                      for a, (t, h) in enumerate(arrows)
-                      for l in range(_RESOLUTION_DEGREE))
-        if max(f_total, g_total) > _MAX_RESOLUTION_DIM:
-            return False
-    return True
+    basis = GradedBasis(Quiver(n, arrows), TwistData(twists), _RESOLUTION_DEGREE)
+    layouts = [ResolutionLayout(basis, tuple(dims)) for dims in dims_by_module]
+    return all(max(lo.f_total, lo.g_total) <= _MAX_RESOLUTION_DIM for lo in layouts)
 
 
 def generate_vector_document(rng: random.Random, max_vertices: int, max_arrows: int,

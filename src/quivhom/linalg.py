@@ -207,6 +207,12 @@ class ExactMatrix:
     def to_lists(self) -> list:
         return [self.row_list(i) for i in range(self.nrows)]
 
+    def nonzeros(self):
+        """Yield (row, column, value) for every nonzero entry, row by row."""
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                yield i, j, x
+
     def is_zero(self) -> bool:
         return not any(self._rows)
 
@@ -487,8 +493,7 @@ def cokernel_representatives(m: ExactMatrix) -> list:
 # -- vectorisation helpers ---------------------------------------------------
 #
 # Hom blocks are vectorised column-major throughout the package: the matrix
-# entry X[r, c] sits at coordinate c*nrows + r.  The helpers below give the
-# matrices of composition operators in those coordinates.
+# entry X[r, c] sits at coordinate c*nrows + r.
 
 def vec_matrix(x: ExactMatrix) -> list:
     """Column-major vectorisation of a matrix as a list."""
@@ -507,17 +512,3 @@ def unvec_matrix(field: FieldSpec, vec: Sequence, rows: int, cols: int,
             out.add(r, c, vec[offset + c * rows + r])
     return out.build()
 
-
-def vec_twisted_postcompose(c: ExactMatrix, m: int, x_cols: int) -> ExactMatrix:
-    """Matrix of X -> C·(I_m ⊗ X) on column-major coordinates.
-
-    C maps a tensor space with m blocks; its j-th column block C_j acts on
-    the j-th copy.  The result stacks the maps X -> C_j·X with j most
-    significant, matching the tensor-basis convention.
-    """
-    if c.ncols % m != 0:
-        raise ValueError("column count not divisible by the twist dimension")
-    a = c.ncols // m
-    eye = ExactMatrix.identity(c.field, x_cols)
-    blocks = [kron(eye, c.submatrix(0, c.nrows, j * a, (j + 1) * a)) for j in range(m)]
-    return vstack(blocks)

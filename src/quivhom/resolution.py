@@ -5,35 +5,43 @@ For a module V the resolution reads
     0 -> V --eps--> ⊕_i Hom(e_i A, V_i) --d--> ⊕_a Hom(M_a ⊗ e_ta A, V_ha) -> 0
 
 with eps(v)(x) = x·v and d(alpha)_a(x_a⊗x) = alpha_ha(x_a x) − phi_a(x_a ⊗
-alpha_ta(x)).  The graded pieces e_i A_l are spanned by (path, tensor index)
-pairs; truncating alpha at degree N and the codomain at degree N−1 keeps the
-sequence exact degreewise, because the degree-(l−1) constraints consume
-alpha only up to degree l.
+alpha_ta(x)).  Truncating alpha at degree N and the codomain at degree N−1
+keeps the sequence exact degreewise, because the degree-(l−1) constraints
+consume alpha only up to degree l.
 
-Basis conventions: inside e_i A_l, paths are ordered as enumerate_paths
-orders them and the tensor index of each path is ordered with the last
-arrow applied most significant.  Truncated direct sums are ordered by
-vertex (resp. arrow), then by degree.
+Everything follows one recursion, e_h A_{l+1} = ⊕_{a into h} M_a ⊗ e_ta A_l:
+a path of length l+1 is an arrow applied after a path of length l.  The
+basis of e_h A_{l+1} is this sum, one block per arrow in quiver order, the
+M_a index most significant (for untwisted arrows, the order of
+enumerate_paths).  A map alpha is fixed by its degree-0 part and by
+beta = d(alpha): on the block of a, alpha_ha = beta_a + phi_a·(I_m ⊗
+alpha_ta) (_extend).  eps(v) extends v with beta = 0; lift_beta extends 0.
+
+Hom blocks are vectorised column-major.  ⊕ Hom(e_i A_l, V_i) is ordered by
+degree, highest first, then by vertex; the codomain by arrow, then degree.
+Each row of d then leads with its +1 on alpha_{h,l+1}, left of its −phi_a
+entries on alpha_{t,l}, in a column no other row leads in; elimination
+takes every row of d as a pivot without a single subtraction.  Ordered by
+vertex first, the +1 can fall right of other rows' pivots and rank(d)
+fills in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .linalg import (
-    ExactMatrix,
-    MatrixBuilder,
-    kron,
-    rank,
-    vec_twisted_postcompose,
-)
-from .quiver import Path, Quiver, enumerate_paths
-from .rep import TwistData, TwistedRep, path_matrix, path_tensor_dim
+from .linalg import ExactMatrix, MatrixBuilder, kron, rank, vec_matrix
+from .quiver import Quiver
+from .rep import TwistData, TwistedRep
 
 
 class GradedBasis:
-    """Ordered bases of the graded pieces e_i A_l, l <= max_degree."""
+    """Dimensions of the graded pieces e_i A_l, l <= max_degree.
+
+    block_offset[(a, l)] is where the block M_a ⊗ e_ta A_l starts inside
+    e_ha A_{l+1}.
+    """
 
     def __init__(self, quiver: Quiver, twist: TwistData, max_degree: int):
         if max_degree < 0:
@@ -41,37 +49,15 @@ class GradedBasis:
         self.quiver = quiver
         self.twist = twist
         self.max_degree = max_degree
-        groups = enumerate_paths(quiver, max_degree)
-        # entries[(i, l)]: list of (path, tensor_dim, offset); dim[(i, l)] totals
-        self.entries: Dict[Tuple[int, int], List[Tuple[Path, int, int]]] = {}
-        self.dim: Dict[Tuple[int, int], int] = {}
-        self.path_offset: Dict[Tuple[int, Path], int] = {}
-        for (length, i), paths in groups.items():
-            listing = []
-            pos = 0
-            for p in paths:
-                d = path_tensor_dim(twist, p)
-                listing.append((p, d, pos))
-                self.path_offset[(length, p)] = pos
-                pos += d
-            self.entries[(i, length)] = listing
-            self.dim[(i, length)] = pos
-
-    def mu_matrix_at(self, field, a: int, degree: int) -> ExactMatrix:
-        """0/1 matrix of multiplication M_a ⊗ e_ta A_degree -> e_ha A_{degree+1}."""
-        t, h = self.quiver.arrows[a]
-        m = self.twist[a]
-        src_dim = self.dim[(t, degree)]
-        dst_dim = self.dim[(h, degree + 1)]
-        out = MatrixBuilder(field, dst_dim, m * src_dim)
-        for (q, dim_q, off_q) in self.entries[(t, degree)]:
-            longer = Path(q.tail, h, q.arrows + (a,))
-            dst_off = self.path_offset[(degree + 1, longer)]
-            for m_a in range(m):
-                for t_q in range(dim_q):
-                    out.add(dst_off + m_a * dim_q + t_q,
-                            m_a * src_dim + off_q + t_q, field.one())
-        return out.build()
+        self.dim: Dict[Tuple[int, int], int] = {
+            (i, 0): 1 for i in range(quiver.n_vertices)}
+        self.block_offset: Dict[Tuple[int, int], int] = {}
+        for l in range(max_degree):
+            for i in range(quiver.n_vertices):
+                self.dim[(i, l + 1)] = 0
+            for a, (t, h) in enumerate(quiver.arrows):
+                self.block_offset[(a, l)] = self.dim[(h, l + 1)]
+                self.dim[(h, l + 1)] += twist[a] * self.dim[(t, l)]
 
 
 @dataclass
@@ -88,8 +74,8 @@ class ResolutionLayout:
     def __post_init__(self):
         n = self.basis.max_degree
         pos = 0
-        for i in range(self.basis.quiver.n_vertices):
-            for l in range(n + 1):
+        for l in range(n, -1, -1):
+            for i in range(self.basis.quiver.n_vertices):
                 self.f_offsets[(i, l)] = pos
                 pos += self.dims[i] * self.basis.dim[(i, l)]
         self.f_total = pos
@@ -115,48 +101,67 @@ def resolution_matrices(V: TwistedRep, max_degree: int,
     return _eps_matrix(V, layout), _d_matrix(V, layout)
 
 
+def _extend(V: TwistedRep, basis: GradedBasis,
+            alpha: Dict[Tuple[int, int], ExactMatrix],
+            beta: Optional[Dict[Tuple[int, int], ExactMatrix]] = None) -> None:
+    """Fill alpha[(i, l)] for l >= 1 from the seed alpha[(i, 0)], in place.
+
+    Each basis element of e_i A_l owns w consecutive columns of alpha[(i, l)],
+    w being the column count of the seed.  On the block of arrow a,
+    alpha_ha := beta_a + phi_a·(I_m ⊗ alpha_ta); beta is zero when omitted.
+    """
+    field = V.field
+    w = alpha[(0, 0)].ncols
+    for l in range(basis.max_degree):
+        out = [MatrixBuilder(field, d, basis.dim[(i, l + 1)] * w)
+               for i, d in enumerate(V.dims)]
+        for a, (t, h) in enumerate(V.quiver.arrows):
+            col = basis.block_offset[(a, l)] * w
+            eye = ExactMatrix.identity(field, V.twist[a])
+            out[h].add_block(0, col, V.phi[a] @ kron(eye, alpha[(t, l)]))
+            if beta is not None:
+                out[h].add_block(0, col, beta[(a, l)])
+        for i, built in enumerate(out):
+            alpha[(i, l + 1)] = built.build()
+
+
 def _eps_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
-    basis = layout.basis
-    eps = MatrixBuilder(V.field, layout.f_total, V.total_dim())
-    v_offsets = []
-    pos = 0
-    for d in V.dims:
-        v_offsets.append(pos)
+    # eps(v) is the extension of v: seed alpha_i with the projection V -> V_i
+    total = V.total_dim()
+    eye = ExactMatrix.identity(V.field, total)
+    alpha, pos = {}, 0
+    for i, d in enumerate(V.dims):
+        alpha[(i, 0)] = eye.submatrix(pos, pos + d, 0, total)
         pos += d
-    for i in range(V.quiver.n_vertices):
-        if V.dims[i] == 0:
-            continue
-        for l in range(basis.max_degree + 1):
-            base = layout.f_offsets[(i, l)]
-            for (p, dim_p, off) in basis.entries[(i, l)]:
-                if V.dims[p.tail] == 0:
-                    continue
-                for t in range(dim_p):
-                    # eps(v) evaluated on the basis element (p, t) is (p, t)·v
-                    block = path_matrix(V, p, t)
-                    eps.add_block(base + (off + t) * V.dims[i],
-                                  v_offsets[p.tail], block)
+    _extend(V, layout.basis, alpha)
+    eps = MatrixBuilder(V.field, layout.f_total, total)
+    for (i, l), mat in alpha.items():
+        base = layout.f_offsets[(i, l)]
+        for r, c, x in mat.nonzeros():
+            element, v = divmod(c, total)
+            eps.add(base + element * V.dims[i] + r, v, x)
     return eps.build()
 
 
 def _d_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
     basis = layout.basis
-    field = V.field
-    d_out = MatrixBuilder(field, layout.g_total, layout.f_total)
+    d_out = MatrixBuilder(V.field, layout.g_total, layout.f_total)
     for a, (t, h) in enumerate(V.quiver.arrows):
-        m = V.twist[a]
+        dt, dh = V.dims[t], V.dims[h]
         for l in range(basis.max_degree):
             row = layout.g_offsets[(a, l)]
-            # alpha_ha composed with the multiplication map mu_a
-            if V.dims[h] > 0:
-                mu = basis.mu_matrix_at(field, a, l)
-                d_out.add_block(row, layout.f_offsets[(h, l + 1)],
-                                kron(mu.transpose(),
-                                     ExactMatrix.identity(field, V.dims[h])))
-            # phi_a ∘ (1 ⊗ alpha_ta)
-            if V.dims[t] > 0 and V.dims[h] > 0:
-                block = vec_twisted_postcompose(V.phi[a], m, basis.dim[(t, l)])
-                d_out.add_block(row, layout.f_offsets[(t, l)], block.scale(-1))
+            src = basis.dim[(t, l)]
+            # alpha_ha on the block of arrow a: an identity block
+            col = layout.f_offsets[(h, l + 1)] + basis.block_offset[(a, l)] * dh
+            for k in range(V.twist[a] * src * dh):
+                d_out.add(row + k, col + k, 1)
+            # −phi_a ∘ (I_m ⊗ alpha_ta): phi_a's entry (r, j·dt + s) takes
+            # alpha_ta's entry (s, x) to the entry (r, j·src + x)
+            col = layout.f_offsets[(t, l)]
+            for r, c, cf in V.phi[a].nonzeros():
+                j, s = divmod(c, dt)
+                for x in range(src):
+                    d_out.add(row + (j * src + x) * dh + r, col + x * dt + s, -cf)
     return d_out.build()
 
 
@@ -197,28 +202,23 @@ class GradedMapFamily:
     beta: Optional[Dict[Tuple[int, int], ExactMatrix]] = None
 
 
+def _to_vector(offsets: Dict[Tuple[int, int], int], total: int,
+               blocks: Dict[Tuple[int, int], ExactMatrix]) -> list:
+    out = [None] * total
+    for key, mat in blocks.items():
+        base = offsets[key]
+        out[base:base + mat.nrows * mat.ncols] = vec_matrix(mat)
+    return out
+
+
 def alpha_to_vector(layout: ResolutionLayout,
                     alpha: Dict[Tuple[int, int], ExactMatrix]) -> list:
-    out = [None] * layout.f_total
-    for (i, l), mat in alpha.items():
-        base = layout.f_offsets[(i, l)]
-        for c in range(mat.ncols):
-            col = mat.column_list(c)
-            for r, x in enumerate(col):
-                out[base + c * mat.nrows + r] = x
-    return out
+    return _to_vector(layout.f_offsets, layout.f_total, alpha)
 
 
 def beta_to_vector(layout: ResolutionLayout,
                    beta: Dict[Tuple[int, int], ExactMatrix]) -> list:
-    out = [None] * layout.g_total
-    for (a, l), mat in beta.items():
-        base = layout.g_offsets[(a, l)]
-        for c in range(mat.ncols):
-            col = mat.column_list(c)
-            for r, x in enumerate(col):
-                out[base + c * mat.nrows + r] = x
-    return out
+    return _to_vector(layout.g_offsets, layout.g_total, beta)
 
 
 def lift_beta(V: TwistedRep, beta: GradedMapFamily,
@@ -243,34 +243,8 @@ def lift_beta(V: TwistedRep, beta: GradedMapFamily,
             if got is None or got.shape != want:
                 raise ValueError(f"beta[({a}, {l})] missing or of wrong shape")
 
-    alpha: Dict[Tuple[int, int], ExactMatrix] = {}
-    for i in range(V.quiver.n_vertices):
-        alpha[(i, 0)] = ExactMatrix.zeros(field, V.dims[i], basis.dim[(i, 0)])
-    for l in range(1, n + 1):
-        for i in range(V.quiver.n_vertices):
-            out = MatrixBuilder(field, V.dims[i], basis.dim[(i, l)])
-            if V.dims[i] > 0:
-                for (p, dim_p, off) in basis.entries[(i, l)]:
-                    a = p.arrows[-1]
-                    t = V.quiver.tail(a)
-                    shorter = Path(p.tail, t, p.arrows[:-1])
-                    dim_q = path_tensor_dim(V.twist, shorter)
-                    off_q = basis.path_offset[(l - 1, shorter)]
-                    prev = alpha[(t, l - 1)]
-                    bm = bmats[(a, l - 1)]
-                    src_dim = basis.dim[(t, l - 1)]
-                    for tt in range(dim_p):
-                        m_a = tt // dim_q
-                        t_q = tt % dim_q
-                        col = bm.submatrix(0, V.dims[i],
-                                           m_a * src_dim + off_q + t_q,
-                                           m_a * src_dim + off_q + t_q + 1)
-                        if V.dims[t] > 0:
-                            carried = V.arrow_block(a, m_a) @ prev.submatrix(
-                                0, V.dims[t], off_q + t_q, off_q + t_q + 1)
-                            col = col + carried
-                        out.add_block(0, tt + off, col)
-            alpha[(i, l)] = out.build()
+    alpha = {(i, 0): ExactMatrix.zeros(field, d, 1) for i, d in enumerate(V.dims)}
+    _extend(V, basis, alpha, bmats)
 
     d = _d_matrix(V, layout)
     avec = alpha_to_vector(layout, alpha)

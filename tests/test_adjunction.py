@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from quivhom import adjunction
 from quivhom.adjunction import adjunction_iso
-from quivhom.linalg import ExactMatrix, FieldSpec
+from quivhom.linalg import CrossCheckError, ExactMatrix, FieldSpec
 from quivhom.quiver import Quiver
 from quivhom.rep import TwistData, TwistedRep
 
@@ -27,6 +28,15 @@ def test_triple_both_sides_dimension_one():
     forward, backward = adjunction_iso(V, 0, 1, 1)
     assert forward.shape == (1, 1)
     assert backward.shape == (1, 1)
+
+
+def test_failed_cross_check_raises_cross_check_error(monkeypatch):
+    # a backward image outside Hom_A(V, J) is a bug, reported as such
+    q = Quiver(2, [(1, 0)])
+    V = TwistedRep(q, TwistData([1]), Q, [1, 1], [ExactMatrix(Q, 1, 1, [[1]])])
+    monkeypatch.setattr(adjunction, "solve", lambda m, b: None)
+    with pytest.raises(CrossCheckError, match="not a morphism"):
+        adjunction_iso(V, 0, 1, 1)
 
 
 def test_rejects_cycles():

@@ -23,8 +23,6 @@ from quivhom.linalg import (
     kron,
     rank,
     solve,
-    vec_matrix,
-    vec_twisted_postcompose,
     vstack,
 )
 
@@ -214,21 +212,6 @@ def test_stack_and_kron():
     assert k.to_lists() == [[2, 0, 3, 0], [0, 2, 0, 3]]
 
 
-@given(st.integers(0, 50))
-@settings(max_examples=30, deadline=None)
-def test_vec_composition_operators(seed):
-    # the vectorised operators must match actual composition
-    rng = random.Random(seed)
-    field = rng.choice([Q, F5])
-    a, b, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
-    x = _random_matrix(field, rng, a, n)
-    m = rng.randint(1, 3)
-    cm = _random_matrix(field, rng, b, m * a)
-    eye = ExactMatrix.identity(field, m)
-    assert (vec_twisted_postcompose(cm, m, n).apply(vec_matrix(x))
-            == vec_matrix(cm @ kron(eye, x)))
-
-
 # -- the sparse storage against a plain list-of-lists reference -------------
 
 P61 = FieldSpec.prime(2**61 - 1)
@@ -269,6 +252,8 @@ def test_operations_match_list_reference(seed, field):
     cm = ExactMatrix(field, c, k, lc)
     red = lambda x: _reduce(field, x)  # noqa: E731
     assert a.to_lists() == la
+    assert list(a.nonzeros()) == [(i, j, x) for i, p in enumerate(la)
+                                  for j, x in enumerate(p) if x != 0]
     assert (a + b).to_lists() == [[red(x + y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
     assert (a - b).to_lists() == [[red(x - y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
     s = rng.randint(-3, 3)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from quivhom.linalg import ExactMatrix, FieldSpec, rank
-from quivhom.quiver import Quiver
-from quivhom.rep import TwistData, TwistedRep
+from quivhom.generate import generate_document
+from quivhom.instances import load_instance
+from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
+from quivhom.quiver import Path, Quiver, enumerate_paths
+from quivhom.rep import TwistData, TwistedRep, path_matrix, path_tensor_dim
 from quivhom.resolution import (
     GradedBasis,
     GradedMapFamily,
@@ -51,13 +53,17 @@ def test_degree_zero_truncation():
 def test_polynomial_example_matrices():
     # eps(1) = (1, 0, 0) on the duals of 1, x, x^2; ker(d) is one-dimensional
     V = simple_loop_module()
-    eps, d = resolution_matrices(V, 2)
+    layout = resolution_layout(V, 2)
+    eps, d = resolution_matrices(V, 2, layout)
+    duals = [layout.f_offsets[(0, l)] for l in range(3)]    # of 1, x, x^2
     assert eps.shape == (3, 1)
-    assert eps.column_list(0) == [Fraction(1), Fraction(0), Fraction(0)]
+    assert [eps.column_list(0)[c] for c in duals] == [Fraction(1), Fraction(0),
+                                                       Fraction(0)]
     assert d.shape == (2, 3)
     assert d.ncols - rank(d) == 1
     # d(alpha)(p) = alpha(x p) - x alpha(p) with x acting by zero
-    assert d.to_lists() == [[0, 1, 0], [0, 0, 1]]
+    assert [[row[c] for c in duals] for row in d.to_lists()] == [[0, 1, 0],
+                                                                 [0, 0, 1]]
 
 
 def test_acyclic_triple_resolution():
@@ -181,3 +187,77 @@ def test_composite_d_eps_vanishes():
         V = _random_rep(rng)
         eps, d = resolution_matrices(V, 3)
         assert (d @ eps).is_zero()
+
+
+# -- the block basis, against path actions computed one path at a time -------
+
+def _block_basis(quiver, twist, max_degree):
+    """(path, tensor index) of each basis element of e_i A_l, in order.
+
+    Enumerates e_h A_{l+1} = ⊕_{a into h} M_a ⊗ e_ta A_l, arrows in quiver
+    order and the M_a index most significant; also returns where each
+    arrow's block starts.
+    """
+    listing = {(i, 0): [(Path.trivial(i), 0)] for i in range(quiver.n_vertices)}
+    starts = {}
+    for l in range(max_degree):
+        for h in range(quiver.n_vertices):
+            listing[(h, l + 1)] = []
+            for a in quiver.arrows_into(h):
+                starts[(a, l)] = len(listing[(h, l + 1)])
+                for m in range(twist[a]):
+                    for q, k in listing[(quiver.tail(a), l)]:
+                        p = Path(q.tail, h, q.arrows + (a,))
+                        # PathBasis: the last arrow applied is most significant
+                        listing[(h, l + 1)].append(
+                            (p, m * path_tensor_dim(twist, q) + k))
+    return listing, starts
+
+
+def _check_blocks_against_path_actions(V, n):
+    layout = resolution_layout(V, n)
+    basis = layout.basis
+    listing, starts = _block_basis(V.quiver, V.twist, n)
+    assert basis.block_offset == starts
+    assert basis.dim == {key: len(elems) for key, elems in listing.items()}
+    # a permutation of the (path, tensor index) pairs of enumerate_paths
+    for (l, i), paths in enumerate_paths(V.quiver, n).items():
+        assert sorted(listing[(i, l)], key=repr) == sorted(
+            ((p, k) for p in paths for k in range(path_tensor_dim(V.twist, p))),
+            key=repr)
+
+    eps, d = resolution_matrices(V, n, layout)
+    total = V.total_dim()
+    v_offsets = [sum(V.dims[:j]) for j in range(len(V.dims))]
+    for (i, l), elems in listing.items():
+        di = V.dims[i]
+        for x, (p, k) in enumerate(elems):
+            # eps(v) on the basis element (p, k) is (p, k)·v
+            want = MatrixBuilder(V.field, di, total)
+            want.add_block(0, v_offsets[p.tail], path_matrix(V, p, k))
+            r0 = layout.f_offsets[(i, l)] + x * di
+            assert eps.submatrix(r0, r0 + di, 0, total) == want.build()
+
+    # every row of d leads with 1, in a column no other row leads in, so
+    # elimination takes each row as a pivot as it stands
+    lead = {}
+    for r, c, _ in d.nonzeros():
+        lead[r] = min(lead.get(r, c), c)
+    assert len(lead) == d.nrows == len(set(lead.values()))
+    assert all(d[r, c] == 1 for r, c in lead.items())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_eps_blocks_match_path_actions_on_generated_instances(seed):
+    instance = load_instance(generate_document(seed))
+    for V in instance.modules.values():
+        _check_blocks_against_path_actions(V, 4)
+
+
+def test_eps_blocks_match_path_actions_on_twisted_two_loop_quiver():
+    rng = random.Random(7)
+    q = Quiver(1, [(0, 0), (0, 0)])
+    tw = TwistData([2, 3])
+    phi = [ExactMatrix(F101, 2, 2 * m, [[rng.randrange(101) for _ in range(2 * m)]
+                                        for _ in range(2)]) for m in tw.dims]
+    _check_blocks_against_path_actions(TwistedRep(q, tw, F101, [2], phi), 3)
