@@ -17,7 +17,8 @@ from typing import Dict, List, Tuple
 
 from .linalg import CrossCheckError, ExactMatrix, MatrixBuilder, solve, vec_matrix
 from .quiver import Path, enumerate_paths
-from .rep import TwistedRep, hom_space, path_matrix, path_tensor_dim
+from .rep import (TwistedRep, hom_layout, hom_space, one_coordinate, path_matrix,
+                  path_tensor_dim)
 
 
 def _two_sided_path_basis(V: TwistedRep, i: int):
@@ -94,12 +95,8 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     d_out = n_dim * V.dims[i] * l_dim
 
     # vectorised coordinates of ⊕_j Hom(V_j, J_j)
-    voff = []
-    pos = 0
-    for j in range(q.n_vertices):
-        voff.append(pos)
-        pos += V.dims[j] * J.dims[j]
-    total = pos
+    voff = hom_layout(V, J, one_coordinate).vertex_start
+    total = voff[-1]
 
     hom_cols = MatrixBuilder(field, total, h)
     for idx, f in enumerate(homs):

@@ -6,14 +6,18 @@
     quivhom gen   [--seed S] [--mode vector|p1] [--max-vertices N]
                   [--max-arrows N] [--max-dim N] [--max-twist N]
 
-Exit codes: 0 success, 1 failed check, 2 parse error, 3 validation error,
-4 incompatible modules, 5 internal cross-check failure.  QUIVHOM_LOG in
-{quiet, info, debug} controls stderr logging.
+Exit codes: 0 success, 1 failed check, 2 parse error (unreadable file,
+bad UTF-8, bad or too deeply nested JSON), 3 validation error (bad flag,
+invalid instance, or a space to build larger than MAX_DIM), 4 incompatible
+modules, 5 internal cross-check failure.  QUIVHOM_LOG in {quiet, info,
+debug} controls stderr logging.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -25,14 +29,9 @@ from typing import Optional
 from .generate import generate_document
 from .instances import Instance, InstanceError, load_instance
 from .linalg import CrossCheckError, ExactMatrix, rank
-from .rep import TwistedRep, delta_matrix, hom_space
-from .resolution import (
-    GradedMapFamily,
-    check_resolution_exactness,
-    lift_beta,
-    resolution_layout,
-)
-from .sheaf import QSheafP1, cech_hyper, ext_quiver_sheaf
+from .rep import TwistedRep, delta_matrix, hom_layout, hom_space, hom_summands, one_coordinate
+from .resolution import GradedMapFamily, check_resolution_exactness, lift_beta, resolution_layout
+from .sheaf import ExtReport, cech_dims, cech_hyper, ext_quiver_sheaf, h0_dim, h1_dim
 
 log = logging.getLogger("quivhom")
 
@@ -42,6 +41,11 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INCOMPATIBLE = 4
 EXIT_CROSS_CHECK = 5
+
+# The largest dimension of a space ext, hyper and check may build: over ten
+# times the largest any test or benchmark instance reaches (2,373, a Cech
+# T1).  Each command checks its sizes before assembling anything.
+MAX_DIM = 25_000
 
 
 class CliError(Exception):
@@ -83,6 +87,9 @@ def _load_file(path: str) -> tuple:
         raise CliError(
             f"{path}: JSON parse error at byte offset {e.pos}: {e.msg}", EXIT_PARSE
         )
+    except (RecursionError, ValueError) as e:
+        # nesting deeper than the parser's stack, or an over-long integer
+        raise CliError(f"{path}: JSON parse error: {e}", EXIT_PARSE)
     try:
         instance = load_instance(document)
     except InstanceError as e:
@@ -91,6 +98,36 @@ def _load_file(path: str) -> tuple:
     log.info("loaded %s (%s mode, %d vertices, %d arrows)", path, instance.mode,
              instance.quiver.n_vertices, instance.quiver.n_arrows)
     return instance, digest
+
+
+def _preflight(command: str, *dims: int) -> None:
+    """Exit 3 when a space the command would build is larger than MAX_DIM."""
+    if max(dims) > MAX_DIM:
+        raise CliError(f"{command}: would build a space of dimension at least {max(dims)}, "
+                       f"over the limit {MAX_DIM}", EXIT_VALIDATION)
+
+
+def _preflight_hom(command: str, V, W, *dims_of) -> None:
+    """Bound the Hom summands first, then the layout of each dim_of given."""
+    _preflight(command, hom_summands(V, W))
+    for dim_of in dims_of:
+        lay = hom_layout(V, W, dim_of)
+        _preflight(command, lay.vertex_start[-1], lay.arrow_start[-1])
+
+
+def _preflight_resolution(V: TwistedRep, n: int):
+    """Bound the truncated resolution of V, then return its layout."""
+    # the layouts index every (degree, vertex) and (degree, arrow) block
+    _preflight("check", (n + 1) * (V.quiver.n_vertices + V.quiver.n_arrows))
+    # sizes grow with the degree, the path space at most squaring as it doubles:
+    # doubling the degree stops soon after a size passes MAX_DIM, all still small
+    degree = 1
+    while True:
+        layout = resolution_layout(V, min(degree, n))
+        _preflight("check", layout.f_total, layout.g_total, sum(layout.basis.dim.values()))
+        if degree >= n:
+            return layout
+        degree *= 2
 
 
 def _pick_module(instance: Instance, name: str, mode: str):
@@ -132,79 +169,54 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
+def _emit(args, modules: list, instance: Instance, digest: str, result: dict) -> None:
+    field = instance.field
+    report = {"command": args.command, "digest": digest, "modules": modules,
+              "mode": instance.mode, "result": result,
+              "field": f"fp:{field.modulus}" if field.is_prime_field else "q"}
+    if args.json:
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(_render_text(report))
 
 
-def _vector_ext_report(V: TwistedRep, W: TwistedRep) -> dict:
+# the exact sequence, term by term; a vector space has no H^1 terms
+_SEQUENCE = (("Hom_B(V,W)", "ext0"), ("sum_i Hom(V_i,W_i)", "h0_F"),
+             ("sum_a Hom(M_a(x)V_ta,W_ha)", "h0_G"), ("Ext1_B(V,W)", "ext1"),
+             ("sum_i Ext1(V_i,W_i)", "h1_F"), ("sum_a Ext1(M_a(x)V_ta,W_ha)", "h1_G"),
+             ("Ext2_B(V,W)", "ext2"))
+
+
+def _vector_ext(V: TwistedRep, W: TwistedRep) -> ExtReport:
+    # the long exact sequence with H^1 = 0 and delta as the only map
     delta = delta_matrix(V, W)
     r0 = rank(delta)
-    hom = delta.ncols - r0
-    ext1 = delta.nrows - r0
-    return {
-        "hom": hom,
-        "ext1": ext1,
-        "ext2": 0,
-        "h0_F": delta.ncols,
-        "h0_G": delta.nrows,
-        "h1_F": 0,
-        "h1_G": 0,
-        "rank_delta0": r0,
-        "rank_delta1": 0,
-        "sequence": [
-            {"term": "Hom_B(V,W)", "dim": hom},
-            {"term": "sum_i Hom(V_i,W_i)", "dim": delta.ncols},
-            {"term": "sum_a Hom(M_a(x)V_ta,W_ha)", "dim": delta.nrows},
-            {"term": "Ext1_B(V,W)", "dim": ext1},
-            {"term": "Ext2_B(V,W)", "dim": 0},
-        ],
-    }
+    return ExtReport(ext0=delta.ncols - r0, ext1=delta.nrows - r0, ext2=0,
+                     h0_F=delta.ncols, h0_G=delta.nrows, h1_F=0, h1_G=0,
+                     rank_delta0=r0, rank_delta1=0)
 
 
-def _p1_ext_report(V: QSheafP1, W: QSheafP1) -> dict:
-    r = ext_quiver_sheaf(V, W)
-    return {
-        "ext0": r.ext0,
-        "ext1": r.ext1,
-        "ext2": r.ext2,
-        "h0_F": r.h0_F,
-        "h0_G": r.h0_G,
-        "h1_F": r.h1_F,
-        "h1_G": r.h1_G,
-        "rank_delta0": r.rank_delta0,
-        "rank_delta1": r.rank_delta1,
-        "sequence": [
-            {"term": "Hom_B(V,W)", "dim": r.ext0},
-            {"term": "sum_i Hom(V_i,W_i)", "dim": r.h0_F},
-            {"term": "sum_a Hom(M_a(x)V_ta,W_ha)", "dim": r.h0_G},
-            {"term": "Ext1_B(V,W)", "dim": r.ext1},
-            {"term": "sum_i Ext1(V_i,W_i)", "dim": r.h1_F},
-            {"term": "sum_a Ext1(M_a(x)V_ta,W_ha)", "dim": r.h1_G},
-            {"term": "Ext2_B(V,W)", "dim": r.ext2},
-        ],
-    }
-
-
-def _field_name(instance: Instance) -> str:
-    return "q" if not instance.field.is_prime_field else f"fp:{instance.field.modulus}"
+def _ext_result(r: ExtReport, mode: str) -> dict:
+    vector = mode == "vector"
+    result = {("hom" if vector and k == "ext0" else k): v
+              for k, v in dataclasses.asdict(r).items()}
+    result["sequence"] = [{"term": term, "dim": getattr(r, k)} for term, k in _SEQUENCE
+                          if not (vector and k.startswith("h1"))]
+    return result
 
 
 def cmd_ext(args) -> int:
     instance, digest = _load_file(args.file)
-    report = {
-        "command": "ext",
-        "digest": digest,
-        "modules": [args.module_v, args.module_w],
-        "mode": instance.mode,
-        "field": _field_name(instance),
-    }
     if instance.mode == "vector":
         V = _pick_module(instance, args.module_v, "vector")
         W = _pick_module(instance, args.module_w, "vector")
-        result = _vector_ext_report(V, W)
+        _preflight_hom("ext", V, W)
+        if args.bases:
+            # a basis of up to n vectors of n coordinates, n = dim ⊕_i Hom(V_i, W_i),
+            # each checked against I_m ⊗ f_ta for every twist dimension m
+            n = hom_layout(V, W, one_coordinate).vertex_start[-1]
+            _preflight("ext --bases", n * n, *V.twist.dims)
+        result = _ext_result(_vector_ext(V, W), "vector")
         if args.bases:
             result["hom_basis"] = [
                 {f"f_{i}": [[str(x) for x in row] for row in f.blocks[i].to_lists()]
@@ -214,9 +226,9 @@ def cmd_ext(args) -> int:
     else:
         V = _pick_module(instance, args.module_v, "p1")
         W = _pick_module(instance, args.module_w, "p1")
-        result = _p1_ext_report(V, W)
-    report["result"] = result
-    _emit(report, args.json)
+        _preflight_hom("ext", V, W, h0_dim, h1_dim)
+        result = _ext_result(ext_quiver_sheaf(V, W), "p1")
+    _emit(args, [args.module_v, args.module_w], instance, digest, result)
     return EXIT_OK
 
 
@@ -233,10 +245,10 @@ def cmd_check(args) -> int:
     instance, digest = _load_file(args.file)
     V = _pick_module(instance, args.module_v, "vector")
     n = args.max_degree
+    layout = _preflight_resolution(V, n)
     exactness = check_resolution_exactness(V, n)
 
     # lifting round trip on a digest-seeded random beta
-    layout = resolution_layout(V, n)
     rng = random.Random(int(digest[:16], 16))
     beta = {}
     for a, (t, h) in enumerate(V.quiver.arrows):
@@ -258,18 +270,8 @@ def cmd_check(args) -> int:
         "d_surjective": exactness.d_surjective,
         "lift_roundtrip": lift_ok,
     }
-    report = {
-        "command": "check",
-        "digest": digest,
-        "modules": [args.module_v],
-        "mode": instance.mode,
-        "field": _field_name(instance),
-        "result": {
-            "max_degree": n,
-            **{k: ("pass" if ok else "FAIL") for k, ok in checks.items()},
-        },
-    }
-    _emit(report, args.json)
+    _emit(args, [args.module_v], instance, digest,
+          {"max_degree": n, **{k: ("pass" if ok else "FAIL") for k, ok in checks.items()}})
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
@@ -277,6 +279,9 @@ def cmd_hyper(args) -> int:
     instance, digest = _load_file(args.file)
     V = _pick_module(instance, args.module_v, "p1")
     W = _pick_module(instance, args.module_w, "p1")
+    # the long exact sequence of --verify is no larger than the Cech complex
+    _preflight_hom("hyper", V, W)
+    _preflight("hyper", *cech_dims(V, W))
     hh = cech_hyper(V, W)
     result = {"hh0": hh[0], "hh1": hh[1], "hh2": hh[2]}
     verified: Optional[bool] = None
@@ -285,15 +290,7 @@ def cmd_hyper(args) -> int:
         verified = (r.ext0, r.ext1, r.ext2) == hh
         result["verify"] = "pass" if verified else "FAIL"
         result["ext_via_les"] = [r.ext0, r.ext1, r.ext2]
-    report = {
-        "command": "hyper",
-        "digest": digest,
-        "modules": [args.module_v, args.module_w],
-        "mode": instance.mode,
-        "field": _field_name(instance),
-        "result": result,
-    }
-    _emit(report, args.json)
+    _emit(args, [args.module_v, args.module_w], instance, digest, result)
     if verified is False:
         sys.stderr.write("quivhom: hypercohomology disagrees with the long "
                          "exact sequence; this indicates a bug\n")
@@ -357,10 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main, not at import, then reused
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 from typing import List
 
+from .linalg import FieldSpec
 from .quiver import Quiver
 from .rep import TwistData
 from .resolution import GradedBasis, ResolutionLayout
+from .sheaf import QSheafP1, SplitBundle, cech_dims
 
 GEN_FIELD = {"fp": 101}
 
@@ -43,11 +45,8 @@ def generate_vector_document(rng: random.Random, max_vertices: int, max_arrows: 
             dims = [rng.randint(0, max_dim) for _ in range(n)]
             if all(d == 0 for d in dims):
                 dims[rng.randrange(n)] = rng.randint(1, max_dim)
-            phi = []
-            for a, (t, h) in enumerate(arrows):
-                rows, cols = dims[h], twists[a] * dims[t]
-                phi.append([[rng.randrange(p) for _ in range(cols)]
-                            for _ in range(rows)])
+            phi = [[[rng.randrange(p) for _ in range(twists[a] * dims[t])] for _ in range(dims[h])]
+                   for a, (t, h) in enumerate(arrows)]
             modules[name] = {"dims": dims, "phi": phi}
         if not _vector_size_ok(n, arrows, twists,
                                [modules[m]["dims"] for m in modules]):
@@ -66,37 +65,15 @@ def _sorted_twists(rng: random.Random, rank: int, max_twist: int) -> List[int]:
                   reverse=True)
 
 
-def _tensor_twists(m_twists: List[int], v_twists: List[int]) -> List[int]:
-    return sorted((a + b for a in m_twists for b in v_twists), reverse=True)
-
-
-def _p1_size_ok(arrows, m_twists, modules) -> bool:
-    # bound the overlap block of the Cech total complex
-    for v_mod, w_mod in [(modules[0], modules[1]), (modules[1], modules[0])]:
-        hom_twists = []
-        for i in range(len(v_mod["twists"])):
-            for dv in v_mod["twists"][i]:
-                for dw in w_mod["twists"][i]:
-                    hom_twists.append(dw - dv)
-        for a, (t, h) in enumerate(arrows):
-            for dt in _tensor_twists(m_twists[a], v_mod["twists"][t]):
-                for dw in w_mod["twists"][h]:
-                    hom_twists.append(dw - dt)
-        if not hom_twists:
-            continue
-        window = max(abs(d) for d in hom_twists) + 2
-        arrow_summands = 0
-        for a, (t, h) in enumerate(arrows):
-            arrow_summands += (len(m_twists[a]) * len(v_mod["twists"][t])
-                               * len(w_mod["twists"][h]))
-        if arrow_summands * (2 * window + 1) > _MAX_CECH_DIM:
-            return False
-    return True
+def _p1_size_ok(V: QSheafP1, W: QSheafP1) -> bool:
+    # bound the overlap block T2 of the Cech total complex, in both orders
+    return all(cech_dims(X, Y)[2] <= _MAX_CECH_DIM for X, Y in ((V, W), (W, V)))
 
 
 def generate_p1_document(rng: random.Random, max_vertices: int, max_arrows: int,
                          max_dim: int, max_twist: int) -> dict:
     p = GEN_FIELD["fp"]
+    field = FieldSpec.prime(p)
     while True:
         n = rng.randint(1, max_vertices)
         n_arrows = rng.randint(1, max_arrows)
@@ -110,27 +87,21 @@ def generate_p1_document(rng: random.Random, max_vertices: int, max_arrows: int,
             if all(not tw for tw in v_twists):
                 v_twists[rng.randrange(n)] = _sorted_twists(
                     rng, rng.randint(1, max_dim), max_twist)
-            modules.append({"twists": v_twists})
-        if not _p1_size_ok(arrows, m_twists, modules):
+            modules.append(v_twists)
+        # the twist data alone, as sheaves with zero maps
+        quiver = Quiver(n, arrows)
+        m_bundles = [SplitBundle(tw) for tw in m_twists]
+        sheaves = [QSheafP1.zero_maps(quiver, field, m_bundles,
+                                      [SplitBundle(tw) for tw in v_twists])
+                   for v_twists in modules]
+        if not _p1_size_ok(*sheaves):
             continue
         named = {}
-        for name, mod in zip(("V", "W"), modules):
-            v_twists = mod["twists"]
-            phi = []
-            for a, (t, h) in enumerate(arrows):
-                src = _tensor_twists(m_twists[a], v_twists[t])
-                dst = v_twists[h]
-                rows = []
-                for r in range(len(dst)):
-                    row = []
-                    for c in range(len(src)):
-                        deg = dst[r] - src[c]
-                        if deg < 0:
-                            row.append(None)
-                        else:
-                            row.append([rng.randrange(p) for _ in range(deg + 1)])
-                    rows.append(row)
-                phi.append(rows)
+        for name, v_twists, sheaf in zip(("V", "W"), modules, sheaves):
+            # entry (r, c) of phi_a: a form of degree dst[r] − src[c], or null
+            phi = [[[None if dr < dc else [rng.randrange(p) for _ in range(dr - dc + 1)]
+                     for dc in sheaf.tensors[a].bundle.twists] for dr in v_twists[h]]
+                   for a, (_, h) in enumerate(arrows)]
             named[name] = {"twists": v_twists, "phi": phi}
         return {
             "field": dict(GEN_FIELD),

@@ -22,7 +22,6 @@ are rejected and every shape constraint is re-validated on load.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -163,8 +162,6 @@ def _parse_vector_module(field: FieldSpec, quiver: Quiver, twist: TwistData,
 
 def _parse_form(field: FieldSpec, value, degree: int, path: str) -> BinForm:
     if value is None:
-        if degree >= 0:
-            return BinForm(degree, [field.zero()] * (degree + 1))
         return BinForm.zero()
     value = _require_list(value, path)
     if degree < 0:
@@ -248,11 +245,6 @@ def load_instance(document) -> Instance:
             modules[name] = _parse_p1_module(field, quiver, bundles, value,
                                              f"$.modules.{name}")
     return Instance(field, quiver, mode, twists, modules)
-
-
-def loads_instance(text: str) -> Instance:
-    """Parse JSON text and load it; json.JSONDecodeError passes through."""
-    return load_instance(json.loads(text))
 
 
 # -- serialisation ------------------------------------------------------------

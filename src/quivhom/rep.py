@@ -6,13 +6,15 @@ dimension twist[a].  Tensor bases are ordered with the M_a index most
 significant, everywhere; Hom blocks are vectorised column-major, and
 direct sums are ordered by vertex, then by arrow, in quiver list order.
 These three conventions make the connecting map, the resolution
-differential and the lifting algorithm index identically.
+differential and the lifting algorithm index identically.  hom_layout
+turns them into the coordinates of the connecting map, for these
+representations and for the split-bundle sheaves of sheaf.py alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     CrossCheckError,
@@ -49,10 +51,6 @@ class TwistData:
 
     def __getitem__(self, a: int) -> int:
         return self.dims[a]
-
-    @staticmethod
-    def untwisted(n_arrows: int) -> "TwistData":
-        return TwistData((1,) * n_arrows)
 
 
 class PathBasis:
@@ -149,6 +147,13 @@ class TwistedRep:
                 for m in self.phi]
         return self.dims, order, rows
 
+    def summand_twists(self):
+        """Input of hom_layout: each basis vector of V_i and M_a⊗V_ta is a
+        summand of twist 0."""
+        return ([(0,) * d for d in self.dims],
+                [(0,) * (self.twist[a] * self.dims[t])
+                 for a, (t, _) in enumerate(self.quiver.arrows)])
+
     def compatible_with(self, other: "TwistedRep") -> None:
         if (self.quiver != other.quiver or self.twist != other.twist
                 or self.field != other.field):
@@ -233,24 +238,56 @@ class RepMorphism:
         return True
 
 
-def _hom_layout(V: TwistedRep, W: TwistedRep):
-    """Offsets of the vectorised blocks of ⊕_i Hom(V_i, W_i)."""
-    offsets = []
-    pos = 0
-    for i in range(V.quiver.n_vertices):
-        offsets.append(pos)
-        pos += V.dims[i] * W.dims[i]
-    return offsets, pos
+class HomLayout(NamedTuple):
+    """(first coordinate, twist) of each Hom summand, as vertex[i][s][r] and
+    arrow[a][c][r]; the first coordinate of each block, then the dimension."""
+    vertex: list
+    arrow: list
+    vertex_start: list
+    arrow_start: list
 
 
-def _arrow_layout(V: TwistedRep, W: TwistedRep):
-    """Offsets of the vectorised blocks of ⊕_a Hom(M_a⊗V_ta, W_ha)."""
-    offsets = []
-    pos = 0
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        offsets.append(pos)
-        pos += V.twist[a] * V.dims[t] * W.dims[h]
-    return offsets, pos
+def hom_layout(V, W, dim_of) -> HomLayout:
+    """Coordinates of the domain ⊕_i Hom(V_i, W_i) and the codomain
+    ⊕_a Hom(M_a⊗V_ta, W_ha) of the connecting map.
+
+    Blocks are ordered by vertex, then by arrow; inside a block, by source
+    summand s (of V_i, or of M_a⊗V_ta in stored order), then by target
+    summand r.  Summand (s, r) has twist d = twist(r) − twist(s) and takes
+    dim_of(d) coordinates.  Every twist of a TwistedRep is 0.
+    """
+    v_twists, t_twists = V.summand_twists()
+    w_twists, _ = W.summand_twists()
+    sides = []
+    for pairs in (zip(v_twists, w_twists),
+                  ((t_twists[a], w_twists[h]) for a, (_, h) in enumerate(V.quiver.arrows))):
+        blocks, starts, pos = [], [0], 0
+        for src, dst in pairs:
+            blocks.append([])
+            for ds in src:
+                blocks[-1].append([])
+                for dr in dst:
+                    blocks[-1][-1].append((pos, dr - ds))
+                    pos += dim_of(dr - ds)
+            starts.append(pos)
+        sides.append((blocks, starts))
+    (vertex, vertex_start), (arrow, arrow_start) = sides
+    return HomLayout(vertex, arrow, vertex_start, arrow_start)
+
+
+def hom_summands(V, W) -> int:
+    """How many summands hom_layout and connecting_terms visit: the Hom
+    summands, and those of each V_i, W_i, M_a⊗V_ta and M_a⊗W_ta, counted
+    without enumerating them."""
+    v_sizes, v_order, _ = V.summand_data()
+    w_sizes, w_order, _ = W.summand_data()
+    return (sum((dv + 1) * (dw + 1) for dv, dw in zip(v_sizes, w_sizes))
+            + sum(len(v_order[a]) * (w_sizes[h] + 1) + len(w_order[a])
+                  for a, (_, h) in enumerate(V.quiver.arrows)))
+
+
+def one_coordinate(d: int) -> int:
+    return 1
 
 
 def connecting_terms(V, W):
@@ -283,6 +320,29 @@ def connecting_terms(V, W):
                         yield a, t, (s, r), (c, r2), cf, -1
 
 
+def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
+    """The connecting map in the coordinates of hom_layout(V, W, dim_of).
+
+    times(d, cf) lists the triples (k, k2, x): acting by the coefficient cf
+    sends coordinate k of a Hom summand of twist d to x times coordinate k2
+    of the arrow summand it lands in.
+    """
+    V.compatible_with(W)
+    vertex, arrow, vertex_start, arrow_start = hom_layout(V, W, dim_of)
+    out = MatrixBuilder(V.field, arrow_start[-1], vertex_start[-1])
+    add = out.add
+    for a, i, (s, r), (c, r2), cf, sign in connecting_terms(V, W):
+        col, d = vertex[i][s][r]
+        row = arrow[a][c][r2][0]
+        for k, k2, x in times(d, cf):
+            add(row + k2, col + k, sign * x)
+    return out.build()
+
+
+def _scalar_times(d: int, cf) -> tuple:
+    return ((0, 0, cf),)
+
+
 def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
     """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)).
 
@@ -290,20 +350,13 @@ def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
     column-major block coordinates.  Its kernel is Hom(V, W) and its
     cokernel computes Ext^1 over a field.
     """
-    V.compatible_with(W)
-    voff, vdim = _hom_layout(V, W)
-    aoff, adim = _arrow_layout(V, W)
-    out = MatrixBuilder(V.field, adim, vdim)
-    for a, i, (s, r), (c, r2), cf, sign in connecting_terms(V, W):
-        out.add(aoff[a] + c * W.dims[V.quiver.head(a)] + r2,
-                voff[i] + s * W.dims[i] + r, sign * cf)
-    return out.build()
+    return connecting_matrix(V, W, one_coordinate, _scalar_times)
 
 
 def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
     """Basis of Hom(V, W) = ker(delta_matrix), as verified morphisms."""
     delta = delta_matrix(V, W)
-    voff, _ = _hom_layout(V, W)
+    voff = hom_layout(V, W, one_coordinate).vertex_start
     morphisms = []
     for vec in kernel_basis(delta):
         blocks = [
@@ -390,7 +443,7 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
     V.compatible_with(W)
     field = V.field
     delta = delta_matrix(V, E)
-    soff, _ = _hom_layout(V, E)
+    soff = hom_layout(V, E, one_coordinate).vertex_start
     section = MatrixBuilder(field, sum(d * d for d in V.dims), delta.ncols)
     rhs = [field.zero()] * delta.nrows
     r = 0
@@ -406,7 +459,7 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
 def ext1_classes(V: TwistedRep, W: TwistedRep) -> List[List[ExactMatrix]]:
     """Representatives eta = (eta_a) of a basis of coker(delta) = Ext^1(V, W)."""
     delta = delta_matrix(V, W)
-    aoff, _ = _arrow_layout(V, W)
+    aoff = hom_layout(V, W, one_coordinate).arrow_start
     classes = []
     for vec in cokernel_representatives(delta):
         etas = []

@@ -14,21 +14,24 @@ Two routes compute Ext between twisted sheaves: the long exact sequence
 assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
 hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
-(cech_hyper).  They must agree.  One summand walk, rep.connecting_terms,
-assembles delta0, delta1 and the Cech horizontal maps, as it does the
-vector-mode delta and split system.  So their agreement cross-checks the
-cohomology models but not the walk; tests/test_connecting_map.py checks
-the walk column by column.
+(cech_hyper).  They must agree.  Both read their coordinates from one
+layout, rep.hom_layout: a Hom summand O(d) takes h0_dim(d) or h1_dim(d)
+coordinates in delta0 and delta1, and its chart windows in the Cech
+complex.  Both read the summand walk rep.connecting_terms, which also
+builds the vector-mode delta; delta0 and delta1 come from the same
+assembler, rep.connecting_matrix.  So their agreement cross-checks the
+cohomology models but not the layout or the walk;
+tests/test_connecting_map.py checks those on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
-from .rep import connecting_terms
+from .rep import connecting_matrix, connecting_terms, hom_layout, one_coordinate
 
 
 def h0_dim(d: int) -> int:
@@ -127,7 +130,11 @@ class BinForm:
 
 
 class FormMatrix:
-    """Matrix of binary forms between split bundles, entry degrees enforced."""
+    """Matrix of binary forms between split bundles, entry degrees enforced.
+
+    BinForm.zero() may stand for the zero form of any degree; its
+    coefficients are never spelled out.
+    """
 
     def __init__(self, field: FieldSpec, source: SplitBundle, target: SplitBundle,
                  entries: Sequence[Sequence[BinForm]]):
@@ -148,9 +155,7 @@ class FormMatrix:
                             f"entry ({r},{s}) must vanish (degree {want})"
                         )
                     f = BinForm.zero()
-                elif f.is_zero() and f.degree < 0:
-                    f = BinForm(want, [field.zero()] * (want + 1))
-                elif f.degree != want:
+                elif f.degree not in (want, -1):
                     raise ValueError(
                         f"entry ({r},{s}) has degree {f.degree}, expected {want}"
                     )
@@ -244,6 +249,11 @@ class QSheafP1:
                 for m in self.phi]
         return ranks, order, rows
 
+    def summand_twists(self):
+        """Input of hom_layout: the twists of each vertex and tensor bundle."""
+        return ([b.twists for b in self.vertex_bundles],
+                [tb.bundle.twists for tb in self.tensors])
+
     def compatible_with(self, other: "QSheafP1") -> None:
         if (self.quiver != other.quiver or self.field != other.field
                 or self.twist_bundles != other.twist_bundles):
@@ -278,106 +288,43 @@ def _euler_pair(e: SplitBundle, f: SplitBundle) -> int:
     return sum(df - de + 1 for de in e.twists for df in f.twists)
 
 
-# -- coordinate layouts -------------------------------------------------------
-
-class _HomLayout:
-    """Coordinates of H^q of the Hom bundle between two split bundles.
-
-    Entry blocks are ordered source index (column) first, then target index,
-    then the H^q basis of the line bundle O(target[r] − source[s]):
-    monomials by ascending x-exponent for q = 0, overlap classes
-    x^(-i) y^(-j) by ascending i for q = 1.
-    """
-
-    def __init__(self, source: SplitBundle, target: SplitBundle, q: int):
-        dim_of = h0_dim if q == 0 else h1_dim
-        self.offsets: Dict[Tuple[int, int], int] = {}
-        pos = 0
-        for s in range(source.rank):
-            for r in range(target.rank):
-                self.offsets[(s, r)] = pos
-                pos += dim_of(target.twists[r] - source.twists[s])
-        self.total = pos
-
-    def coord(self, s: int, r: int, k: int) -> int:
-        return self.offsets[(s, r)] + k
-
-
-def _vertex_layouts(V: QSheafP1, W: QSheafP1, q: int):
-    layouts = []
-    offsets = []
-    pos = 0
-    for i in range(V.quiver.n_vertices):
-        lay = _HomLayout(V.vertex_bundles[i], W.vertex_bundles[i], q)
-        layouts.append(lay)
-        offsets.append(pos)
-        pos += lay.total
-    return layouts, offsets, pos
-
-
-def _arrow_layouts(V: QSheafP1, W: QSheafP1, q: int):
-    layouts = []
-    offsets = []
-    pos = 0
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        lay = _HomLayout(V.tensors[a].bundle, W.vertex_bundles[h], q)
-        layouts.append(lay)
-        offsets.append(pos)
-        pos += lay.total
-    return layouts, offsets, pos
-
-
 # -- the connecting maps on H0 and H1 ----------------------------------------
+#
+# H^q of a Hom summand O(d) has h0_dim(d) or h1_dim(d) coordinates in
+# hom_layout: monomials by ascending x-exponent for q = 0, overlap classes
+# x^(-i) y^(-j) by ascending i for q = 1.
 
-def _monomial_times_form(k: int, src_deg: int, form: BinForm) -> List[Tuple[int, object]]:
-    """Product of the monomial x^k y^(src_deg-k) with a form.
+def _monomial_times_form(d: int, form: BinForm) -> List[Tuple[int, int, object]]:
+    """Products of the H0(O(d)) monomials x^k y^(d-k) with a form.
 
-    Returns (x-exponent, coefficient) for the nonzero monomials of the product.
+    Returns (k, x-exponent, coefficient) for the nonzero monomials of each
+    product.
     """
-    return [(k + k2, cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
+    terms = [(k2, cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
+    return [(k, k + k2, cf) for k in range(h0_dim(d)) for k2, cf in terms]
 
 
-def _class_times_form(k: int, src_deg: int, form: BinForm) -> List[Tuple[int, object]]:
-    """Yoneda product of the class x^(-i) y^(-j) (i = k+1, i+j = -src_deg) with a form.
+def _class_times_form(d: int, form: BinForm) -> List[Tuple[int, int, object]]:
+    """Yoneda products of the H1(O(d)) classes x^(-i) y^(-j) with a form.
 
-    Returns (k', coefficient) for the surviving overlap classes
-    x^(-(k'+1)) y^(...); monomials with a non-negative exponent are
-    coboundaries and are dropped.
+    Class k has i = k + 1 and j = -d - i.  Returns (k, k', coefficient) for
+    the surviving overlap classes x^(-(k'+1)) y^(...); monomials with a
+    non-negative exponent are coboundaries and are dropped.
     """
-    i_exp, j_exp = k + 1, -src_deg - k - 1
-    out = []
-    for k2 in range(form.degree + 1):
-        cf = form.coefficient(k2)
-        if cf != 0 and i_exp - k2 >= 1 and j_exp - (form.degree - k2) >= 1:
-            out.append((k - k2, cf))
-    return out
-
-
-def _cohomology_delta(V: QSheafP1, W: QSheafP1, q: int, times_form) -> ExactMatrix:
-    """The connecting map on H^q, a form acting on H^q basis elements by times_form."""
-    V.compatible_with(W)
-    dom_lay, dom_off, dom_dim = _vertex_layouts(V, W, q)
-    cod_lay, cod_off, cod_dim = _arrow_layouts(V, W, q)
-    dim_of = h0_dim if q == 0 else h1_dim
-    out = MatrixBuilder(V.field, cod_dim, dom_dim)
-    for a, i, (s, r), (c, r2), form, sign in connecting_terms(V, W):
-        d = W.vertex_bundles[i].twists[r] - V.vertex_bundles[i].twists[s]
-        base = cod_off[a] + cod_lay[a].offsets[(c, r2)]
-        for k in range(dim_of(d)):
-            col = dom_off[i] + dom_lay[i].coord(s, r, k)
-            for k2, cf in times_form(k, d, form):
-                out.add(base + k2, col, sign * cf)
-    return out.build()
+    # x^(-i+k2) y^(-j+degree-k2) survives when both exponents stay negative
+    return [(k, k - k2, cf) for k in range(h1_dim(d))
+            for k2, cf in enumerate(reversed(form.coeffs))
+            if cf != 0 and form.degree + d + k + 2 <= k2 <= k]
 
 
 def delta0_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
     """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)) on global sections."""
-    return _cohomology_delta(V, W, 0, _monomial_times_form)
+    return connecting_matrix(V, W, h0_dim, _monomial_times_form)
 
 
 def delta1_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
     """Matrix of the connecting map on first cohomology, via overlap classes."""
-    return _cohomology_delta(V, W, 1, _class_times_form)
+    return connecting_matrix(V, W, h1_dim, _class_times_form)
 
 
 # -- Ext via the long exact sequence ------------------------------------------
@@ -437,74 +384,53 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 
 
 # -- hypercohomology via the two-chart Cech total complex ---------------------
+#
+# Sections are Laurent polynomials in t = x/y, truncated to a window (lo, hi)
+# of exponents.  On O(d), |d| <= T − 2, a Cech 0-cochain is a chart-0
+# section, (0, T), then a chart-1 section, (-T, d); a Cech 1-cochain is an
+# overlap section, (-T, T).
 
-class _Window:
-    """Laurent monomials t^e, lo <= e <= hi, in the first chart trivialisation."""
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-        self.dim = max(hi - lo + 1, 0)
+def _charts(d: int, window: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    return (0, window), (-window, d)
 
 
-class _CechLevel:
-    """Chart and overlap windows for a list of line-bundle summands."""
+def _summands(side: list) -> list:
+    """The (first coordinate, twist) pairs of one side of a layout, in order."""
+    return [x for block in side for row in block for x in row]
 
-    def __init__(self, twists: List[int], window: int):
-        self.twists = twists
-        self.chart0 = [_Window(0, window) for _ in twists]
-        self.chart1 = [_Window(-window, min(d, window)) for d in twists]
-        self.overlap = [_Window(-window, window) for _ in twists]
-        self.q0_offsets = []
-        pos = 0
-        for k in range(len(twists)):
-            self.q0_offsets.append(pos)
-            pos += self.chart0[k].dim + self.chart1[k].dim
-        self.q0_total = pos
-        self.q1_offsets = []
-        pos = 0
-        for k in range(len(twists)):
-            self.q1_offsets.append(pos)
-            pos += self.overlap[k].dim
-        self.q1_total = pos
 
-    def chart0_offset(self, k: int) -> int:
-        return self.q0_offsets[k]
+def _cech_layouts(V: QSheafP1, W: QSheafP1, extra_window: int):
+    """The window T, the Cech0 coordinates of the Hom summands, the layout
+    with one coordinate per summand, and the dimensions T0, T1, T2.
 
-    def chart1_offset(self, k: int) -> int:
-        return self.q0_offsets[k] + self.chart0[k].dim
+    The Cech1 coordinates of the summand at position k of the unit layout
+    start at k·(2T+1).  The total complex is T0 = Cech0(C0),
+    T1 = Cech0(C1) ⊕ Cech1(C0), T2 = Cech1(C1), where C0 is the vertex
+    side of the layouts and C1 the arrow side.
+    """
+    unit = hom_layout(V, W, one_coordinate)
+    window = max((abs(d) for _, d in _summands(unit.vertex) + _summands(unit.arrow)),
+                 default=0) + 2 + extra_window
+    lay0 = hom_layout(V, W, lambda d: 2 * window + 2 + d)
+    n1 = 2 * window + 1
+    dims = (lay0.vertex_start[-1], lay0.arrow_start[-1] + n1 * unit.vertex_start[-1],
+            n1 * unit.arrow_start[-1])
+    return window, lay0, unit, dims
+
+
+def cech_dims(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
+    """Dimensions T0, T1, T2 of the Cech total complex cech_hyper builds."""
+    return _cech_layouts(V, W, extra_window)[3]
 
 
 def _add_form_mul(out: MatrixBuilder, row0: int, col0: int, form: BinForm,
-                  src: _Window, dst: _Window, sign: int):
+                  src: Tuple[int, int], dst: Tuple[int, int], sign: int):
     """Multiplication by a form between Laurent windows (t-exponent shifts)."""
-    for k in range(form.degree + 1):
-        cf = form.coefficient(k)
-        if cf == 0:
-            continue
-        if sign < 0:
-            cf = -cf
-        for e in range(src.lo, src.hi + 1):
-            e2 = e + k
-            if dst.lo <= e2 <= dst.hi:
-                out.add(row0 + e2 - dst.lo, col0 + e - src.lo, cf)
-
-
-def _add_cech(out: MatrixBuilder, row0: int, col0: int, level: _CechLevel,
-              sign: int, field: FieldSpec):
-    """The difference map (s0, s1) -> s0 − s1 into the overlap windows."""
-    one = field.one()
-    for k in range(len(level.twists)):
-        ov = level.overlap[k]
-        c0 = level.chart0[k]
-        base_r = row0 + level.q1_offsets[k]
-        base_c = col0 + level.chart0_offset(k)
-        for e in range(c0.lo, c0.hi + 1):
-            out.add(base_r + e - ov.lo, base_c + e - c0.lo, sign * one)
-        c1 = level.chart1[k]
-        base_c = col0 + level.chart1_offset(k)
-        for e in range(c1.lo, c1.hi + 1):
-            out.add(base_r + e - ov.lo, base_c + e - c1.lo, -sign * one)
+    for k, cf in enumerate(reversed(form.coeffs)):
+        if cf != 0:
+            # t^e goes to t^(e+k); keep the e with both ends inside their windows
+            for e in range(max(src[0], dst[0] - k), min(src[1], dst[1] - k) + 1):
+                out.add(row0 + e + k - dst[0], col0 + e - src[0], sign * cf)
 
 
 def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
@@ -516,52 +442,31 @@ def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, in
     Enlarging the window never changes the result.
     """
     V.compatible_with(W)
-    c0_twists: List[int] = []
-    c0_index: Dict[Tuple[int, int, int], int] = {}
-    for i in range(V.quiver.n_vertices):
-        vb, wb = V.vertex_bundles[i], W.vertex_bundles[i]
-        for s in range(vb.rank):
-            for r in range(wb.rank):
-                c0_index[(i, s, r)] = len(c0_twists)
-                c0_twists.append(wb.twists[r] - vb.twists[s])
-    c1_twists: List[int] = []
-    c1_index: Dict[Tuple[int, int, int], int] = {}
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        tb, wb = V.tensors[a].bundle, W.vertex_bundles[h]
-        for c in range(tb.rank):
-            for r in range(wb.rank):
-                c1_index[(a, c, r)] = len(c1_twists)
-                c1_twists.append(wb.twists[r] - tb.twists[c])
-
-    all_twists = c0_twists + c1_twists
-    window = (max((abs(d) for d in all_twists), default=0)) + 2 + extra_window
-    lev0 = _CechLevel(c0_twists, window)
-    lev1 = _CechLevel(c1_twists, window)
-
-    # total complex: T0 = Cech0(C0); T1 = Cech0(C1) ⊕ Cech1(C0); T2 = Cech1(C1)
-    t0 = lev0.q0_total
-    t1 = lev1.q0_total + lev0.q1_total
-    t2 = lev1.q1_total
-
+    window, lay0, unit, (t0, t1, t2) = _cech_layouts(V, W, extra_window)
+    overlap, n1 = (-window, window), 2 * window + 1
+    c1_start = lay0.arrow_start[-1]   # where Cech1(C0) starts inside T1
     d0 = MatrixBuilder(V.field, t1, t0)
     d1 = MatrixBuilder(V.field, t2, t1)
     for a, i, (s, r), (c, r2), form, sign in connecting_terms(V, W):
-        src, dst = c0_index[(i, s, r)], c1_index[(a, c, r2)]
+        col, d = lay0.vertex[i][s][r]
+        row, d2 = lay0.arrow[a][c][r2]
         # horizontal map on chart 0 and chart 1 sections
-        _add_form_mul(d0, lev1.chart0_offset(dst), lev0.chart0_offset(src), form,
-                      lev0.chart0[src], lev1.chart0[dst], sign)
-        _add_form_mul(d0, lev1.chart1_offset(dst), lev0.chart1_offset(src), form,
-                      lev0.chart1[src], lev1.chart1[dst], sign)
+        (src0, src1), (dst0, dst1) = _charts(d, window), _charts(d2, window)
+        _add_form_mul(d0, row, col, form, src0, dst0, sign)
+        _add_form_mul(d0, row + window + 1, col + window + 1, form, src1, dst1, sign)
         # minus the horizontal map on overlap sections of C0
-        _add_form_mul(d1, lev1.q1_offsets[dst], lev1.q0_total + lev0.q1_offsets[src],
-                      form, lev0.overlap[src], lev1.overlap[dst], -sign)
-    # vertical Cech differences of C0, and of C1 on the Cech0(C1) block
-    _add_cech(d0, lev1.q0_total, 0, lev0, 1, V.field)
-    _add_cech(d1, 0, 0, lev1, 1, V.field)
+        _add_form_mul(d1, n1 * unit.arrow[a][c][r2][0],
+                      c1_start + n1 * unit.vertex[i][s][r][0], form, overlap, overlap, -sign)
+    # vertical Cech differences (s0, s1) -> s0 − s1 of C0, and of C1 on the
+    # Cech0(C1) block: the form 1 from each chart into the overlap
+    one = BinForm(0, [V.field.one()])
+    for out, row0, q0, q1 in ((d0, c1_start, lay0.vertex, unit.vertex),
+                              (d1, 0, lay0.arrow, unit.arrow)):
+        for (col, d), (k, _) in zip(_summands(q0), _summands(q1)):
+            src0, src1 = _charts(d, window)
+            _add_form_mul(out, row0 + n1 * k, col, one, src0, overlap, 1)
+            _add_form_mul(out, row0 + n1 * k, col + window + 1, one, src1, overlap, -1)
     d0, d1 = d0.build(), d1.build()
 
     r0, r1 = rank(d0), rank(d1)
-    hh0 = t0 - r0
-    hh1 = (t1 - r1) - r0
-    hh2 = t2 - r1
-    return hh0, hh1, hh2
+    return t0 - r0, (t1 - r1) - r0, t2 - r1

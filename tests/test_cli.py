@@ -1,5 +1,6 @@
 """Command line front-end: commands, exit codes, report formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quivhom
+from quivhom import cli
 from quivhom.cli import main
 from quivhom.generate import generate_document
 from quivhom.instances import (
@@ -159,6 +161,29 @@ def test_gen_deterministic(capsys):
     assert out3 != out1
 
 
+# sha256 over what `gen --seed S --mode M [FLAGS]` prints for S = 0..199,
+# recorded before the p1 size guard was rebuilt on the Cech layout.  With
+# the default bounds that guard never rejects a draw; with larger twists it
+# rejects 62 of 262.
+GEN_DIGESTS = {
+    ("vector",): "2428f35403726b1276e53622e3cec4299cba438b56d4fbbf8cccc3e407c552eb",
+    ("p1",): "65c2964d6b825aeec9cfb3eee9dcbdb9e479724536d9b41d16de1ccbb4ddd868",
+    ("p1", "--max-twist", "6", "--max-dim", "4"):
+        "16526335a1e5d970a27ebcc8ecf14a2a7d02f79c9a94dd92160c9e2a0edd4c45",
+}
+
+
+@pytest.mark.parametrize("mode_and_flags", sorted(GEN_DIGESTS), ids=" ".join)
+def test_gen_output_pinned(capsys, mode_and_flags):
+    mode, *flags = mode_and_flags
+    digest = hashlib.sha256()
+    for seed in range(200):
+        code, out, _ = run(capsys, "gen", "--seed", str(seed), "--mode", mode, *flags)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == GEN_DIGESTS[mode_and_flags]
+
+
 def test_gen_bad_bounds_exit_3(capsys):
     code, _, err = run(capsys, "gen", "--max-dim", "0")
     assert code == 3
@@ -265,3 +290,90 @@ def test_load_instance_rejects_unsorted_twists():
         doc["twists"][0] = [-1, 0]
     with pytest.raises(InstanceError):
         load_instance(doc)
+
+
+# -- size preflight: exit 3 before building anything too large ---------------
+
+def _p1_loop_doc(w_twist):
+    return {"field": {"fp": 101}, "quiver": {"vertices": 1, "arrows": [[0, 0]]},
+            "mode": "p1", "twists": [[0]],
+            "modules": {"V": {"twists": [[0]], "phi": [[[[1]]]]},
+                        "W": {"twists": [[w_twist]], "phi": [[[[1]]]]}}}
+
+
+def _vector_doc(dims, arrows, twists):
+    phi = [[[1] * (m * dims[t]) for _ in range(dims[h])] for (t, h), m in zip(arrows, twists)]
+    return {"field": {"fp": 101}, "quiver": {"vertices": len(dims), "arrows": arrows},
+            "mode": "vector", "twists": twists,
+            "modules": {"V": {"dims": dims, "phi": phi}, "W": {"dims": dims, "phi": phi}}}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (_p1_loop_doc(10**7), ["ext", "V", "W"]),
+    (_p1_loop_doc(10**7), ["hyper", "V", "W"]),
+    (_p1_loop_doc(10**5), ["hyper", "V", "W", "--verify"]),
+    (_vector_doc([1], [[0, 0], [0, 0]], [1, 1]), ["check", "V", "--max-degree", "24"]),
+    (_vector_doc([1], [], []), ["check", "V", "--max-degree", "100000000"]),
+    (_vector_doc([3000], [], []), ["ext", "V", "W", "--bases"]),
+    # the degree loop must stay small when a huge twist dimension meets an
+    # empty vertex, and the tensor basis M_a⊗V_ta must never be listed
+    (_vector_doc([0], [[0, 0]] * 5, [10**9] * 5), ["check", "V", "--max-degree", "4000"]),
+    (_vector_doc([5, 0], [[0, 1]], [10**9]), ["ext", "V", "V", "--bases"]),
+    ({**_vector_doc([5, 0], [[0, 1]], [10**9]),
+      "modules": {"V": {"dims": [5, 0], "phi": [[]]}, "W": {"dims": [0, 0], "phi": [[]]}}},
+     ["ext", "V", "W"]),
+    # nor the basis of a huge V_i facing W_i = 0
+    ({**_vector_doc([10**9], [], []),
+      "modules": {"V": {"dims": [10**9], "phi": []}, "W": {"dims": [0], "phi": []}}},
+     ["ext", "V", "W"]),
+], ids=["p1-ext", "p1-hyper", "p1-hyper-verify", "two-loops", "no-arrows",
+        "dim-3000", "huge-twist-check", "huge-twist-ext", "huge-twist-facing-zero",
+        "huge-dim-facing-zero"])
+def test_oversized_input_exits_3_quickly(tmp_path, capsys, doc, argv):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "over the limit" in err and str(cli.MAX_DIM) in err
+
+
+def test_preflight_passes_a_large_check_under_the_limit(tmp_path, capsys):
+    # two loops at degree 12: the resolution has dimension 8,191
+    f = tmp_path / "loops.json"
+    f.write_text(json.dumps(_vector_doc([1], [[0, 0], [0, 0]], [1, 1])), encoding="utf-8")
+    code, _, _ = run(capsys, "check", str(f), "V", "--max-degree", "12")
+    assert code == 0
+
+
+def test_deeply_nested_json_exit_2(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "ext", str(f), "V", "W")
+    assert (code, out) == (2, "")
+    assert "JSON parse error" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    argvs = [["ext", JORDAN, "J2", "J2", "--bases"], ["ext", JORDAN, "--no-such-flag"],
+             ["check", JORDAN, "J2", "--json"], ["ext", JORDAN, "J2", "J2", "--bases"]]
+
+    def outcome(argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as e:      # a bad flag exits from inside argparse
+            return (e.code, *capsys.readouterr())
+
+    cli._parser.cache_clear()
+    warm = [outcome(argv) for argv in argvs]
+    assert len(calls) == 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [0, 3, 0, 0]

@@ -1,10 +1,12 @@
 """The connecting map f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a, checked on its own.
 
 delta, delta0, delta1 and the Cech horizontal maps are all assembled from
-one summand walk (rep.connecting_terms), so agreement of the long exact
-sequence with Cech hypercohomology no longer tests that walk.  Here delta
-and delta0 are rebuilt column by column from whole-matrix products, and
-the assembled matrices are pinned by content digests.
+one summand walk (rep.connecting_terms) in the coordinates of one layout
+(rep.hom_layout), so agreement of the long exact sequence with Cech
+hypercohomology tests neither.  Here delta and delta0 are rebuilt column
+by column from whole-matrix products, the assembled matrices are pinned by
+content digests, and the layout is checked against the vectorisation, the
+cohomology of each Hom bundle and the Cech windows.
 """
 
 import hashlib
@@ -14,8 +16,16 @@ import pytest
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, kron, unvec_matrix, vec_matrix
-from quivhom.rep import delta_matrix
-from quivhom.sheaf import cech_hyper, delta0_matrix, delta1_matrix, h0_dim
+from quivhom.rep import delta_matrix, hom_layout, hom_summands, one_coordinate
+from quivhom.sheaf import (
+    cech_dims,
+    cech_hyper,
+    delta0_matrix,
+    delta1_matrix,
+    h0_dim,
+    h1_dim,
+    sheaf_hom_ext_dims,
+)
 
 
 def _modules(seed, mode, field=None):
@@ -135,3 +145,71 @@ def test_pinned_content_digests():
             got[name].update(repr((m.shape, m.to_lists())).encode())
         got["cech_hyper"].update(repr(cech_hyper(V, W)).encode())
     assert {name: h.hexdigest() for name, h in got.items()} == PINNED
+
+
+# -- the shared Hom-summand layout ------------------------------------------
+
+@pytest.mark.parametrize("seed", range(30))
+def test_vector_layout_is_column_major_vectorisation(seed):
+    V, W = _modules(seed, "vector")
+    lay = hom_layout(V, W, one_coordinate)
+    pos = 0
+    for i in range(V.quiver.n_vertices):
+        assert lay.vertex_start[i] == pos
+        for s in range(V.dims[i]):
+            for r in range(W.dims[i]):
+                assert lay.vertex[i][s][r] == (pos + s * W.dims[i] + r, 0)
+        pos += V.dims[i] * W.dims[i]
+    assert lay.vertex_start[-1] == pos
+    pos = 0
+    for a, (t, h) in enumerate(V.quiver.arrows):
+        assert lay.arrow_start[a] == pos
+        for c in range(V.twist[a] * V.dims[t]):
+            for r in range(W.dims[h]):
+                assert lay.arrow[a][c][r] == (pos + c * W.dims[h] + r, 0)
+        pos += V.twist[a] * V.dims[t] * W.dims[h]
+    assert lay.arrow_start[-1] == pos
+    own = sum(V.dims) + sum(W.dims) + V.quiver.n_vertices + sum(
+        V.twist[a] * (V.dims[t] + W.dims[t]) for a, (t, _) in enumerate(V.quiver.arrows))
+    assert hom_summands(V, W) == lay.vertex_start[-1] + lay.arrow_start[-1] + own
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_p1_layout_blocks_hold_the_cohomology_of_each_hom_bundle(seed):
+    V, W = _modules(seed, "p1")
+    for q, dim_of in ((0, h0_dim), (1, h1_dim)):
+        lay = hom_layout(V, W, dim_of)
+        pairs = [(V.vertex_bundles[i], W.vertex_bundles[i]) for i in range(V.quiver.n_vertices)]
+        for starts, blocks, pairs in ((lay.vertex_start, lay.vertex, pairs),
+                                      (lay.arrow_start, lay.arrow,
+                                       [(V.tensors[a].bundle, W.vertex_bundles[h])
+                                        for a, (_, h) in enumerate(V.quiver.arrows)])):
+            for b, (e, f) in enumerate(pairs):
+                assert starts[b + 1] - starts[b] == sheaf_hom_ext_dims(e, f)[q]
+                pos = starts[b]
+                for s, ds in enumerate(e.twists):
+                    for r, dr in enumerate(f.twists):
+                        assert blocks[b][s][r] == (pos, dr - ds)
+                        pos += dim_of(dr - ds)
+        m = (delta0_matrix if q == 0 else delta1_matrix)(V, W)
+        assert m.shape == (lay.arrow_start[-1], lay.vertex_start[-1])
+
+
+def _cech_dims_by_hand(V, W, extra):
+    # Hom-bundle twists of the vertex blocks (C0) and the arrow blocks (C1)
+    c0 = [dr - ds for i in range(V.quiver.n_vertices)
+          for ds in V.vertex_bundles[i].twists for dr in W.vertex_bundles[i].twists]
+    c1 = [dr - dc for a, (_, h) in enumerate(V.quiver.arrows)
+          for dc in V.tensors[a].bundle.twists for dr in W.vertex_bundles[h].twists]
+    w = max((abs(d) for d in c0 + c1), default=0) + 2 + extra
+    cech0 = [(w + 1) + max(min(d, w) + w + 1, 0) for d in c0 + c1]
+    return (sum(cech0[:len(c0)]), sum(cech0[len(c0):]) + len(c0) * (2 * w + 1),
+            len(c1) * (2 * w + 1))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cech_dims_match_the_two_chart_windows(seed):
+    V, W = _modules(seed, "p1")
+    for X, Y in ((V, W), (W, V)):
+        for extra in (0, 3):
+            assert cech_dims(X, Y, extra) == _cech_dims_by_hand(X, Y, extra)
