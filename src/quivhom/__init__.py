@@ -9,13 +9,11 @@ from .linalg import (
     rank,
     solve,
 )
-from .quiver import Path, Quiver, compose, enumerate_paths
+from .quiver import Quiver
 from .rep import (
-    PathBasis,
     RepMorphism,
     TwistData,
     TwistedRep,
-    act_path,
     build_extension,
     delta_matrix,
     ext1_classes,
@@ -50,8 +48,8 @@ from .sheaf import (
 __all__ = [
     "ExactMatrix", "FieldSpec", "rank", "kernel_basis", "solve",
     "cokernel_dimension",
-    "Quiver", "Path", "compose", "enumerate_paths",
-    "TwistData", "PathBasis", "TwistedRep", "RepMorphism", "act_path",
+    "Quiver",
+    "TwistData", "TwistedRep", "RepMorphism",
     "delta_matrix", "hom_space", "ext1_dim", "build_extension",
     "is_split_extension", "ext1_classes",
     "GradedBasis", "GradedMapFamily", "ExactnessReport",

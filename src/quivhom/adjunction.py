@@ -9,67 +9,84 @@ e_i A e_j, L), and there is a natural isomorphism
 adjunction_iso returns the two mutually inverse matrices of this
 isomorphism, the forward one in the computed basis of Hom_A(V, J) and the
 standard matrix-unit basis of Hom(N ⊗ V_i, L).
+
+The path spaces follow the recursion of resolution.py, e_h A_{l+1} =
+⊕_{a into h} M_a ⊗ e_ta A_l.  The basis of e_i A e_j is ordered by degree,
+ascending, then in the block order of e_i A_l restricted to tail j.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .linalg import CrossCheckError, ExactMatrix, MatrixBuilder, solve, vec_matrix
-from .quiver import Path, enumerate_paths
-from .rep import (TwistedRep, hom_layout, hom_space, one_coordinate, path_matrix,
-                  path_tensor_dim)
+from .rep import TwistedRep, hom_layout, hom_space, one_coordinate
+from .resolution import GradedBasis, path_actions
 
 
-def _two_sided_path_basis(V: TwistedRep, i: int):
-    """Bases of the spaces e_i A e_j: paths with head i grouped by tail."""
-    q = V.quiver
-    groups = enumerate_paths(q, q.n_vertices - 1 if q.n_vertices > 1 else 0)
-    listing: Dict[int, List[Tuple[Path, int, int]]] = {j: [] for j in range(q.n_vertices)}
-    dims = [0] * q.n_vertices
-    for length in range(q.n_vertices):
-        for p in groups.get((length, i), []):
-            d = path_tensor_dim(V.twist, p)
-            listing[p.tail].append((p, d, dims[p.tail]))
-            dims[p.tail] += d
-    return listing, dims
+def _elements(basis: GradedBasis):
+    """The basis elements of each e_k A_l, in block order, as (j, p, first).
+
+    j is the tail and p the position among the elements of e_k A_l with tail
+    j.  first = (a, m, r) says the element is y·x for x the m-th basis vector
+    of M_a and y the r-th element of e_k A_{l-1}; it is None in degree 0.
+    Both follow the recursion: x_b ⊗ z sits after the tail-j elements of the
+    blocks before b and m_b copies of e_tb A_l e_j, and (x_b ⊗ y)·x_a =
+    x_b ⊗ (y·x_a).
+    """
+    q, twist = basis.quiver, basis.twist
+    elems = {(k, 0): [(k, 0, None)] for k in range(q.n_vertices)}
+    for l in range(basis.max_degree):
+        for k in range(q.n_vertices):
+            level, start = [], dict.fromkeys(basis.tail_dim[(k, l + 1)], 0)
+            for b in q.arrows_into(k):
+                t = q.tail(b)
+                below = basis.tail_dim[(t, l)]
+                for m_b in range(twist[b]):
+                    for j, p, sub in elems[(t, l)]:
+                        if sub is None:         # x_b ⊗ e_t = e_k·x_b
+                            first = (b, m_b, 0)
+                        else:
+                            a, m, r = sub
+                            first = (a, m, basis.block_offset[(b, l - 1)]
+                                     + m_b * basis.dim[(t, l - 1)] + r)
+                        level.append((j, start[j] + m_b * below[j] + p, first))
+                for j, d in below.items():
+                    start[j] += twist[b] * d
+            elems[(k, l + 1)] = level
+    return elems
 
 
 def _coinduced_module(V: TwistedRep, i: int, n_dim: int, l_dim: int):
-    """The representation J with J_j = Hom(N ⊗ e_i A e_j, L)."""
+    """The representation J with J_j = Hom(N ⊗ e_i A e_j, L).
+
+    Also returns the path-space basis, its elements (_elements), pos[l][x],
+    the place of element x of e_i A_l in the basis of e_i A e_tail, and the
+    dimensions of the e_i A e_j.
+    """
     q = V.quiver
-    field = V.field
-    listing, t_dims = _two_sided_path_basis(V, i)
+    basis = GradedBasis(q, V.twist, q.n_vertices - 1)
+    elems = _elements(basis)
+    t_dims = [0] * q.n_vertices
+    pos = []
+    for l in range(basis.max_degree + 1):
+        pos.append([t_dims[j] + p for j, p, _ in elems[(i, l)]])
+        for j, d in basis.tail_dim[(i, l)].items():
+            t_dims[j] += d
     j_dims = [n_dim * t_dims[j] * l_dim for j in range(q.n_vertices)]
-    # offset of a (path, tensor) pair inside e_i A e_j
-    pos_of: Dict[Tuple[Path, int], int] = {}
-    for j in range(q.n_vertices):
-        for (p, d, off) in listing[j]:
-            for t in range(d):
-                pos_of[(p, t)] = off + t
-    phi = []
-    for a, (t, h) in enumerate(q.arrows):
-        m = V.twist[a]
-        out = MatrixBuilder(field, j_dims[h], m * j_dims[t])
-        # (x_a · f)(n ⊗ x') = f(n ⊗ x' x_a): shift a functional one arrow back
-        for (x, d, off) in listing[t]:
-            if x.is_trivial or x.arrows[0] != a:
-                continue
-            rest = x.arrows[1:]
-            shorter = Path(h, i, rest) if rest else Path.trivial(h)
-            for t_x in range(d):
-                m_a = t_x % m
-                t_rest = t_x // m
-                src_pos = off + t_x
-                dst_pos = pos_of[(shorter, t_rest)]
-                for n_idx in range(n_dim):
-                    for lam in range(l_dim):
-                        col = m_a * j_dims[t] + (n_idx * t_dims[t] + src_pos) * l_dim + lam
-                        row = (n_idx * t_dims[h] + dst_pos) * l_dim + lam
-                        out.add(row, col, field.one())
-        phi.append(out.build())
-    J = TwistedRep(q, V.twist, field, j_dims, phi)
-    return J, listing, t_dims, pos_of
+    phi = [MatrixBuilder(V.field, j_dims[h], V.twist[a] * j_dims[t])
+           for a, (t, h) in enumerate(q.arrows)]
+    # (x_a · f)(n ⊗ y) = f(n ⊗ y·x_a): shift a functional one arrow back
+    for l in range(1, basis.max_degree + 1):
+        for x, (t, _, (a, m, r)) in enumerate(elems[(i, l)]):
+            h = q.head(a)
+            for n_idx in range(n_dim):
+                for lam in range(l_dim):
+                    col = m * j_dims[t] + (n_idx * t_dims[t] + pos[l][x]) * l_dim + lam
+                    row = (n_idx * t_dims[h] + pos[l - 1][r]) * l_dim + lam
+                    phi[a].add(row, col, 1)
+    J = TwistedRep(q, V.twist, V.field, j_dims, [m.build() for m in phi])
+    return J, basis, elems, pos, t_dims
 
 
 def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
@@ -88,7 +105,7 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     if not 0 <= i < q.n_vertices:
         raise ValueError(f"vertex {i} out of range")
     field = V.field
-    J, listing, t_dims, pos_of = _coinduced_module(V, i, n_dim, l_dim)
+    J, basis, elems, pos, t_dims = _coinduced_module(V, i, n_dim, l_dim)
 
     homs = hom_space(V, J)
     h = len(homs)
@@ -107,35 +124,32 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
             hom_cols.add(r, idx, x)
     hom_cols = hom_cols.build()
 
-    # forward: g(n ⊗ v) = f_i(v)(n ⊗ e_i), a coordinate selection
-    e_pos = pos_of[(Path.trivial(i), 0)]
+    # forward: g(n ⊗ v) = f_i(v)(n ⊗ e_i), a coordinate selection; e_i comes first
     select = MatrixBuilder(field, d_out, total)
     for n_idx in range(n_dim):
         for v in range(V.dims[i]):
             for lam in range(l_dim):
                 g_coord = (n_idx * V.dims[i] + v) * l_dim + lam
-                f_row = (n_idx * t_dims[i] + e_pos) * l_dim + lam
+                f_row = n_idx * t_dims[i] * l_dim + lam
                 select.add(g_coord, voff[i] + v * J.dims[i] + f_row, field.one())
     select = select.build()
     forward = select @ hom_cols
 
-    # backward: f_j(v)(n ⊗ x) = g(n ⊗ x·v), assembled from path actions
+    # backward: f_j(v)(n ⊗ x) = g(n ⊗ x·v), read off the path actions on V
+    v_dim = V.total_dim()
+    v_start = [sum(V.dims[:j]) for j in range(q.n_vertices)]
+    actions = path_actions(V, basis)
     back = MatrixBuilder(field, total, d_out)
-    for j in range(q.n_vertices):
-        for (p, d, off) in listing[j]:
-            for t_p in range(d):
-                act = path_matrix(V, p, t_p)   # V_j -> V_i
-                for n_idx in range(n_dim):
-                    for lam in range(l_dim):
-                        f_row = (n_idx * t_dims[j] + off + t_p) * l_dim + lam
-                        for v in range(V.dims[j]):
-                            coord = voff[j] + v * J.dims[j] + f_row
-                            for w in range(V.dims[i]):
-                                x = act[w, v]
-                                if x == 0:
-                                    continue
-                                g_col = (n_idx * V.dims[i] + w) * l_dim + lam
-                                back.add(coord, g_col, x)
+    for l in range(basis.max_degree + 1):
+        for w, c, x in actions[(i, l)].nonzeros():
+            element, v = divmod(c, v_dim)
+            j = elems[(i, l)][element][0]
+            coord = voff[j] + (v - v_start[j]) * J.dims[j]
+            for n_idx in range(n_dim):
+                for lam in range(l_dim):
+                    f_row = (n_idx * t_dims[j] + pos[l][element]) * l_dim + lam
+                    g_col = (n_idx * V.dims[i] + w) * l_dim + lam
+                    back.add(coord + f_row, g_col, x)
     back = back.build()
 
     # express the backward map in the hom_space basis

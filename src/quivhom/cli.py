@@ -27,10 +27,11 @@ import sys
 from typing import Optional
 
 from .generate import generate_document
-from .instances import Instance, InstanceError, load_instance
+from .instances import MAX_DIM, Instance, InstanceError, load_instance
 from .linalg import CrossCheckError, ExactMatrix, rank
 from .rep import TwistedRep, delta_matrix, hom_layout, hom_space, hom_summands, one_coordinate
-from .resolution import GradedMapFamily, check_resolution_exactness, lift_beta, resolution_layout
+from .resolution import (GradedMapFamily, check_resolution_exactness, lift_beta,
+                         resolution_layout, resolution_matrices)
 from .sheaf import ExtReport, cech_dims, cech_hyper, ext_quiver_sheaf, h0_dim, h1_dim
 
 log = logging.getLogger("quivhom")
@@ -41,11 +42,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INCOMPATIBLE = 4
 EXIT_CROSS_CHECK = 5
-
-# The largest dimension of a space ext, hyper and check may build: over ten
-# times the largest any test or benchmark instance reaches (2,373, a Cech
-# T1).  Each command checks its sizes before assembling anything.
-MAX_DIM = 25_000
 
 
 class CliError(Exception):
@@ -187,9 +183,8 @@ _SEQUENCE = (("Hom_B(V,W)", "ext0"), ("sum_i Hom(V_i,W_i)", "h0_F"),
              ("Ext2_B(V,W)", "ext2"))
 
 
-def _vector_ext(V: TwistedRep, W: TwistedRep) -> ExtReport:
+def _vector_ext(delta: ExactMatrix) -> ExtReport:
     # the long exact sequence with H^1 = 0 and delta as the only map
-    delta = delta_matrix(V, W)
     r0 = rank(delta)
     return ExtReport(ext0=delta.ncols - r0, ext1=delta.nrows - r0, ext2=0,
                      h0_F=delta.ncols, h0_G=delta.nrows, h1_F=0, h1_G=0,
@@ -216,12 +211,13 @@ def cmd_ext(args) -> int:
             # each checked against I_m ⊗ f_ta for every twist dimension m
             n = hom_layout(V, W, one_coordinate).vertex_start[-1]
             _preflight("ext --bases", n * n, *V.twist.dims)
-        result = _ext_result(_vector_ext(V, W), "vector")
+        delta = delta_matrix(V, W)
+        result = _ext_result(_vector_ext(delta), "vector")
         if args.bases:
             result["hom_basis"] = [
                 {f"f_{i}": [[str(x) for x in row] for row in f.blocks[i].to_lists()]
                  for i in range(V.quiver.n_vertices)}
-                for f in hom_space(V, W)
+                for f in hom_space(V, W, delta)
             ]
     else:
         V = _pick_module(instance, args.module_v, "p1")
@@ -246,7 +242,8 @@ def cmd_check(args) -> int:
     V = _pick_module(instance, args.module_v, "vector")
     n = args.max_degree
     layout = _preflight_resolution(V, n)
-    exactness = check_resolution_exactness(V, n)
+    eps, d = resolution_matrices(V, n, layout)
+    exactness = check_resolution_exactness(V, n, (eps, d))
 
     # lifting round trip on a digest-seeded random beta
     rng = random.Random(int(digest[:16], 16))
@@ -259,7 +256,7 @@ def cmd_check(args) -> int:
                        for _ in range(rows)]
             beta[(a, l)] = ExactMatrix(V.field, rows, cols, entries)
     try:
-        lift_beta(V, GradedMapFamily(max_degree=n, beta=beta), layout)
+        lift_beta(V, GradedMapFamily(max_degree=n, beta=beta), layout, d)
         lift_ok = True
     except AssertionError:  # a failed round trip; CrossCheckError passes through
         lift_ok = False

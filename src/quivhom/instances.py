@@ -32,6 +32,13 @@ from .rep import TwistData, TwistedRep
 from .sheaf import BinForm, FormMatrix, QSheafP1, SplitBundle, tensor_bundle
 
 
+# The largest dimension of a space ext, hyper and check may build (cli.MAX_DIM):
+# over ten times the largest any test or benchmark instance reaches (2,373, a
+# Cech T1).  The loader already rejects a tensor bundle M_a ⊗ V_ta of larger
+# rank, before building it; the commands check their other sizes first.
+MAX_DIM = 25_000
+
+
 class InstanceError(Exception):
     """Validation failure, carrying the JSON path of the offending value."""
 
@@ -188,6 +195,10 @@ def _parse_p1_module(field: FieldSpec, quiver: Quiver,
         raise InstanceError(f"expected {quiver.n_arrows} form matrices", f"{path}.phi")
     phi = []
     for a, (t, h) in enumerate(quiver.arrows):
+        rank = twist_bundles[a].rank * bundles[t].rank
+        if rank > MAX_DIM:
+            raise InstanceError(f"M_{a} ⊗ V_{t} would have rank {rank}, over the limit "
+                                f"{MAX_DIM}", f"{path}.twists[{t}]")
         src = tensor_bundle(twist_bundles[a], bundles[t]).bundle
         dst = bundles[h]
         mpath = f"{path}.phi[{a}]"

@@ -207,6 +207,10 @@ class ExactMatrix:
     def to_lists(self) -> list:
         return [self.row_list(i) for i in range(self.nrows)]
 
+    def sparse_rows(self) -> tuple:
+        """The rows as {column: nonzero value} dicts, not to be mutated."""
+        return self._rows
+
     def nonzeros(self):
         """Yield (row, column, value) for every nonzero entry, row by row."""
         for i, row in enumerate(self._rows):

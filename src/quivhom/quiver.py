@@ -1,15 +1,13 @@
-"""Quivers, paths and graded path enumeration.
+"""Quivers: finite directed multigraphs with an ordered arrow list.
 
-A path is stored as the tuple of its arrow indices in application order
-(first arrow applied first); reading the tuple right to left gives the
-composition order a_m ··· a_0 used when printing.  Composability means the
-head of each arrow equals the tail of the next one applied.
+The path spaces e_i A_l of a quiver are built from its arrows, one arrow
+at a time, in resolution.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -65,72 +63,3 @@ class Quiver:
                 if indeg[h] == 0:
                     queue.append(h)
         return seen == self.n_vertices
-
-
-@dataclass(frozen=True)
-class Path:
-    """A composable arrow sequence, or a trivial path at a vertex."""
-
-    tail: int
-    head: int
-    arrows: Tuple[int, ...]   # application order; empty for trivial paths
-
-    @staticmethod
-    def trivial(vertex: int) -> "Path":
-        return Path(vertex, vertex, ())
-
-    @staticmethod
-    def from_arrows(quiver: Quiver, arrows) -> "Path":
-        seq = tuple(int(a) for a in arrows)
-        if not seq:
-            raise ValueError("use Path.trivial for length-zero paths")
-        for a in seq:
-            if not 0 <= a < quiver.n_arrows:
-                raise ValueError(f"arrow index {a} out of range")
-        for prev, nxt in zip(seq, seq[1:]):
-            if quiver.head(prev) != quiver.tail(nxt):
-                raise ValueError(f"arrows {prev} and {nxt} do not compose")
-        return Path(quiver.tail(seq[0]), quiver.head(seq[-1]), seq)
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.arrows
-
-    def __str__(self) -> str:
-        if self.is_trivial:
-            return f"<{self.tail}>"
-        return "*".join(f"a{a}" for a in reversed(self.arrows))
-
-
-def compose(p: Path, q: Path) -> Optional[Path]:
-    """The product p·q (q applied first); None when tail(p) != head(q)."""
-    if p.tail != q.head:
-        return None
-    return Path(q.tail, p.head, q.arrows + p.arrows)
-
-
-def enumerate_paths(quiver: Quiver, max_len: int) -> Dict[Tuple[int, int], List[Path]]:
-    """All paths of length <= max_len, grouped by (length, head vertex).
-
-    Within a group, paths are ordered lexicographically on the composition-
-    order reading (last arrow applied most significant); this matches the
-    block decomposition of the graded path spaces by leading arrow.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    groups: Dict[Tuple[int, int], List[Path]] = {}
-    for i in range(quiver.n_vertices):
-        groups[(0, i)] = [Path.trivial(i)]
-    for length in range(1, max_len + 1):
-        for i in range(quiver.n_vertices):
-            bucket: List[Path] = []
-            for a in quiver.arrows_into(i):
-                t = quiver.tail(a)
-                for shorter in groups[(length - 1, t)]:
-                    bucket.append(Path(shorter.tail, i, shorter.arrows + (a,)))
-            groups[(length, i)] = bucket
-    return groups

@@ -30,7 +30,7 @@ from .linalg import (
     vec_matrix,
     vstack,
 )
-from .quiver import Path, Quiver
+from .quiver import Quiver
 
 
 class IncompatibleError(ValueError):
@@ -51,46 +51,6 @@ class TwistData:
 
     def __getitem__(self, a: int) -> int:
         return self.dims[a]
-
-
-class PathBasis:
-    """Ordered tensor basis of M_p = M_{a_m} ⊗ ... ⊗ M_{a_0}.
-
-    The leftmost factor (last arrow applied) is most significant.  Trivial
-    paths have the single basis element e_i.
-    """
-
-    def __init__(self, twist: TwistData, path: Path):
-        self.path = path
-        self.factor_dims = tuple(twist[a] for a in path.arrows)
-        d = 1
-        for f in self.factor_dims:
-            d *= f
-        self.dim = d
-
-    def digits(self, index: int) -> Tuple[int, ...]:
-        """Per-arrow indices in application order (first arrow first)."""
-        if not 0 <= index < self.dim:
-            raise IndexError(f"tensor index {index} out of range for dim {self.dim}")
-        out = []
-        for f in self.factor_dims:
-            out.append(index % f)
-            index //= f
-        return tuple(out)
-
-    def index(self, digits: Sequence[int]) -> int:
-        # the digit of the last arrow applied is most significant
-        idx = 0
-        for d, f in reversed(list(zip(digits, self.factor_dims))):
-            idx = idx * f + d
-        return idx
-
-
-def path_tensor_dim(twist: TwistData, path: Path) -> int:
-    d = 1
-    for a in path.arrows:
-        d *= twist[a]
-    return d
 
 
 class TwistedRep:
@@ -138,14 +98,12 @@ class TwistedRep:
         """Input of connecting_terms: summands are the basis vectors.
 
         Returns the per-vertex dimensions, the identity order of each
-        tensor basis of M_a⊗V_ta, and the rows of each phi_a with None for
-        zero entries.
+        tensor basis of M_a⊗V_ta, and the rows of each phi_a as
+        {column: nonzero entry} dicts.
         """
         order = [range(self.twist[a] * self.dims[t])
                  for a, (t, _) in enumerate(self.quiver.arrows)]
-        rows = [[[x if x != 0 else None for x in row] for row in m.to_lists()]
-                for m in self.phi]
-        return self.dims, order, rows
+        return self.dims, order, [m.sparse_rows() for m in self.phi]
 
     def summand_twists(self):
         """Input of hom_layout: each basis vector of V_i and M_a⊗V_ta is a
@@ -169,41 +127,6 @@ class TwistedRep:
             for a, (t, h) in enumerate(quiver.arrows)
         ]
         return TwistedRep(quiver, twist, field, dims, phi)
-
-
-def act_path(rep: TwistedRep, path: Path, m_index: int, vec: Sequence,
-             at_vertex: Optional[int] = None) -> list:
-    """Action of the basis element m_index of M_p on a vector.
-
-    With `at_vertex` given, a vector living at a vertex other than tail(p)
-    is annihilated (the algebra's "0 otherwise"); the result then lives in
-    V_{head(p)}.  Without it, the vector is taken to live at tail(p).
-    """
-    field = rep.field
-    if at_vertex is not None and at_vertex != path.tail:
-        if len(vec) != rep.dims[at_vertex]:
-            raise ValueError("vector length does not match its vertex")
-        return [field.zero()] * rep.dims[path.head]
-    if len(vec) != rep.dims[path.tail]:
-        raise ValueError("vector length does not match tail(p)")
-    basis = PathBasis(rep.twist, path)
-    if not 0 <= m_index < basis.dim:
-        raise IndexError(f"tensor index {m_index} out of range")
-    w = [field.element(x) for x in vec]
-    for a, d in zip(path.arrows, basis.digits(m_index)):
-        w = rep.arrow_block(a, d).apply(w)
-    return w
-
-
-def path_matrix(rep: TwistedRep, path: Path, m_index: int) -> ExactMatrix:
-    """Matrix of act_path(·): V_{tail(p)} -> V_{head(p)}."""
-    basis = PathBasis(rep.twist, path)
-    if not 0 <= m_index < basis.dim:
-        raise IndexError(f"tensor index {m_index} out of range")
-    m = ExactMatrix.identity(rep.field, rep.dims[path.tail])
-    for a, d in zip(path.arrows, basis.digits(m_index)):
-        m = rep.arrow_block(a, d) @ m
-    return m
 
 
 class RepMorphism:
@@ -282,8 +205,13 @@ def hom_summands(V, W) -> int:
     v_sizes, v_order, _ = V.summand_data()
     w_sizes, w_order, _ = W.summand_data()
     return (sum((dv + 1) * (dw + 1) for dv, dw in zip(v_sizes, w_sizes))
-            + sum(len(v_order[a]) * (w_sizes[h] + 1) + len(w_order[a])
+            + sum(_length(v_order[a]) * (w_sizes[h] + 1) + _length(w_order[a])
                   for a, (_, h) in enumerate(V.quiver.arrows)))
+
+
+def _length(order) -> int:
+    # len() of a range fails past sys.maxsize; M_a⊗V_ta of a TwistedRep may be longer
+    return order.stop if isinstance(order, range) else len(order)
 
 
 def one_coordinate(d: int) -> int:
@@ -304,10 +232,9 @@ def connecting_terms(V, W):
     for a, (t, h) in enumerate(V.quiver.arrows):
         # f_ha ∘ phi_a: row s of phi_a feeds column c of the product
         for s in range(v_sizes[h]):
-            for c, cf in enumerate(phi[a][s]):
-                if cf is not None:
-                    for r in range(w_sizes[h]):
-                        yield a, h, (s, r), (c, r), cf, 1
+            for c, cf in phi[a][s].items():
+                for r in range(w_sizes[h]):
+                    yield a, h, (s, r), (c, r), cf, 1
         # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
         # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
         for n, c in enumerate(v_order[a]):
@@ -315,7 +242,7 @@ def connecting_terms(V, W):
             for r in range(w_sizes[t]):
                 j = w_order[a][m * w_sizes[t] + r]
                 for r2 in range(w_sizes[h]):
-                    cf = psi[a][r2][j]
+                    cf = psi[a][r2].get(j)
                     if cf is not None:
                         yield a, t, (s, r), (c, r2), cf, -1
 
@@ -353,9 +280,14 @@ def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
     return connecting_matrix(V, W, one_coordinate, _scalar_times)
 
 
-def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
-    """Basis of Hom(V, W) = ker(delta_matrix), as verified morphisms."""
-    delta = delta_matrix(V, W)
+def hom_space(V: TwistedRep, W: TwistedRep,
+              delta: Optional[ExactMatrix] = None) -> List[RepMorphism]:
+    """Basis of Hom(V, W) = ker(delta_matrix), as verified morphisms.
+
+    delta is delta_matrix(V, W), when the caller has it already.
+    """
+    if delta is None:
+        delta = delta_matrix(V, W)
     voff = hom_layout(V, W, one_coordinate).vertex_start
     morphisms = []
     for vec in kernel_basis(delta):

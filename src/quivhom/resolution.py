@@ -12,10 +12,11 @@ consume alpha only up to degree l.
 Everything follows one recursion, e_h A_{l+1} = ⊕_{a into h} M_a ⊗ e_ta A_l:
 a path of length l+1 is an arrow applied after a path of length l.  The
 basis of e_h A_{l+1} is this sum, one block per arrow in quiver order, the
-M_a index most significant (for untwisted arrows, the order of
-enumerate_paths).  A map alpha is fixed by its degree-0 part and by
-beta = d(alpha): on the block of a, alpha_ha = beta_a + phi_a·(I_m ⊗
-alpha_ta) (_extend).  eps(v) extends v with beta = 0; lift_beta extends 0.
+M_a index most significant (for untwisted arrows, paths ordered by their
+last arrow, then by the rest of the path).  A map alpha is fixed by its
+degree-0 part and by beta = d(alpha): on the block of a, alpha_ha = beta_a +
+phi_a·(I_m ⊗ alpha_ta) (_extend).  eps(v) extends v with beta = 0 (path_actions);
+lift_beta extends 0.
 
 Hom blocks are vectorised column-major.  ⊕ Hom(e_i A_l, V_i) is ordered by
 degree, highest first, then by vertex; the codomain by arrow, then degree.
@@ -40,7 +41,8 @@ class GradedBasis:
     """Dimensions of the graded pieces e_i A_l, l <= max_degree.
 
     block_offset[(a, l)] is where the block M_a ⊗ e_ta A_l starts inside
-    e_ha A_{l+1}.
+    e_ha A_{l+1}.  tail_dim[(i, l)] maps each vertex j to dim e_i A_l e_j,
+    the part of e_i A_l spanned by paths with tail j, when that is nonzero.
     """
 
     def __init__(self, quiver: Quiver, twist: TwistData, max_degree: int):
@@ -52,12 +54,18 @@ class GradedBasis:
         self.dim: Dict[Tuple[int, int], int] = {
             (i, 0): 1 for i in range(quiver.n_vertices)}
         self.block_offset: Dict[Tuple[int, int], int] = {}
+        self.tail_dim: Dict[Tuple[int, int], Dict[int, int]] = {
+            (i, 0): {i: 1} for i in range(quiver.n_vertices)}
         for l in range(max_degree):
             for i in range(quiver.n_vertices):
                 self.dim[(i, l + 1)] = 0
+                self.tail_dim[(i, l + 1)] = {}
             for a, (t, h) in enumerate(quiver.arrows):
                 self.block_offset[(a, l)] = self.dim[(h, l + 1)]
                 self.dim[(h, l + 1)] += twist[a] * self.dim[(t, l)]
+                tails = self.tail_dim[(h, l + 1)]
+                for j, d in self.tail_dim[(t, l)].items():
+                    tails[j] = tails.get(j, 0) + twist[a] * d
 
 
 @dataclass
@@ -125,17 +133,28 @@ def _extend(V: TwistedRep, basis: GradedBasis,
             alpha[(i, l + 1)] = built.build()
 
 
-def _eps_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
-    # eps(v) is the extension of v: seed alpha_i with the projection V -> V_i
+def path_actions(V: TwistedRep, basis: GradedBasis) -> Dict[Tuple[int, int], ExactMatrix]:
+    """The action x·v on V of each basis element x of e_i A_l, l <= max_degree.
+
+    Column element·dim V + v of the returned [(i, l)] holds x·v for the
+    element x and the v-th basis vector of V = ⊕_j V_j; it is zero unless v
+    lies in V_tail(x).  This is _extend seeded with the projections V -> V_i.
+    """
     total = V.total_dim()
     eye = ExactMatrix.identity(V.field, total)
     alpha, pos = {}, 0
     for i, d in enumerate(V.dims):
         alpha[(i, 0)] = eye.submatrix(pos, pos + d, 0, total)
         pos += d
-    _extend(V, layout.basis, alpha)
+    _extend(V, basis, alpha)
+    return alpha
+
+
+def _eps_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
+    # eps(v)(x) = x·v
+    total = V.total_dim()
     eps = MatrixBuilder(V.field, layout.f_total, total)
-    for (i, l), mat in alpha.items():
+    for (i, l), mat in path_actions(V, layout.basis).items():
         base = layout.f_offsets[(i, l)]
         for r, c, x in mat.nonzeros():
             element, v = divmod(c, total)
@@ -175,11 +194,17 @@ class ExactnessReport:
         return self.eps_injective and self.ker_d_eq_im_eps and self.d_surjective
 
 
-def check_resolution_exactness(V: TwistedRep, max_degree: int) -> ExactnessReport:
-    """Rank checks of exactness on the truncation (valid for max_degree >= 1)."""
+def check_resolution_exactness(V: TwistedRep, max_degree: int,
+                               matrices: Optional[Tuple[ExactMatrix, ExactMatrix]] = None
+                               ) -> ExactnessReport:
+    """Rank checks of exactness on the truncation (valid for max_degree >= 1).
+
+    matrices are (eps, d) from resolution_matrices(V, max_degree), when the
+    caller has them already; they are built otherwise.
+    """
     if max_degree < 1:
         raise ValueError("exactness requires max_degree >= 1")
-    eps, d = resolution_matrices(V, max_degree)
+    eps, d = matrices or resolution_matrices(V, max_degree)
     total = V.total_dim()
     eps_injective = rank(eps) == total
     composite_zero = (d @ eps).is_zero()
@@ -222,13 +247,14 @@ def beta_to_vector(layout: ResolutionLayout,
 
 
 def lift_beta(V: TwistedRep, beta: GradedMapFamily,
-              layout: Optional[ResolutionLayout] = None) -> GradedMapFamily:
+              layout: Optional[ResolutionLayout] = None,
+              d: Optional[ExactMatrix] = None) -> GradedMapFamily:
     """Preimage alpha with d(alpha) = beta, by induction on the degree.
 
     Degree 0 components vanish; on e_i A_l the components are defined by
     alpha_i(x_a ⊗ x) = x_a·alpha_ta(x) + beta_a(x_a ⊗ x).  The identity
     d(alpha) = beta is re-verified by matrix multiplication before
-    returning.
+    returning, with the matrix d of the layout when given, built otherwise.
     """
     n = beta.max_degree
     if layout is None:
@@ -243,10 +269,11 @@ def lift_beta(V: TwistedRep, beta: GradedMapFamily,
             if got is None or got.shape != want:
                 raise ValueError(f"beta[({a}, {l})] missing or of wrong shape")
 
-    alpha = {(i, 0): ExactMatrix.zeros(field, d, 1) for i, d in enumerate(V.dims)}
+    alpha = {(i, 0): ExactMatrix.zeros(field, di, 1) for i, di in enumerate(V.dims)}
     _extend(V, basis, alpha, bmats)
 
-    d = _d_matrix(V, layout)
+    if d is None:
+        d = _d_matrix(V, layout)
     avec = alpha_to_vector(layout, alpha)
     bvec = beta_to_vector(layout, bmats)
     image = d.apply(avec)

@@ -240,12 +240,12 @@ class QSheafP1:
         """Input of connecting_terms: summands are the line bundles.
 
         Returns the per-vertex ranks, each tensor bundle's inv_perm (natural
-        index -> sorted position) and the rows of each phi_a with None for
-        zero forms.
+        index -> sorted position) and the rows of each phi_a as {column:
+        nonzero form} dicts.
         """
         ranks = [b.rank for b in self.vertex_bundles]
         order = [tb.inv_perm for tb in self.tensors]
-        rows = [[[None if f.is_zero() else f for f in row] for row in m.entries]
+        rows = [[{c: f for c, f in enumerate(row) if not f.is_zero()} for row in m.entries]
                 for m in self.phi]
         return ranks, order, rows
 

@@ -8,7 +8,9 @@ from quivhom import adjunction
 from quivhom.adjunction import adjunction_iso
 from quivhom.linalg import CrossCheckError, ExactMatrix, FieldSpec
 from quivhom.quiver import Quiver
-from quivhom.rep import TwistData, TwistedRep
+from quivhom.rep import TwistData, TwistedRep, hom_space
+
+from path_oracle import enumerate_paths, path_matrix, path_tensor_dim
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -85,3 +87,70 @@ def test_random_acyclic_composites_are_identities():
         expected = n_dim * V.dims[i] * l_dim
         assert forward.shape == (expected, expected)
         assert backward.shape == (expected, expected)
+
+
+def _check_backward_against_path_actions(V, i, n_dim, l_dim):
+    """Each column of backward, as the morphism f it represents, satisfies
+    f_j(v)(n ⊗ x) = g(n ⊗ x·v) for every basis element x of e_i A e_j.
+
+    The oracle lists x as (path, tensor index) and computes x·v.  f_j(v)(n ⊗ x)
+    is read as (x·f_j(v))(n ⊗ e_i), through J's own arrow maps, with e_i first
+    in e_i A e_i; so no order of the basis of e_i A e_j is assumed.  These
+    readings must be coordinates of J_j, each exactly once: J's arrow maps are
+    then right multiplication, x ↦ x·x_a, on some basis of e_i A.
+    """
+    _, backward = adjunction_iso(V, i, n_dim, l_dim)
+    J = adjunction._coinduced_module(V, i, n_dim, l_dim)[0]
+    homs = hom_space(V, J)
+    q, di = V.quiver, V.dims[i]
+    t_i = J.dims[i] // (n_dim * l_dim)          # dim e_i A e_i
+    elements = [(p, k) for (_, head), paths in enumerate_paths(q, q.n_vertices - 1).items()
+                if head == i for p in paths for k in range(path_tensor_dim(V.twist, p))]
+    read = {}                                   # (x, n, lam) -> coordinate of J_tail(x)
+    for p, k in elements:
+        x_on_j = path_matrix(J, p, k)
+        for n in range(n_dim):
+            for lam in range(l_dim):
+                row = x_on_j.row_list(n * t_i * l_dim + lam)
+                assert sorted(row) == [0] * (len(row) - 1) + [1]
+                read[(p, k, n, lam)] = row.index(1)
+    for j in range(q.n_vertices):
+        assert sorted(c for (p, *_), c in read.items() if p.tail == j) == list(range(J.dims[j]))
+
+    for col in range(backward.ncols):
+        g_n, rest = divmod(col, di * l_dim)
+        g_w, g_lam = divmod(rest, l_dim)        # g = the matrix unit at (n, w, lam)
+        f = [sum((homs[r].blocks[j].scale(backward[r, col]) for r in range(len(homs))),
+                 ExactMatrix.zeros(V.field, J.dims[j], V.dims[j]))
+             for j in range(q.n_vertices)]
+        for (p, k, n, lam), coord in read.items():
+            x_on_v = path_matrix(V, p, k)
+            for v in range(V.dims[p.tail]):
+                want = x_on_v[g_w, v] if (n, lam) == (g_n, g_lam) else 0
+                assert f[p.tail][coord, v] == want, (p, k, n, lam, v)
+
+
+def test_backward_columns_match_path_actions():
+    rng = random.Random(11)
+    twisted = 0
+    for _ in range(30):
+        V = _random_acyclic_rep(rng)
+        i = rng.randrange(V.quiver.n_vertices)
+        twisted += max(V.twist.dims, default=1) > 1
+        _check_backward_against_path_actions(V, i, rng.randint(1, 2), rng.randint(1, 2))
+    assert twisted >= 5
+
+
+def test_backward_columns_match_path_actions_twisted_parallel_arrows():
+    # parallel arrows between doubled ones: e_0 A_3 e_3 holds eight elements,
+    # ordered by the M index of the last arrow applied, then by the rest
+    q = Quiver(4, [(3, 2), (2, 1), (2, 1), (1, 0)])
+    rng = random.Random(5)
+    dims, twist = [1, 2, 1, 2], TwistData([2, 1, 1, 2])
+    phi = [ExactMatrix(F101, dims[h], twist[a] * dims[t],
+                       [[rng.randrange(101) for _ in range(twist[a] * dims[t])]
+                        for _ in range(dims[h])])
+           for a, (t, h) in enumerate(q.arrows)]
+    V = TwistedRep(q, twist, F101, dims, phi)
+    for i in range(4):
+        _check_backward_against_path_actions(V, i, 2, 1)

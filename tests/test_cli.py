@@ -326,9 +326,14 @@ def _vector_doc(dims, arrows, twists):
     ({**_vector_doc([10**9], [], []),
       "modules": {"V": {"dims": [10**9], "phi": []}, "W": {"dims": [0], "phi": []}}},
      ["ext", "V", "W"]),
+    # a tensor basis M_a⊗V_ta longer than len() of a range can report
+    (_vector_doc([3, 0], [[0, 1]], [2**63]), ["ext", "V", "W"]),
+    # the loader must not build M_a⊗V_ta of rank 2,000 · 2,000 from a small file
+    ({**_p1_loop_doc(0), "twists": [[0] * 2000],
+      "modules": {"V": {"twists": [[0] * 2000], "phi": [[]]}}}, ["ext", "V", "V"]),
 ], ids=["p1-ext", "p1-hyper", "p1-hyper-verify", "two-loops", "no-arrows",
         "dim-3000", "huge-twist-check", "huge-twist-ext", "huge-twist-facing-zero",
-        "huge-dim-facing-zero"])
+        "huge-dim-facing-zero", "tensor-past-maxsize", "p1-tensor-rank"])
 def test_oversized_input_exits_3_quickly(tmp_path, capsys, doc, argv):
     f = tmp_path / "big.json"
     f.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,11 +1,19 @@
-"""Paths, composition and graded enumeration."""
+"""Quivers and the dimensions of their graded path spaces e_i A_l e_j."""
 
-import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from quivhom.quiver import Path, Quiver, compose, enumerate_paths
+from quivhom.quiver import Quiver
+from quivhom.rep import TwistData
+from quivhom.resolution import GradedBasis
+
+from path_oracle import enumerate_paths
+
+
+def _untwisted(q):
+    return TwistData([1] * q.n_arrows)
 
 
 def test_quiver_validation():
@@ -21,61 +29,31 @@ def test_quiver_validation():
 
 def test_loop_quiver_one_path_per_length():
     loop = Quiver(1, [(0, 0)])
-    groups = enumerate_paths(loop, 3)
+    basis = GradedBasis(loop, _untwisted(loop), 3)
     for length in range(4):
-        assert len(groups[(length, 0)]) == 1
-        assert groups[(length, 0)][0].length == length
+        assert basis.dim[(0, length)] == 1
+        assert basis.tail_dim[(0, length)] == {0: 1}
 
 
 def test_single_arrow_no_long_paths():
     q = Quiver(2, [(1, 0)])
-    groups = enumerate_paths(q, 5)
-    assert groups[(0, 0)] == [Path.trivial(0)]
-    assert groups[(0, 1)] == [Path.trivial(1)]
-    assert [p.arrows for p in groups[(1, 0)]] == [(0,)]
-    assert groups[(1, 1)] == []
+    basis = GradedBasis(q, _untwisted(q), 5)
+    assert basis.tail_dim[(0, 0)] == {0: 1}
+    assert basis.tail_dim[(1, 0)] == {1: 1}
+    assert basis.tail_dim[(0, 1)] == {1: 1}
+    assert basis.tail_dim[(1, 1)] == {}
     for length in range(2, 6):
         for i in range(2):
-            assert groups[(length, i)] == []
+            assert basis.dim[(i, length)] == 0
+            assert basis.tail_dim[(i, length)] == {}
 
 
 def test_two_cycle_length_two_paths():
-    # a = arrow 0: 0 -> 1, b = arrow 1: 1 -> 0
+    # arrow 0: 0 -> 1, arrow 1: 1 -> 0; each length-2 path returns to its tail
     q = Quiver(2, [(0, 1), (1, 0)])
-    groups = enumerate_paths(q, 2)
-    # head 0: b after a (storage in application order)
-    assert [p.arrows for p in groups[(2, 0)]] == [(0, 1)]
-    assert [p.arrows for p in groups[(2, 1)]] == [(1, 0)]
-    assert groups[(2, 0)][0].tail == 0 and groups[(2, 0)][0].head == 0
-
-
-def test_compose_rules():
-    q = Quiver(2, [(1, 0)])
-    e0, e1 = Path.trivial(0), Path.trivial(1)
-    a = Path.from_arrows(q, [0])
-    assert compose(e0, e0) == e0
-    assert compose(e0, e1) is None
-    assert compose(a, e1) == a        # x_p e_i = x_p when i = tp
-    assert compose(e0, a) == a        # e_i x_p = x_p when i = hp
-    assert compose(a, e0) is None
-    assert compose(e1, a) is None
-
-
-def test_path_validation():
-    q = Quiver(2, [(1, 0)])
-    with pytest.raises(ValueError):
-        Path.from_arrows(q, [])
-    with pytest.raises(ValueError):
-        Path.from_arrows(q, [0, 0])   # head 0 does not meet tail 1
-    with pytest.raises(ValueError):
-        Path.from_arrows(q, [5])
-    assert str(Path.trivial(1)) == "<1>"
-
-
-def test_paper_order_printing():
-    q = Quiver(1, [(0, 0), (0, 0)])
-    p = Path.from_arrows(q, [0, 1])   # arrow 0 applied first
-    assert str(p) == "a1*a0"
+    basis = GradedBasis(q, _untwisted(q), 2)
+    assert basis.tail_dim[(0, 2)] == {0: 1}
+    assert basis.tail_dim[(1, 2)] == {1: 1}
 
 
 def _random_quiver(rng, acyclic=False):
@@ -89,31 +67,15 @@ def _random_quiver(rng, acyclic=False):
     return Quiver(n, arrows)
 
 
-def test_composition_associative_where_defined():
-    rng = random.Random(11)
-    for _ in range(10):
-        q = _random_quiver(rng)
-        groups = enumerate_paths(q, 2)
-        paths = [p for bucket in groups.values() for p in bucket]
-        for p1, p2, p3 in itertools.product(paths, repeat=3):
-            left_inner = compose(p2, p3)
-            right_inner = compose(p1, p2)
-            left = compose(p1, left_inner) if left_inner else None
-            right = compose(right_inner, p3) if right_inner else None
-            assert left == right
-
-
 def test_path_count_recursion():
-    # |paths(l, i)| = sum over arrows a with head i of |paths(l-1, tail a)|
+    # untwisted, dim e_i A_l e_j counts the paths of length l from j to i
     rng = random.Random(23)
     for _ in range(15):
         q = _random_quiver(rng)
-        groups = enumerate_paths(q, 4)
-        for length in range(1, 5):
-            for i in range(q.n_vertices):
-                expected = sum(len(groups[(length - 1, q.tail(a))])
-                               for a in q.arrows_into(i))
-                assert len(groups[(length, i)]) == expected
+        basis = GradedBasis(q, _untwisted(q), 4)
+        for (length, i), paths in enumerate_paths(q, 4).items():
+            assert basis.dim[(i, length)] == len(paths)
+            assert basis.tail_dim[(i, length)] == Counter(p.tail for p in paths)
 
 
 def test_acyclic_paths_stabilize():
@@ -121,10 +83,12 @@ def test_acyclic_paths_stabilize():
     for _ in range(15):
         q = _random_quiver(rng, acyclic=True)
         assert q.is_acyclic()
-        groups = enumerate_paths(q, q.n_vertices + 2)
+        twist = TwistData([rng.randint(1, 3) for _ in q.arrows])
+        basis = GradedBasis(q, twist, q.n_vertices + 2)
         for length in range(q.n_vertices, q.n_vertices + 3):
             for i in range(q.n_vertices):
-                assert groups[(length, i)] == []
+                assert basis.dim[(i, length)] == 0
+                assert basis.tail_dim[(i, length)] == {}
 
 
 def test_is_acyclic_detects_cycles():

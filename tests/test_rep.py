@@ -7,13 +7,11 @@ import pytest
 import sympy
 
 from quivhom.linalg import ExactMatrix, FieldSpec, vec_matrix
-from quivhom.quiver import Path, Quiver
+from quivhom.quiver import Quiver
 from quivhom.rep import (
     IncompatibleError,
-    PathBasis,
     TwistData,
     TwistedRep,
-    act_path,
     build_extension,
     delta_matrix,
     ext1_classes,
@@ -21,8 +19,8 @@ from quivhom.rep import (
     hom_space,
     identity_morphism,
     is_split_extension,
-    path_matrix,
 )
+from quivhom.resolution import GradedBasis, path_actions
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -51,60 +49,42 @@ def test_rep_shape_validation():
         TwistData([0])
 
 
+def _actions(V, max_degree):
+    # block [(i, l)]: each basis element x of e_i A_l acting on V = ⊕_j V_j
+    return path_actions(V, GradedBasis(V.quiver, V.twist, max_degree))
+
+
 def test_act_trivial_path_is_identity():
     V = jordan(Q, 3)
-    v = [Fraction(1), Fraction(2), Fraction(3)]
-    assert act_path(V, Path.trivial(0), 0, v) == v
-
-
-def test_act_zero_vector():
-    V = jordan(Q, 2)
-    p = Path.from_arrows(LOOP, [0, 0])
-    assert act_path(V, p, 0, [0, 0]) == [Fraction(0), Fraction(0)]
+    assert _actions(V, 0)[(0, 0)] == ExactMatrix.identity(Q, 3)
 
 
 def test_act_jordan_square_vanishes():
     V = jordan(Q, 2)
-    p = Path.from_arrows(LOOP, [0, 0])
-    assert path_matrix(V, p, 0).is_zero()
-    assert act_path(V, p, 0, [1, 0]) == [Fraction(0), Fraction(0)]
+    actions = _actions(V, 2)
+    assert actions[(0, 1)].to_lists() == [[0, 1], [0, 0]]
+    assert actions[(0, 2)].is_zero()
 
 
 def test_act_wrong_vertex_returns_zero():
     q = Quiver(2, [(1, 0)])
     V = TwistedRep(q, TwistData([1]), Q, [1, 2],
                    [ExactMatrix(Q, 1, 2, [[1, 0]])])
-    # a vector at vertex 0 annihilated by the trivial path at vertex 1
-    assert act_path(V, Path.trivial(1), 0, [5], at_vertex=0) == [Fraction(0)] * 2
-    with pytest.raises(ValueError):
-        act_path(V, Path.trivial(1), 0, [5, 6], at_vertex=0)
+    # the trivial path at vertex 1 annihilates V_0 and fixes V_1
+    e1 = _actions(V, 0)[(1, 0)]
+    assert e1.submatrix(0, 2, 0, 1).is_zero()
+    assert e1.submatrix(0, 2, 1, 3) == ExactMatrix.identity(Q, 2)
 
 
 def test_act_twisted_block_selection():
-    # twist dimension 2 on a loop: phi = [a | b] picks column blocks by digit
+    # twist dimension 2 on a loop: phi = [a | b] picks column blocks by the
+    # M index; in degree 2 the index of the last arrow applied is most
+    # significant: (0,0), (0,1), (1,0), (1,1) act by 2·2, 2·3, 3·2, 3·3
     V = TwistedRep(LOOP, TwistData([2]), Q, [1],
                    [ExactMatrix(Q, 1, 2, [[2, 3]])])
-    p1 = Path.from_arrows(LOOP, [0])
-    assert act_path(V, p1, 0, [1]) == [Fraction(2)]
-    assert act_path(V, p1, 1, [1]) == [Fraction(3)]
-    p2 = Path.from_arrows(LOOP, [0, 0])
-    # index = m_last*2 + m_first, both factors scalar multiplications
-    assert act_path(V, p2, 0, [1]) == [Fraction(4)]
-    assert act_path(V, p2, 1, [1]) == [Fraction(6)]
-    assert act_path(V, p2, 2, [1]) == [Fraction(6)]
-    assert act_path(V, p2, 3, [1]) == [Fraction(9)]
-    with pytest.raises(IndexError):
-        act_path(V, p2, 4, [1])
-
-
-def test_path_basis_digits_roundtrip():
-    q = Quiver(1, [(0, 0), (0, 0)])
-    tw = TwistData([2, 3])
-    p = Path.from_arrows(q, [0, 1, 0])
-    basis = PathBasis(tw, p)
-    assert basis.dim == 12
-    for idx in range(12):
-        assert basis.index(basis.digits(idx)) == idx
+    actions = _actions(V, 2)
+    assert actions[(0, 1)].to_lists() == [[2, 3]]
+    assert actions[(0, 2)].to_lists() == [[4, 6, 6, 9]]
 
 
 def test_delta_zero_maps():

@@ -1,6 +1,7 @@
 """The standard resolution: assembly, exactness, lifting."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
-from quivhom.quiver import Path, Quiver, enumerate_paths
-from quivhom.rep import TwistData, TwistedRep, path_matrix, path_tensor_dim
+from quivhom.quiver import Quiver
+from quivhom.rep import TwistData, TwistedRep
 from quivhom.resolution import (
     GradedBasis,
     GradedMapFamily,
@@ -20,6 +21,8 @@ from quivhom.resolution import (
     resolution_layout,
     resolution_matrices,
 )
+
+from path_oracle import Path, enumerate_paths, path_matrix, path_tensor_dim
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -220,6 +223,8 @@ def _check_blocks_against_path_actions(V, n):
     listing, starts = _block_basis(V.quiver, V.twist, n)
     assert basis.block_offset == starts
     assert basis.dim == {key: len(elems) for key, elems in listing.items()}
+    assert basis.tail_dim == {key: Counter(p.tail for p, _ in elems)
+                              for key, elems in listing.items()}
     # a permutation of the (path, tensor index) pairs of enumerate_paths
     for (l, i), paths in enumerate_paths(V.quiver, n).items():
         assert sorted(listing[(i, l)], key=repr) == sorted(
