@@ -152,15 +152,10 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
                     back.add(coord + f_row, g_col, x)
     back = back.build()
 
-    # express the backward map in the hom_space basis
-    coords = MatrixBuilder(field, h, d_out)
-    for c in range(d_out):
-        sol = solve(hom_cols, back.column_list(c))
-        if sol is None:
-            raise CrossCheckError("backward image is not a morphism")
-        for r, x in enumerate(sol):
-            coords.add(r, c, x)
-    backward = coords.build()
+    # express the backward map in the hom_space basis, every column at once
+    backward = solve(hom_cols, back)
+    if backward is None:
+        raise CrossCheckError("backward image is not a morphism")
 
     if h != d_out:
         raise CrossCheckError("adjunction dimensions disagree")

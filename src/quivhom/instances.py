@@ -29,7 +29,7 @@ from typing import Dict, Tuple, Union
 from .linalg import ExactMatrix, FieldSpec
 from .quiver import Quiver
 from .rep import TwistData, TwistedRep
-from .sheaf import BinForm, FormMatrix, QSheafP1, SplitBundle, tensor_bundle
+from .sheaf import BinForm, FormMatrix, QSheafP1, SplitBundle, tensor_bundles
 
 
 # The largest dimension of a space ext, hyper and check may build (cli.MAX_DIM):
@@ -193,13 +193,15 @@ def _parse_p1_module(field: FieldSpec, quiver: Quiver,
     phi_raw = _require_list(spec["phi"], f"{path}.phi")
     if len(phi_raw) != quiver.n_arrows:
         raise InstanceError(f"expected {quiver.n_arrows} form matrices", f"{path}.phi")
-    phi = []
-    for a, (t, h) in enumerate(quiver.arrows):
+    for a, (t, _) in enumerate(quiver.arrows):
         rank = twist_bundles[a].rank * bundles[t].rank
         if rank > MAX_DIM:
             raise InstanceError(f"M_{a} ⊗ V_{t} would have rank {rank}, over the limit "
                                 f"{MAX_DIM}", f"{path}.twists[{t}]")
-        src = tensor_bundle(twist_bundles[a], bundles[t]).bundle
+    tensors = tensor_bundles(quiver, twist_bundles, bundles)
+    phi = []
+    for a, (_, h) in enumerate(quiver.arrows):
+        src = tensors[a].bundle
         dst = bundles[h]
         mpath = f"{path}.phi[{a}]"
         raw = _require_list(phi_raw[a], mpath)
@@ -216,7 +218,7 @@ def _parse_p1_module(field: FieldSpec, quiver: Quiver,
                 for c in range(src.rank)
             ])
         phi.append(FormMatrix(field, src, dst, entries))
-    return QSheafP1(quiver, field, twist_bundles, bundles, phi)
+    return QSheafP1(quiver, field, twist_bundles, bundles, phi, _tensors=tensors)
 
 
 def load_instance(document) -> Instance:

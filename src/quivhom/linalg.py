@@ -19,7 +19,9 @@ matrix are the columns where the rank of the leading columns grows, and
 the reduced row echelon form is unique, so neither depends on the order
 in which rows are taken or pivots are found.  Ranks, kernel bases,
 solutions and cokernel representatives are therefore the same as those of
-textbook Gaussian elimination, and reproducible byte for byte.
+textbook Gaussian elimination, and reproducible byte for byte.  Once every
+column holds a pivot, `_echelon` takes no more rows: they lie in the span of
+the pivot rows, so they change neither the pivot set nor the reduced form.
 """
 
 from __future__ import annotations
@@ -410,6 +412,8 @@ def _echelon(m: ExactMatrix, reduced: bool) -> list:
     field, p = m.field, m.field.modulus
     pivots = {}
     for src in m._rows:
+        if len(pivots) == m.ncols:
+            break
         row = dict(src)
         while row:
             c = min(row)
@@ -459,18 +463,22 @@ def kernel_basis(m: ExactMatrix) -> list:
     return list(basis.values())
 
 
-def solve(m: ExactMatrix, b: Sequence) -> Optional[list]:
-    """One solution x of m·x = b, or None when the system is inconsistent."""
-    if len(b) != m.nrows:
-        raise ValueError(f"right-hand side length {len(b)} != {m.nrows} rows")
-    aug = hstack([m, ExactMatrix.column(m.field, b)])
-    echelon = _echelon(aug, reduced=True)
-    if echelon and echelon[-1][0] == m.ncols:
+def solve(m: ExactMatrix, b: Union[Sequence, ExactMatrix]) -> Optional[Union[list, ExactMatrix]]:
+    """One solution x of m·x = b, or None when the system is inconsistent.
+
+    A matrix b holds one right-hand side per column, all solved by one elimination.
+    """
+    rhs = b if isinstance(b, ExactMatrix) else ExactMatrix.column(m.field, b)
+    if rhs.nrows != m.nrows:
+        raise ValueError(f"right-hand side length {rhs.nrows} != {m.nrows} rows")
+    echelon = _echelon(hstack([m, rhs]), reduced=True)
+    if echelon and echelon[-1][0] >= m.ncols:
         return None
-    x = [m.field.zero()] * m.ncols
+    x = [{}] * m.ncols
     for c, row in echelon:
-        x[c] = row.get(m.ncols, x[c])
-    return x
+        x[c] = {j - m.ncols: v for j, v in row.items() if j >= m.ncols}
+    x = ExactMatrix._wrap(m.field, tuple(x), rhs.ncols)
+    return x if isinstance(b, ExactMatrix) else x.column_list(0)
 
 
 def cokernel_representatives(m: ExactMatrix) -> list:

@@ -86,6 +86,13 @@ def tensor_bundle(m: SplitBundle, v: SplitBundle) -> TensorBundle:
                         tuple(order), tuple(inv))
 
 
+def tensor_bundles(quiver: Quiver, twist_bundles: Sequence[SplitBundle],
+                   vertex_bundles: Sequence[SplitBundle]) -> Tuple[TensorBundle, ...]:
+    """M_a ⊗ V_ta for every arrow a, in arrow order."""
+    return tuple(tensor_bundle(twist_bundles[a], vertex_bundles[t])
+                 for a, (t, _) in enumerate(quiver.arrows))
+
+
 @dataclass(frozen=True)
 class BinForm:
     """Homogeneous binary form; coeffs list x^d, x^(d-1)y, ..., y^d.
@@ -201,7 +208,7 @@ class QSheafP1:
     def __init__(self, quiver: Quiver, field: FieldSpec,
                  twist_bundles: Sequence[SplitBundle],
                  vertex_bundles: Sequence[SplitBundle],
-                 phi: Sequence[FormMatrix]):
+                 phi: Sequence[FormMatrix], _tensors=None):
         if len(twist_bundles) != quiver.n_arrows:
             raise ValueError("one twist bundle per arrow required")
         if len(vertex_bundles) != quiver.n_vertices:
@@ -212,10 +219,9 @@ class QSheafP1:
         self.field = field
         self.twist_bundles = tuple(twist_bundles)
         self.vertex_bundles = tuple(vertex_bundles)
-        self.tensors = tuple(
-            tensor_bundle(twist_bundles[a], vertex_bundles[t])
-            for a, (t, _) in enumerate(quiver.arrows)
-        )
+        # _tensors: the caller's tensor_bundles(quiver, twist_bundles, vertex_bundles)
+        self.tensors = (tensor_bundles(quiver, twist_bundles, vertex_bundles)
+                        if _tensors is None else tuple(_tensors))
         for a, (t, h) in enumerate(quiver.arrows):
             f = phi[a]
             if f.field != field:
@@ -230,11 +236,10 @@ class QSheafP1:
     def zero_maps(quiver: Quiver, field: FieldSpec,
                   twist_bundles: Sequence[SplitBundle],
                   vertex_bundles: Sequence[SplitBundle]) -> "QSheafP1":
-        phi = []
-        for a, (t, h) in enumerate(quiver.arrows):
-            src = tensor_bundle(twist_bundles[a], vertex_bundles[t]).bundle
-            phi.append(FormMatrix.zero(field, src, vertex_bundles[h]))
-        return QSheafP1(quiver, field, twist_bundles, vertex_bundles, phi)
+        tensors = tensor_bundles(quiver, twist_bundles, vertex_bundles)
+        phi = [FormMatrix.zero(field, tb.bundle, vertex_bundles[h])
+               for tb, (_, h) in zip(tensors, quiver.arrows)]
+        return QSheafP1(quiver, field, twist_bundles, vertex_bundles, phi, _tensors=tensors)
 
     def summand_data(self):
         """Input of connecting_terms: summands are the line bundles.
@@ -262,19 +267,18 @@ class QSheafP1:
             )
 
     def scale_forms(self, c) -> "QSheafP1":
-        return QSheafP1(self.quiver, self.field, self.twist_bundles,
-                        self.vertex_bundles, [f.scale(c) for f in self.phi])
+        return QSheafP1(self.quiver, self.field, self.twist_bundles, self.vertex_bundles,
+                        [f.scale(c) for f in self.phi], _tensors=self.tensors)
 
     def shift_vertex_twists(self, t: int) -> "QSheafP1":
         """Twist every vertex bundle by O(t); the form data is unchanged."""
         shifted = [SplitBundle(tuple(d + t for d in b.twists))
                    for b in self.vertex_bundles]
-        phi = []
-        for a, (ta, ha) in enumerate(self.quiver.arrows):
-            src = tensor_bundle(self.twist_bundles[a], shifted[ta]).bundle
-            phi.append(FormMatrix(self.field, src, shifted[ha],
-                                  self.phi[a].entries))
-        return QSheafP1(self.quiver, self.field, self.twist_bundles, shifted, phi)
+        tensors = tensor_bundles(self.quiver, self.twist_bundles, shifted)
+        phi = [FormMatrix(self.field, tb.bundle, shifted[h], f.entries)
+               for tb, (_, h), f in zip(tensors, self.quiver.arrows, self.phi)]
+        return QSheafP1(self.quiver, self.field, self.twist_bundles, shifted, phi,
+                        _tensors=tensors)
 
 
 def sheaf_hom_ext_dims(e: SplitBundle, f: SplitBundle) -> Tuple[int, int]:
@@ -389,6 +393,12 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 # of exponents.  On O(d), |d| <= T − 2, a Cech 0-cochain is a chart-0
 # section, (0, T), then a chart-1 section, (-T, d); a Cech 1-cochain is an
 # overlap section, (-T, T).
+#
+# The rows of d0 are Cech1(C0), then Cech0(C1).  Each Cech1(C0) row, s0 − s1
+# at one overlap exponent e, is at most a 1 and a −1 and leads in a column of
+# its own (chart 0 for e >= 0, else chart 1), so rank takes it as a pivot with
+# no subtraction and reduces the Cech0(C1) rows against these to H0 columns.
+# The columns of d1 stay Cech0(C1), Cech1(C0), so that its vertical entries lead.
 
 def _charts(d: int, window: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     return (0, window), (-window, d)
@@ -433,6 +443,35 @@ def _add_form_mul(out: MatrixBuilder, row0: int, col0: int, form: BinForm,
                 out.add(row0 + e + k - dst[0], col0 + e - src[0], sign * cf)
 
 
+def _cech_matrices(V: QSheafP1, W: QSheafP1, extra_window: int):
+    """The differentials d0: T0 -> T1 and d1: T1 -> T2 of the Cech total complex."""
+    window, lay0, unit, (t0, t1, t2) = _cech_layouts(V, W, extra_window)
+    overlap, n1 = (-window, window), 2 * window + 1
+    c1_start = lay0.arrow_start[-1]   # where Cech1(C0) starts in the columns of d1
+    h_start = t1 - c1_start           # where Cech0(C1) starts in the rows of d0
+    d0 = MatrixBuilder(V.field, t1, t0)
+    d1 = MatrixBuilder(V.field, t2, t1)
+    for a, i, (s, r), (c, r2), form, sign in connecting_terms(V, W):
+        col, d = lay0.vertex[i][s][r]
+        row, d2 = lay0.arrow[a][c][r2]
+        # horizontal map on chart 0 and chart 1 sections
+        (src0, src1), (dst0, dst1) = _charts(d, window), _charts(d2, window)
+        _add_form_mul(d0, h_start + row, col, form, src0, dst0, sign)
+        _add_form_mul(d0, h_start + row + window + 1, col + window + 1, form, src1, dst1, sign)
+        # minus the horizontal map on overlap sections of C0
+        _add_form_mul(d1, n1 * unit.arrow[a][c][r2][0],
+                      c1_start + n1 * unit.vertex[i][s][r][0], form, overlap, overlap, -sign)
+    # vertical Cech differences (s0, s1) -> s0 − s1 of C0, and of C1 on the
+    # Cech0(C1) block: the form 1 from each chart into the overlap
+    one = BinForm(0, [V.field.one()])
+    for out, q0, q1 in ((d0, lay0.vertex, unit.vertex), (d1, lay0.arrow, unit.arrow)):
+        for (col, d), (k, _) in zip(_summands(q0), _summands(q1)):
+            src0, src1 = _charts(d, window)
+            _add_form_mul(out, n1 * k, col, one, src0, overlap, 1)
+            _add_form_mul(out, n1 * k, col + window + 1, one, src1, overlap, -1)
+    return d0.build(), d1.build()
+
+
 def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
     """Hypercohomology dimensions of the two-term complex of sheaf Homs.
 
@@ -442,31 +481,7 @@ def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, in
     Enlarging the window never changes the result.
     """
     V.compatible_with(W)
-    window, lay0, unit, (t0, t1, t2) = _cech_layouts(V, W, extra_window)
-    overlap, n1 = (-window, window), 2 * window + 1
-    c1_start = lay0.arrow_start[-1]   # where Cech1(C0) starts inside T1
-    d0 = MatrixBuilder(V.field, t1, t0)
-    d1 = MatrixBuilder(V.field, t2, t1)
-    for a, i, (s, r), (c, r2), form, sign in connecting_terms(V, W):
-        col, d = lay0.vertex[i][s][r]
-        row, d2 = lay0.arrow[a][c][r2]
-        # horizontal map on chart 0 and chart 1 sections
-        (src0, src1), (dst0, dst1) = _charts(d, window), _charts(d2, window)
-        _add_form_mul(d0, row, col, form, src0, dst0, sign)
-        _add_form_mul(d0, row + window + 1, col + window + 1, form, src1, dst1, sign)
-        # minus the horizontal map on overlap sections of C0
-        _add_form_mul(d1, n1 * unit.arrow[a][c][r2][0],
-                      c1_start + n1 * unit.vertex[i][s][r][0], form, overlap, overlap, -sign)
-    # vertical Cech differences (s0, s1) -> s0 − s1 of C0, and of C1 on the
-    # Cech0(C1) block: the form 1 from each chart into the overlap
-    one = BinForm(0, [V.field.one()])
-    for out, row0, q0, q1 in ((d0, c1_start, lay0.vertex, unit.vertex),
-                              (d1, 0, lay0.arrow, unit.arrow)):
-        for (col, d), (k, _) in zip(_summands(q0), _summands(q1)):
-            src0, src1 = _charts(d, window)
-            _add_form_mul(out, row0 + n1 * k, col, one, src0, overlap, 1)
-            _add_form_mul(out, row0 + n1 * k, col + window + 1, one, src1, overlap, -1)
-    d0, d1 = d0.build(), d1.build()
-
+    d0, d1 = _cech_matrices(V, W, extra_window)
+    (t1, t0), t2 = d0.shape, d1.nrows
     r0, r1 = rank(d0), rank(d1)
     return t0 - r0, (t1 - r1) - r0, t2 - r1

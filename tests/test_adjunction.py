@@ -41,6 +41,18 @@ def test_failed_cross_check_raises_cross_check_error(monkeypatch):
         adjunction_iso(V, 0, 1, 1)
 
 
+def test_backward_map_takes_one_elimination(monkeypatch):
+    # every column of the backward map is solved against Hom_A(V, J) at once
+    q = Quiver(2, [(1, 0)])
+    V = TwistedRep(q, TwistData([1]), Q, [2, 1], [ExactMatrix(Q, 2, 1, [[1], [2]])])
+    calls = []
+    solve = adjunction.solve
+    monkeypatch.setattr(adjunction, "solve", lambda m, b: calls.append(b) or solve(m, b))
+    _, backward = adjunction_iso(V, 0, 2, 1)
+    assert backward.shape == (4, 4)
+    assert len(calls) == 1 and calls[0].shape[1] == 4
+
+
 def test_rejects_cycles():
     loop = Quiver(1, [(0, 0)])
     V = TwistedRep.zero_maps(loop, TwistData([1]), Q, [1])

@@ -344,6 +344,28 @@ def test_oversized_input_exits_3_quickly(tmp_path, capsys, doc, argv):
     assert "over the limit" in err and str(cli.MAX_DIM) in err
 
 
+def test_p1_loader_builds_each_tensor_bundle_once(monkeypatch):
+    from quivhom import instances, sheaf
+    doc = generate_document(0, mode="p1")
+    calls = []
+    build = sheaf.tensor_bundle
+    for module in (instances, sheaf):       # every binding of tensor_bundle
+        if getattr(module, "tensor_bundle", None) is build:
+            monkeypatch.setattr(module, "tensor_bundle",
+                                lambda m, v: calls.append(1) or build(m, v))
+    inst = load_instance(doc)
+    assert len(calls) == len(inst.modules) * inst.quiver.n_arrows == 8
+    # the rank bound runs before any bundle is built, on every arrow: arrow 0
+    # (rank 2,000) passes it, arrow 1 (rank 4,000,000) does not
+    calls.clear()
+    big = {**_p1_loop_doc(0), "quiver": {"vertices": 1, "arrows": [[0, 0], [0, 0]]},
+           "twists": [[0], [0] * 2000],
+           "modules": {"V": {"twists": [[0] * 2000], "phi": [[], []]}}}
+    with pytest.raises(InstanceError, match="over the limit"):
+        load_instance(big)
+    assert calls == []
+
+
 def test_preflight_passes_a_large_check_under_the_limit(tmp_path, capsys):
     # two loops at degree 12: the resolution has dimension 8,191
     f = tmp_path / "loops.json"

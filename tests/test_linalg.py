@@ -325,3 +325,108 @@ def test_cross_checks_raise_cross_check_error(monkeypatch):
         kernel_basis(ExactMatrix.zeros(F5, 2, 0))
     with pytest.raises(CrossCheckError):
         cokernel_representatives(m)
+
+
+# -- the early stop at full column rank, against textbook Gauss-Jordan ------
+
+def _ref_rref(field, rows, ncols):
+    """Pivot columns and rows of the reduced row echelon form, on dense lists."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        i = len(pivots)
+        k = next((k for k in range(i, len(rows)) if rows[k][c] != 0), None)
+        if k is None:
+            continue
+        rows[i], rows[k] = rows[k], rows[i]
+        inv = field.inv(rows[i][c])
+        rows[i] = [_reduce(field, x * inv) for x in rows[i]]
+        for k in range(len(rows)):
+            if k != i and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [_reduce(field, x - f * y) for x, y in zip(rows[k], rows[i])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
+def _ref_kernel(field, rows, ncols):
+    pivots, rref = _ref_rref(field, rows, ncols)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [field.zero()] * ncols
+        v[j] = field.one()
+        for c, row in zip(pivots, rref):
+            v[c] = _reduce(field, -row[j])
+        basis.append(v)
+    return basis
+
+
+def _ref_solve(field, rows, ncols, b):
+    pivots, rref = _ref_rref(field, [r + [y] for r, y in zip(rows, b)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [field.zero()] * ncols
+    for c, row in zip(pivots, rref):
+        x[c] = row[ncols]
+    return x
+
+
+def _ref_cokernel(field, rows, ncols):
+    n = len(rows)
+    eye = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    pivots, _ = _ref_rref(field, [r + e for r, e in zip(rows, eye)], ncols + n)
+    return [eye[c - ncols] for c in pivots if c >= ncols]
+
+
+def _tall_lists(field, rng, n, extra):
+    """A full-column-rank n×n block L·U on top of `extra` arbitrary rows."""
+    cells, zero = _sparse_lists(field, rng, n, n), field.zero()
+    lower = [[field.element(rng.choice([1, 2, -1])) if i == j else cells[i][j] if j < i
+              else zero for j in range(n)] for i in range(n)]
+    upper = [[field.one() if i == j else cells[i][j] if j > i else zero for j in range(n)]
+             for i in range(n)]
+    return _ref_matmul(field, lower, upper, n, n) + _sparse_lists(field, rng, extra, n)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([F5, P61, Q]))
+@settings(max_examples=40, deadline=None)
+def test_full_column_rank_stop_matches_list_reference(seed, field):
+    rng = random.Random(seed)
+    n, extra = rng.randint(1, 5), rng.randint(1, 6)
+    rows = _tall_lists(field, rng, n, extra)
+    m = ExactMatrix(field, n + extra, n, rows)
+    assert _ref_rref(field, rows, n)[0] == list(range(n))
+    assert rank(m) == n
+    assert kernel_basis(m) == _ref_kernel(field, rows, n) == []
+    assert cokernel_representatives(m) == _ref_cokernel(field, rows, n)
+    x0 = [field.element(rng.randint(-4, 4)) for _ in range(n)]
+    good = m.apply(x0)
+    bad = good[:-1] + [_reduce(field, good[-1] + 1)]    # the block forces x = x0
+    assert solve(m, good) == _ref_solve(field, rows, n, good) == x0
+    assert solve(m, bad) is None and _ref_solve(field, rows, n, bad) is None
+    # several right-hand sides: one elimination, column by column the same answers
+    assert solve(m, ExactMatrix(field, n + extra, 2, [[y, y] for y in good])).to_lists() == \
+        [[x, x] for x in x0]
+    assert solve(m, ExactMatrix(field, n + extra, 2, [[y, z] for y, z in zip(good, bad)])) is None
+    # the same checks on a wide matrix, where the stop never fires
+    wide = [r + s for r, s in zip(rows, _sparse_lists(field, rng, n + extra, 2))]
+    w = ExactMatrix(field, n + extra, n + 2, wide)
+    assert rank(w) == len(_ref_rref(field, wide, n + 2)[0])
+    assert kernel_basis(w) == _ref_kernel(field, wide, n + 2)
+    assert cokernel_representatives(w) == _ref_cokernel(field, wide, n + 2)
+    assert solve(w, bad) == _ref_solve(field, wide, n + 2, bad)
+
+
+def test_rows_past_full_column_rank_are_not_reduced(monkeypatch):
+    import quivhom.linalg as linalg
+
+    def fail(*args):
+        raise AssertionError("a row was reduced after every column held a pivot")
+    rng = random.Random(3)
+    for field in (F5, P61, Q):
+        m = vstack([ExactMatrix.identity(field, 6),
+                    ExactMatrix(field, 50, 6, _sparse_lists(field, rng, 50, 6))])
+        monkeypatch.setattr(linalg, "_subtract_multiple", fail)
+        assert rank(m) == 6
+        assert kernel_basis(m) == []
+        monkeypatch.undo()

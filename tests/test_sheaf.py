@@ -4,13 +4,17 @@ import random
 
 import pytest
 
-from quivhom.linalg import FieldSpec, rank
+from quivhom.generate import generate_document
+from quivhom.instances import load_instance
+from quivhom.linalg import FieldSpec, rank, vstack
 from quivhom.quiver import Quiver
 from quivhom.sheaf import (
     BinForm,
     FormMatrix,
     QSheafP1,
     SplitBundle,
+    _cech_layouts,
+    _cech_matrices,
     cech_hyper,
     delta0_matrix,
     delta1_matrix,
@@ -295,3 +299,27 @@ def test_incompatible_sheaves_rejected():
     W = QSheafP1.zero_maps(LOOP, F, [SplitBundle([-1])], [O])
     with pytest.raises(ValueError):
         delta0_matrix(V, W)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_cech_d0_lists_its_unit_pivot_rows_first(seed):
+    # The Cech1(C0) rows s0 − s1 lead d0, each a ±1 pivot in a column of its
+    # own, so that rank(d0) reduces only the Cech0(C1) rows, and only to H0.
+    inst = load_instance(generate_document(seed, mode="p1"))
+    V, W = inst.modules["V"], inst.modules["W"]
+    for X, Y in ((V, W), (W, V)):
+        window, _, unit, _ = _cech_layouts(X, Y, 0)
+        n_vertical = (2 * window + 1) * unit.vertex_start[-1]     # dim Cech1(C0)
+        d0, _ = _cech_matrices(X, Y, 0)
+        units = {X.field.one(), X.field.element(-1)}
+        vertical = d0.sparse_rows()[:n_vertical]
+        assert all(len(row) <= 2 and set(row.values()) <= units for row in vertical)
+        leads = [min(row) for row in vertical if row]
+        assert len(set(leads)) == len(leads)
+        # horizontal rows first is a row permutation: the same rank
+        t1, t0 = d0.shape
+        horizontal_first = vstack([d0.submatrix(n_vertical, t1, 0, t0),
+                                   d0.submatrix(0, n_vertical, 0, t0)])
+        r0 = rank(d0)
+        assert rank(horizontal_first) == r0
+        assert cech_hyper(X, Y)[0] + r0 == t0
