@@ -183,14 +183,6 @@ _SEQUENCE = (("Hom_B(V,W)", "ext0"), ("sum_i Hom(V_i,W_i)", "h0_F"),
              ("Ext2_B(V,W)", "ext2"))
 
 
-def _vector_ext(delta: ExactMatrix) -> ExtReport:
-    # the long exact sequence with H^1 = 0 and delta as the only map
-    r0 = rank(delta)
-    return ExtReport(ext0=delta.ncols - r0, ext1=delta.nrows - r0, ext2=0,
-                     h0_F=delta.ncols, h0_G=delta.nrows, h1_F=0, h1_G=0,
-                     rank_delta0=r0, rank_delta1=0)
-
-
 def _ext_result(r: ExtReport, mode: str) -> dict:
     vector = mode == "vector"
     result = {("hom" if vector and k == "ext0" else k): v
@@ -212,12 +204,16 @@ def cmd_ext(args) -> int:
             n = hom_layout(V, W, one_coordinate).vertex_start[-1]
             _preflight("ext --bases", n * n, *V.twist.dims)
         delta = delta_matrix(V, W)
-        result = _ext_result(_vector_ext(delta), "vector")
-        if args.bases:
+        # the kernel basis of --bases gives the rank without a second elimination
+        basis = hom_space(V, W, delta) if args.bases else None
+        r0 = rank(delta) if basis is None else delta.ncols - len(basis)
+        # the long exact sequence with H^1 = 0 and delta as the only map
+        result = _ext_result(ExtReport.of_sequence(delta.shape, (0, 0), r0, 0), "vector")
+        if basis is not None:
             result["hom_basis"] = [
                 {f"f_{i}": [[str(x) for x in row] for row in f.blocks[i].to_lists()]
                  for i in range(V.quiver.n_vertices)}
-                for f in hom_space(V, W, delta)
+                for f in basis
             ]
     else:
         V = _pick_module(instance, args.module_v, "p1")

@@ -420,7 +420,9 @@ def _echelon(m: ExactMatrix, reduced: bool) -> list:
             prow = pivots.get(c)
             if prow is None:
                 inv = field.inv(row[c])
-                pivots[c] = _canonical(field, {j: x * inv for j, x in row.items()})
+                if inv != 1:    # the entries are field elements already: only scale
+                    row = {j: x * inv % p if p else x * inv for j, x in row.items()}
+                pivots[c] = row
                 break
             _subtract_multiple(row, row[c], prow, p)
     order = sorted(pivots)

@@ -250,9 +250,9 @@ def connecting_terms(V, W):
 def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
     """The connecting map in the coordinates of hom_layout(V, W, dim_of).
 
-    times(d, cf) lists the triples (k, k2, x): acting by the coefficient cf
-    sends coordinate k of a Hom summand of twist d to x times coordinate k2
-    of the arrow summand it lands in.
+    times(d, cf) lists the diagonal runs (k, k2, n, x) of acting by the
+    coefficient cf on a Hom summand of twist d: coordinate k + e of it goes
+    to x times coordinate k2 + e of the arrow summand it lands in, 0 <= e < n.
     """
     V.compatible_with(W)
     vertex, arrow, vertex_start, arrow_start = hom_layout(V, W, dim_of)
@@ -261,13 +261,15 @@ def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
     for a, i, (s, r), (c, r2), cf, sign in connecting_terms(V, W):
         col, d = vertex[i][s][r]
         row = arrow[a][c][r2][0]
-        for k, k2, x in times(d, cf):
-            add(row + k2, col + k, sign * x)
+        for k, k2, n, x in times(d, cf):
+            x *= sign
+            for e in range(n):
+                add(row + k2 + e, col + k + e, x)
     return out.build()
 
 
 def _scalar_times(d: int, cf) -> tuple:
-    return ((0, 0, cf),)
+    return ((0, 0, 1, cf),)
 
 
 def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:

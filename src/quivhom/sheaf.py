@@ -14,24 +14,22 @@ Two routes compute Ext between twisted sheaves: the long exact sequence
 assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
 hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
-(cech_hyper).  They must agree.  Both read their coordinates from one
-layout, rep.hom_layout: a Hom summand O(d) takes h0_dim(d) or h1_dim(d)
-coordinates in delta0 and delta1, and its chart windows in the Cech
-complex.  Both read the summand walk rep.connecting_terms, which also
-builds the vector-mode delta; delta0 and delta1 come from the same
-assembler, rep.connecting_matrix.  So their agreement cross-checks the
-cohomology models but not the layout or the walk;
-tests/test_connecting_map.py checks those on their own.
+(cech_hyper).  They must agree.  One assembler, rep.connecting_matrix,
+builds delta0, delta1 and the horizontal maps of the Cech complex (as it
+builds the vector-mode delta); only the vertical Cech differences are built
+apart.  So their agreement cross-checks the cohomology models but not the
+shared layout and summand walk; tests/test_connecting_map.py checks those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Sequence, Tuple
 
-from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
+from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, hstack, rank, vstack
 from .quiver import Quiver
-from .rep import connecting_matrix, connecting_terms, hom_layout, one_coordinate
+from .rep import connecting_matrix, hom_layout
 
 
 def h0_dim(d: int) -> int:
@@ -296,29 +294,26 @@ def _euler_pair(e: SplitBundle, f: SplitBundle) -> int:
 #
 # H^q of a Hom summand O(d) has h0_dim(d) or h1_dim(d) coordinates in
 # hom_layout: monomials by ascending x-exponent for q = 0, overlap classes
-# x^(-i) y^(-j) by ascending i for q = 1.
+# x^(-i) y^(-j) by ascending i for q = 1.  A monomial of a form is one run.
 
-def _monomial_times_form(d: int, form: BinForm) -> List[Tuple[int, int, object]]:
+def _monomial_times_form(d: int, form: BinForm) -> List[Tuple[int, int, int, object]]:
     """Products of the H0(O(d)) monomials x^k y^(d-k) with a form.
 
-    Returns (k, x-exponent, coefficient) for the nonzero monomials of each
-    product.
+    The monomial x^k2 y^(...) of the form sends x^k y^(d-k) to x^(k+k2) y^(...).
     """
-    terms = [(k2, cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
-    return [(k, k + k2, cf) for k in range(h0_dim(d)) for k2, cf in terms]
+    return [(0, k2, h0_dim(d), cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
 
 
-def _class_times_form(d: int, form: BinForm) -> List[Tuple[int, int, object]]:
+def _class_times_form(d: int, form: BinForm) -> List[Tuple[int, int, int, object]]:
     """Yoneda products of the H1(O(d)) classes x^(-i) y^(-j) with a form.
 
-    Class k has i = k + 1 and j = -d - i.  Returns (k, k', coefficient) for
-    the surviving overlap classes x^(-(k'+1)) y^(...); monomials with a
-    non-negative exponent are coboundaries and are dropped.
+    Class k has i = k + 1 and j = -d - i.  The monomial x^k2 y^(...) of the
+    form sends it to class k − k2 of O(d + degree) if both exponents stay
+    negative, else to a coboundary, which is dropped: classes k2, k2 + 1, ...
+    go to the h1_dim(d + degree) classes of the target in order.
     """
-    # x^(-i+k2) y^(-j+degree-k2) survives when both exponents stay negative
-    return [(k, k - k2, cf) for k in range(h1_dim(d))
-            for k2, cf in enumerate(reversed(form.coeffs))
-            if cf != 0 and form.degree + d + k + 2 <= k2 <= k]
+    n = h1_dim(d + form.degree)
+    return [(k2, 0, n, cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
 
 
 def delta0_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
@@ -347,6 +342,20 @@ class ExtReport:
     rank_delta0: int
     rank_delta1: int
 
+    @staticmethod
+    def of_sequence(delta0_shape: Tuple[int, int], delta1_shape: Tuple[int, int],
+                    r0: int, r1: int) -> "ExtReport":
+        """Read off 0 -> Ext^0 -> H0(F) -> H0(G) -> Ext^1 -> H1(F) -> H1(G) -> Ext^2 -> 0,
+        given the shapes and ranks of its connecting maps delta0 and delta1."""
+        (h0_G, h0_F), (h1_G, h1_F) = delta0_shape, delta1_shape
+        return ExtReport(
+            ext0=h0_F - r0,
+            ext1=(h0_G - r0) + (h1_F - r1),
+            ext2=h1_G - r1,
+            h0_F=h0_F, h0_G=h0_G, h1_F=h1_F, h1_G=h1_G,
+            rank_delta0=r0, rank_delta1=r1,
+        )
+
 
 def ext_quiver_sheaf(V: QSheafP1, W: QSheafP1) -> ExtReport:
     """Ext dimensions read off the long exact sequence.
@@ -357,16 +366,7 @@ def ext_quiver_sheaf(V: QSheafP1, W: QSheafP1) -> ExtReport:
     V.compatible_with(W)
     d0 = delta0_matrix(V, W)
     d1 = delta1_matrix(V, W)
-    h0_F, h1_F = d0.ncols, d1.ncols
-    h0_G, h1_G = d0.nrows, d1.nrows
-    r0, r1 = rank(d0), rank(d1)
-    return ExtReport(
-        ext0=h0_F - r0,
-        ext1=(h0_G - r0) + (h1_F - r1),
-        ext2=h1_G - r1,
-        h0_F=h0_F, h0_G=h0_G, h1_F=h1_F, h1_G=h1_G,
-        rank_delta0=r0, rank_delta1=r1,
-    )
+    return ExtReport.of_sequence(d0.shape, d1.shape, rank(d0), rank(d1))
 
 
 def euler_characteristic(V: QSheafP1, W: QSheafP1) -> int:
@@ -391,8 +391,15 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 #
 # Sections are Laurent polynomials in t = x/y, truncated to a window (lo, hi)
 # of exponents.  On O(d), |d| <= T − 2, a Cech 0-cochain is a chart-0
-# section, (0, T), then a chart-1 section, (-T, d); a Cech 1-cochain is an
-# overlap section, (-T, T).
+# section, (0, T), then a chart-1 section, (-T, d): 2T+2+d coordinates in the
+# chart layout.  A Cech 1-cochain is an overlap section, (-T, T): 2T+1
+# coordinates in the overlap layout.  The total complex is
+#
+#   T0 = Cech0(C0)  -d0->  T1 = Cech1(C0) ⊕ Cech0(C1)  -d1->  T2 = Cech1(C1),
+#
+# C0 the vertex side of the layouts and C1 the arrow side.  Its horizontal
+# maps are the connecting map on the charts and on the overlap, built by
+# rep.connecting_matrix; only the vertical differences s0 − s1 are built here.
 #
 # The rows of d0 are Cech1(C0), then Cech0(C1).  Each Cech1(C0) row, s0 − s1
 # at one overlap exponent e, is at most a 1 and a −1 and leads in a column of
@@ -400,76 +407,60 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 # no subtraction and reduces the Cech0(C1) rows against these to H0 columns.
 # The columns of d1 stay Cech0(C1), Cech1(C0), so that its vertical entries lead.
 
-def _charts(d: int, window: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    return (0, window), (-window, d)
+def _horizontal(window: int):
+    """(dim_of, times) of the connecting map on the charts, then on the overlap
+    with the sign of d1.  The monomial t^k2 of a form sends t^e to t^(e+k2);
+    chart 0 and the overlap keep e + k2 <= T, chart 1 takes every e <= d."""
+    def charts(d: int, form: BinForm):
+        return [run for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0
+                for run in ((0, k2, window + 1 - k2, cf),
+                            (window + 1, window + 1 + k2, window + 1 + d, cf))]
 
-
-def _summands(side: list) -> list:
-    """The (first coordinate, twist) pairs of one side of a layout, in order."""
-    return [x for block in side for row in block for x in row]
+    def overlap(d: int, form: BinForm):
+        return [(0, k2, 2 * window + 1 - k2, -cf)
+                for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
+    return ((lambda d: 2 * window + 2 + d), charts), ((lambda d: 2 * window + 1), overlap)
 
 
 def _cech_layouts(V: QSheafP1, W: QSheafP1, extra_window: int):
-    """The window T, the Cech0 coordinates of the Hom summands, the layout
-    with one coordinate per summand, and the dimensions T0, T1, T2.
-
-    The Cech1 coordinates of the summand at position k of the unit layout
-    start at k·(2T+1).  The total complex is T0 = Cech0(C0),
-    T1 = Cech0(C1) ⊕ Cech1(C0), T2 = Cech1(C1), where C0 is the vertex
-    side of the layouts and C1 the arrow side.
-    """
-    unit = hom_layout(V, W, one_coordinate)
-    window = max((abs(d) for _, d in _summands(unit.vertex) + _summands(unit.arrow)),
+    """The window T, the chart layout and the overlap layout."""
+    hom = ([(V.vertex_bundles[i], W.vertex_bundles[i]) for i in range(V.quiver.n_vertices)]
+           + [(V.tensors[a].bundle, W.vertex_bundles[h])
+              for a, (_, h) in enumerate(V.quiver.arrows)])
+    window = max((abs(df - de) for e, f in hom for de in e.twists for df in f.twists),
                  default=0) + 2 + extra_window
-    lay0 = hom_layout(V, W, lambda d: 2 * window + 2 + d)
-    n1 = 2 * window + 1
-    dims = (lay0.vertex_start[-1], lay0.arrow_start[-1] + n1 * unit.vertex_start[-1],
-            n1 * unit.arrow_start[-1])
-    return window, lay0, unit, dims
+    return (window, *(hom_layout(V, W, dim_of) for dim_of, _ in _horizontal(window)))
 
 
 def cech_dims(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
     """Dimensions T0, T1, T2 of the Cech total complex cech_hyper builds."""
-    return _cech_layouts(V, W, extra_window)[3]
+    _, charts, overlaps = _cech_layouts(V, W, extra_window)
+    return (charts.vertex_start[-1], overlaps.vertex_start[-1] + charts.arrow_start[-1],
+            overlaps.arrow_start[-1])
 
 
-def _add_form_mul(out: MatrixBuilder, row0: int, col0: int, form: BinForm,
-                  src: Tuple[int, int], dst: Tuple[int, int], sign: int):
-    """Multiplication by a form between Laurent windows (t-exponent shifts)."""
-    for k, cf in enumerate(reversed(form.coeffs)):
-        if cf != 0:
-            # t^e goes to t^(e+k); keep the e with both ends inside their windows
-            for e in range(max(src[0], dst[0] - k), min(src[1], dst[1] - k) + 1):
-                out.add(row0 + e + k - dst[0], col0 + e - src[0], sign * cf)
+def _vertical(field: FieldSpec, window: int, charts: list, overlaps: list,
+              nrows: int, ncols: int) -> ExactMatrix:
+    """(s0, s1) -> s0 − s1 on the summands of one side of the two layouts."""
+    out = MatrixBuilder(field, nrows, ncols)
+    for chart_block, overlap_block in zip(charts, overlaps):
+        for (col, d), (row, _) in zip(chain(*chart_block), chain(*overlap_block)):
+            for e in range(window + 1):             # t^e of chart 0, 0 <= e <= T
+                out.add(row + window + e, col + e, 1)
+            for e in range(window + 1 + d):         # t^(e-T) of chart 1, up to t^d
+                out.add(row + e, col + window + 1 + e, -1)
+    return out.build()
 
 
 def _cech_matrices(V: QSheafP1, W: QSheafP1, extra_window: int):
     """The differentials d0: T0 -> T1 and d1: T1 -> T2 of the Cech total complex."""
-    window, lay0, unit, (t0, t1, t2) = _cech_layouts(V, W, extra_window)
-    overlap, n1 = (-window, window), 2 * window + 1
-    c1_start = lay0.arrow_start[-1]   # where Cech1(C0) starts in the columns of d1
-    h_start = t1 - c1_start           # where Cech0(C1) starts in the rows of d0
-    d0 = MatrixBuilder(V.field, t1, t0)
-    d1 = MatrixBuilder(V.field, t2, t1)
-    for a, i, (s, r), (c, r2), form, sign in connecting_terms(V, W):
-        col, d = lay0.vertex[i][s][r]
-        row, d2 = lay0.arrow[a][c][r2]
-        # horizontal map on chart 0 and chart 1 sections
-        (src0, src1), (dst0, dst1) = _charts(d, window), _charts(d2, window)
-        _add_form_mul(d0, h_start + row, col, form, src0, dst0, sign)
-        _add_form_mul(d0, h_start + row + window + 1, col + window + 1, form, src1, dst1, sign)
-        # minus the horizontal map on overlap sections of C0
-        _add_form_mul(d1, n1 * unit.arrow[a][c][r2][0],
-                      c1_start + n1 * unit.vertex[i][s][r][0], form, overlap, overlap, -sign)
-    # vertical Cech differences (s0, s1) -> s0 − s1 of C0, and of C1 on the
-    # Cech0(C1) block: the form 1 from each chart into the overlap
-    one = BinForm(0, [V.field.one()])
-    for out, q0, q1 in ((d0, lay0.vertex, unit.vertex), (d1, lay0.arrow, unit.arrow)):
-        for (col, d), (k, _) in zip(_summands(q0), _summands(q1)):
-            src0, src1 = _charts(d, window)
-            _add_form_mul(out, n1 * k, col, one, src0, overlap, 1)
-            _add_form_mul(out, n1 * k, col + window + 1, one, src1, overlap, -1)
-    return d0.build(), d1.build()
+    window, charts, overlaps = _cech_layouts(V, W, extra_window)
+    on_charts, on_overlap = (connecting_matrix(V, W, *maps) for maps in _horizontal(window))
+    d0 = vstack([_vertical(V.field, window, charts.vertex, overlaps.vertex,
+                           overlaps.vertex_start[-1], charts.vertex_start[-1]), on_charts])
+    d1 = hstack([_vertical(V.field, window, charts.arrow, overlaps.arrow,
+                           overlaps.arrow_start[-1], charts.arrow_start[-1]), on_overlap])
+    return d0, d1
 
 
 def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:

@@ -230,6 +230,42 @@ def test_report_byte_identical_across_runs(capsys):
     assert t1 == t2
 
 
+# sha256 over the exit code and stdout of each command on `gen --seed S
+# --mode M`, S = 0..29; recorded before the Cech complex was assembled by
+# rep.connecting_matrix and before `ext --bases` dropped its second elimination.
+REPORT_COMMANDS = {
+    "vector": (("ext", "V", "W", "--json", "--bases"), ("check", "V", "--json"),
+               ("check", "W", "--json")),
+    "p1": (("hyper", "V", "W", "--verify", "--json"), ("ext", "V", "W", "--json"),
+           ("ext", "W", "V", "--json")),
+}
+REPORT_DIGEST = "d4f97c88e66d8c5db68bdf971127adc2defa94682b077194f6f97ec2208c06c9"
+
+
+def test_reports_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    f = tmp_path / "gen.json"
+    for seed in range(30):
+        for mode, commands in REPORT_COMMANDS.items():
+            f.write_text(run(capsys, "gen", "--seed", str(seed), "--mode", mode)[1],
+                         encoding="utf-8")
+            for command, *rest in commands:
+                code, out, _ = run(capsys, command, str(f), *rest)
+                digest.update(repr((seed, mode, command, *rest, code, out)).encode())
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
+def test_ext_bases_eliminates_delta_once(capsys, monkeypatch):
+    from quivhom import linalg
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda m, reduced: calls.append(m.shape) or echelon(m, reduced))
+    code, out, _ = run(capsys, "ext", JORDAN, "J2", "J2", "--json", "--bases")
+    assert code == 0 and json.loads(out)["result"]["hom"] == 2
+    assert len(calls) == 1
+
+
 def test_log_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("QUIVHOM_LOG", "info")
     # logging config is process-global; just ensure the command still works

@@ -1,11 +1,13 @@
 """The connecting map f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a, checked on its own.
 
-delta, delta0, delta1 and the Cech horizontal maps are all assembled from
-one summand walk (rep.connecting_terms) in the coordinates of one layout
-(rep.hom_layout), so agreement of the long exact sequence with Cech
-hypercohomology tests neither.  Here delta and delta0 are rebuilt column
-by column from whole-matrix products, the assembled matrices are pinned by
-content digests, and the layout is checked against the vectorisation, the
+delta, delta0, delta1 and the Cech horizontal maps are all assembled by one
+routine (rep.connecting_matrix), from one summand walk (rep.connecting_terms)
+in the coordinates of one layout (rep.hom_layout); only the vertical Cech
+differences are built apart.  So agreement of the long exact sequence with
+Cech hypercohomology tests neither the walk nor the layout.  Here delta and
+delta0 are rebuilt column by column from whole-matrix products, the
+assembled matrices and both Cech differentials are pinned by content
+digests, and the layout is checked against the vectorisation, the
 cohomology of each Hom bundle and the Cech windows.
 """
 
@@ -18,6 +20,7 @@ from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, kron, unvec_matrix, vec_matrix
 from quivhom.rep import delta_matrix, hom_layout, hom_summands, one_coordinate
 from quivhom.sheaf import (
+    _cech_matrices,
     cech_dims,
     cech_hyper,
     delta0_matrix,
@@ -145,6 +148,25 @@ def test_pinned_content_digests():
             got[name].update(repr((m.shape, m.to_lists())).encode())
         got["cech_hyper"].update(repr(cech_hyper(V, W)).encode())
     assert {name: h.hexdigest() for name, h in got.items()} == PINNED
+
+
+# Digests over gen seeds 0..49, both orders, of the shape and the sorted
+# nonzero entries of the Cech differentials; recorded while the Cech
+# complex still had an assembly of its own.
+CECH_PINNED = {
+    "d0": "2d09c093b09218aee04818f58866b60847b0e5f864faccddca03963f8d69a61a",
+    "d1": "031fb45b70cbee808ee0dfd9925dbedf9998299f77fdd50fc9dfeff0b101bf43",
+}
+
+
+def test_pinned_cech_digests():
+    got = {name: hashlib.sha256() for name in CECH_PINNED}
+    for seed in range(50):
+        V, W = _modules(seed, "p1")
+        for X, Y in ((V, W), (W, V)):
+            for name, m in zip(CECH_PINNED, _cech_matrices(X, Y, 0)):
+                got[name].update(repr((m.shape, sorted(m.nonzeros()))).encode())
+    assert {name: h.hexdigest() for name, h in got.items()} == CECH_PINNED
 
 
 # -- the shared Hom-summand layout ------------------------------------------

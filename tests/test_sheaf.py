@@ -308,8 +308,8 @@ def test_cech_d0_lists_its_unit_pivot_rows_first(seed):
     inst = load_instance(generate_document(seed, mode="p1"))
     V, W = inst.modules["V"], inst.modules["W"]
     for X, Y in ((V, W), (W, V)):
-        window, _, unit, _ = _cech_layouts(X, Y, 0)
-        n_vertical = (2 * window + 1) * unit.vertex_start[-1]     # dim Cech1(C0)
+        _, _, overlaps = _cech_layouts(X, Y, 0)
+        n_vertical = overlaps.vertex_start[-1]                    # dim Cech1(C0)
         d0, _ = _cech_matrices(X, Y, 0)
         units = {X.field.one(), X.field.element(-1)}
         vertical = d0.sparse_rows()[:n_vertical]
