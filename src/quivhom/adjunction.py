@@ -19,40 +19,37 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .linalg import CrossCheckError, ExactMatrix, MatrixBuilder, solve, vec_matrix
+from .linalg import (CrossCheckError, ExactMatrix, MatrixBuilder, hstack, kron,
+                     solve, vec_matrix)
 from .rep import TwistedRep, hom_layout, hom_space, one_coordinate
 from .resolution import GradedBasis, path_actions
 
 
 def _elements(basis: GradedBasis):
-    """The basis elements of each e_k A_l, in block order, as (j, p, first).
+    """The basis elements of each e_k A_l, in block order, as (tail, first).
 
-    j is the tail and p the position among the elements of e_k A_l with tail
-    j.  first = (a, m, r) says the element is y·x for x the m-th basis vector
-    of M_a and y the r-th element of e_k A_{l-1}; it is None in degree 0.
-    Both follow the recursion: x_b ⊗ z sits after the tail-j elements of the
-    blocks before b and m_b copies of e_tb A_l e_j, and (x_b ⊗ y)·x_a =
-    x_b ⊗ (y·x_a).
+    first = (a, m, r) says the element is y·x for x the m-th basis vector of
+    M_a and y the r-th element of e_k A_{l-1}; it is None in degree 0.  It
+    follows the recursion: (x_b ⊗ y)·x_a = x_b ⊗ (y·x_a), and x_b ⊗ y sits
+    at y's place in copy m_b of the block of b.  This walk is the only
+    numbering of the elements; callers count positions as they go.
     """
     q, twist = basis.quiver, basis.twist
-    elems = {(k, 0): [(k, 0, None)] for k in range(q.n_vertices)}
+    elems = {(k, 0): [(k, None)] for k in range(q.n_vertices)}
     for l in range(basis.max_degree):
         for k in range(q.n_vertices):
-            level, start = [], dict.fromkeys(basis.tail_dim[(k, l + 1)], 0)
+            level = []
             for b in q.arrows_into(k):
                 t = q.tail(b)
-                below = basis.tail_dim[(t, l)]
                 for m_b in range(twist[b]):
-                    for j, p, sub in elems[(t, l)]:
+                    for j, sub in elems[(t, l)]:
                         if sub is None:         # x_b ⊗ e_t = e_k·x_b
                             first = (b, m_b, 0)
                         else:
                             a, m, r = sub
                             first = (a, m, basis.block_offset[(b, l - 1)]
                                      + m_b * basis.dim[(t, l - 1)] + r)
-                        level.append((j, start[j] + m_b * below[j] + p, first))
-                for j, d in below.items():
-                    start[j] += twist[b] * d
+                        level.append((j, first))
             elems[(k, l + 1)] = level
     return elems
 
@@ -60,32 +57,33 @@ def _elements(basis: GradedBasis):
 def _coinduced_module(V: TwistedRep, i: int, n_dim: int, l_dim: int):
     """The representation J with J_j = Hom(N ⊗ e_i A e_j, L).
 
-    Also returns the path-space basis, its elements (_elements), pos[l][x],
-    the place of element x of e_i A_l in the basis of e_i A e_tail, and the
-    dimensions of the e_i A e_j.
+    The basis of e_i A e_j numbers its elements by a running count per tail,
+    over ascending degree, each degree in block order.  J's arrow map for a
+    is hstack_m I_N ⊗ S_{a,m} ⊗ I_L, where the 0/1 matrix S_{a,m} sends
+    y·x_a^(m) back to y: (x_a · f)(n ⊗ y) = f(n ⊗ y·x_a).  Also returns the
+    path-space basis, its elements (_elements), pos[l][x], the place of
+    element x of e_i A_l in the basis of e_i A e_tail, and the dimensions of
+    the e_i A e_j.
     """
-    q = V.quiver
+    q, field = V.quiver, V.field
     basis = GradedBasis(q, V.twist, q.n_vertices - 1)
     elems = _elements(basis)
     t_dims = [0] * q.n_vertices
     pos = []
     for l in range(basis.max_degree + 1):
-        pos.append([t_dims[j] + p for j, p, _ in elems[(i, l)]])
-        for j, d in basis.tail_dim[(i, l)].items():
-            t_dims[j] += d
-    j_dims = [n_dim * t_dims[j] * l_dim for j in range(q.n_vertices)]
-    phi = [MatrixBuilder(V.field, j_dims[h], V.twist[a] * j_dims[t])
-           for a, (t, h) in enumerate(q.arrows)]
-    # (x_a · f)(n ⊗ y) = f(n ⊗ y·x_a): shift a functional one arrow back
+        pos.append([])
+        for j, _ in elems[(i, l)]:
+            pos[l].append(t_dims[j])
+            t_dims[j] += 1
+    shift = [[MatrixBuilder(field, t_dims[h], t_dims[t]) for _ in range(V.twist[a])]
+             for a, (t, h) in enumerate(q.arrows)]
     for l in range(1, basis.max_degree + 1):
-        for x, (t, _, (a, m, r)) in enumerate(elems[(i, l)]):
-            h = q.head(a)
-            for n_idx in range(n_dim):
-                for lam in range(l_dim):
-                    col = m * j_dims[t] + (n_idx * t_dims[t] + pos[l][x]) * l_dim + lam
-                    row = (n_idx * t_dims[h] + pos[l - 1][r]) * l_dim + lam
-                    phi[a].add(row, col, 1)
-    J = TwistedRep(q, V.twist, V.field, j_dims, [m.build() for m in phi])
+        for x, (_, (a, m, r)) in enumerate(elems[(i, l)]):
+            shift[a][m].add(pos[l - 1][r], pos[l][x], 1)
+    eye_n, eye_l = ExactMatrix.identity(field, n_dim), ExactMatrix.identity(field, l_dim)
+    phi = [hstack(kron(kron(eye_n, s.build()), eye_l) for s in per_m) for per_m in shift]
+    j_dims = [n_dim * t * l_dim for t in t_dims]
+    J = TwistedRep(q, V.twist, field, j_dims, phi)
     return J, basis, elems, pos, t_dims
 
 
@@ -114,26 +112,16 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     # vectorised coordinates of ⊕_j Hom(V_j, J_j)
     voff = hom_layout(V, J, one_coordinate).vertex_start
     total = voff[-1]
+    hom_cols = ExactMatrix(field, h, total, [
+        [x for block in f.blocks for x in vec_matrix(block)] for f in homs]).transpose()
 
-    hom_cols = MatrixBuilder(field, total, h)
-    for idx, f in enumerate(homs):
-        flat = []
-        for j in range(q.n_vertices):
-            flat.extend(vec_matrix(f.blocks[j]))
-        for r, x in enumerate(flat):
-            hom_cols.add(r, idx, x)
-    hom_cols = hom_cols.build()
-
-    # forward: g(n ⊗ v) = f_i(v)(n ⊗ e_i), a coordinate selection; e_i comes first
-    select = MatrixBuilder(field, d_out, total)
-    for n_idx in range(n_dim):
-        for v in range(V.dims[i]):
-            for lam in range(l_dim):
-                g_coord = (n_idx * V.dims[i] + v) * l_dim + lam
-                f_row = n_idx * t_dims[i] * l_dim + lam
-                select.add(g_coord, voff[i] + v * J.dims[i] + f_row, field.one())
-    select = select.build()
-    forward = select @ hom_cols
+    # forward: g(n ⊗ v) = f_i(v)(n ⊗ e_i), e_i first in e_i A e_i; g is the
+    # l_dim x (n_dim · dim V_i) matrix whose column n·dim V_i + v is f_i(v)(n ⊗ e_i)
+    stride = t_dims[i] * l_dim
+    forward = ExactMatrix(field, h, d_out, [
+        vec_matrix(hstack(f.blocks[i].submatrix(n * stride, n * stride + l_dim, 0, V.dims[i])
+                          for n in range(n_dim)))
+        for f in homs]).transpose()
 
     # backward: f_j(v)(n ⊗ x) = g(n ⊗ x·v), read off the path actions on V
     v_dim = V.total_dim()

@@ -24,6 +24,9 @@ GEN_FIELD = {"fp": 101}
 _MAX_RESOLUTION_DIM = 1200
 _RESOLUTION_DEGREE = 4
 _MAX_CECH_DIM = 2000
+# every bound must be at most this: a draw is made in full before the size
+# guards see it, and redrawn until they pass, so a huge bound need not end
+MAX_BOUND = 8
 
 
 def _vector_size_ok(n: int, arrows, twists, dims_by_module) -> bool:
@@ -116,8 +119,9 @@ def generate_document(seed: int, mode: str = "vector", max_vertices: int = 4,
                       max_arrows: int = 5, max_dim: int = 3,
                       max_twist: int = 2) -> dict:
     """Deterministic function of the seed; the output always validates."""
-    if min(max_vertices, max_arrows, max_dim, max_twist) < 1:
-        raise ValueError("generation bounds must be positive")
+    bounds = (max_vertices, max_arrows, max_dim, max_twist)
+    if not all(1 <= b <= MAX_BOUND for b in bounds):
+        raise ValueError(f"generation bounds must lie in 1..{MAX_BOUND}, got {bounds}")
     if mode not in ("vector", "p1"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)

@@ -193,8 +193,8 @@ class ExactMatrix:
 
     def __getitem__(self, key) -> Element:
         i, j = key
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} out of range for {self.ncols} columns")
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
         return self._rows[i].get(j, self.field.zero())
 
     def row_list(self, i: int) -> list:

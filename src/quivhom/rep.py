@@ -357,15 +357,11 @@ def build_extension(V: TwistedRep, W: TwistedRep,
 
 
 def _inclusion_block(field: FieldSpec, dw: int, dv: int) -> ExactMatrix:
-    out = MatrixBuilder(field, dw + dv, dw)
-    out.add_block(0, 0, ExactMatrix.identity(field, dw))
-    return out.build()
+    return ExactMatrix.identity(field, dw + dv).submatrix(0, dw + dv, 0, dw)
 
 
 def _projection_block(field: FieldSpec, dw: int, dv: int) -> ExactMatrix:
-    out = MatrixBuilder(field, dv, dw + dv)
-    out.add_block(0, dw, ExactMatrix.identity(field, dv))
-    return out.build()
+    return ExactMatrix.identity(field, dw + dv).submatrix(dw, dw + dv, 0, dw + dv)
 
 
 def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:

@@ -41,8 +41,8 @@ class GradedBasis:
     """Dimensions of the graded pieces e_i A_l, l <= max_degree.
 
     block_offset[(a, l)] is where the block M_a ⊗ e_ta A_l starts inside
-    e_ha A_{l+1}.  tail_dim[(i, l)] maps each vertex j to dim e_i A_l e_j,
-    the part of e_i A_l spanned by paths with tail j, when that is nonzero.
+    e_ha A_{l+1}.  The elements themselves, with their tails, are walked in
+    this block order by adjunction._elements.
     """
 
     def __init__(self, quiver: Quiver, twist: TwistData, max_degree: int):
@@ -54,18 +54,12 @@ class GradedBasis:
         self.dim: Dict[Tuple[int, int], int] = {
             (i, 0): 1 for i in range(quiver.n_vertices)}
         self.block_offset: Dict[Tuple[int, int], int] = {}
-        self.tail_dim: Dict[Tuple[int, int], Dict[int, int]] = {
-            (i, 0): {i: 1} for i in range(quiver.n_vertices)}
         for l in range(max_degree):
             for i in range(quiver.n_vertices):
                 self.dim[(i, l + 1)] = 0
-                self.tail_dim[(i, l + 1)] = {}
             for a, (t, h) in enumerate(quiver.arrows):
                 self.block_offset[(a, l)] = self.dim[(h, l + 1)]
                 self.dim[(h, l + 1)] += twist[a] * self.dim[(t, l)]
-                tails = self.tail_dim[(h, l + 1)]
-                for j, d in self.tail_dim[(t, l)].items():
-                    tails[j] = tails.get(j, 0) + twist[a] * d
 
 
 @dataclass

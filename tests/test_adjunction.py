@@ -1,5 +1,6 @@
 """The adjunction isomorphism on acyclic quivers."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from quivhom.adjunction import adjunction_iso
 from quivhom.linalg import CrossCheckError, ExactMatrix, FieldSpec
 from quivhom.quiver import Quiver
 from quivhom.rep import TwistData, TwistedRep, hom_space
+from quivhom.resolution import GradedBasis
 
 from path_oracle import enumerate_paths, path_matrix, path_tensor_dim
 
@@ -76,6 +78,10 @@ def _random_acyclic_rep(rng):
         t, h = rng.randrange(n), rng.randrange(n)
         if t > h:
             arrows.append((t, h))
+    return _random_rep(rng, n, arrows)
+
+
+def _random_rep(rng, n, arrows):
     q = Quiver(n, arrows)
     tw = TwistData([rng.randint(1, 2) for _ in arrows])
     dims = [rng.randint(0, 2) for _ in range(n)]
@@ -99,6 +105,42 @@ def test_random_acyclic_composites_are_identities():
         expected = n_dim * V.dims[i] * l_dim
         assert forward.shape == (expected, expected)
         assert backward.shape == (expected, expected)
+
+
+def _entries(m):
+    return (m.shape, sorted(m.nonzeros()))
+
+
+# sha256 over forward, backward and the coinduced module J of 200 draws
+# (1-4 vertices, parallel arrows, twists 1-2, F_101), recorded before the
+# path basis was numbered in one walk; the basis order of J must not move
+ADJUNCTION_DIGEST = "5b474707b5869c5d351cbd64337e6095d3ac7ff5bd9454e6b486eeaaf23d949a"
+
+
+def test_adjunction_output_pinned():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    zero_at_i = twisted = deep = 0
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 4, 4, 4])
+        # arrows step one or two vertices down, so paths of length 3 occur
+        arrows = []
+        for _ in range(rng.randint(0, 7) if n > 1 else 0):
+            h = rng.randrange(n - 1)
+            arrows.append((rng.randint(h + 1, min(h + 2, n - 1)), h))
+        V = _random_rep(rng, n, arrows)
+        i = min(rng.randrange(n), rng.randrange(n))
+        n_dim, l_dim = rng.randint(1, 2), rng.randint(1, 2)
+        zero_at_i += V.dims[i] == 0
+        twisted += max(V.twist.dims, default=1) > 1
+        deep += GradedBasis(V.quiver, V.twist, 2).dim[(i, 2)] > 0
+        forward, backward = adjunction_iso(V, i, n_dim, l_dim)
+        J = adjunction._coinduced_module(V, i, n_dim, l_dim)[0]
+        case = (V.dims, i, n_dim, l_dim, _entries(forward), _entries(backward),
+                J.dims, [_entries(m) for m in J.phi])
+        digest.update(repr(case).encode())
+    assert zero_at_i >= 20 and twisted >= 50 and deep >= 30
+    assert digest.hexdigest() == ADJUNCTION_DIGEST
 
 
 def _check_backward_against_path_actions(V, i, n_dim, l_dim):

@@ -1,8 +1,10 @@
 """Command line front-end: commands, exit codes, report formats."""
 
+import ast
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -13,7 +15,7 @@ import pytest
 import quivhom
 from quivhom import cli
 from quivhom.cli import main
-from quivhom.generate import generate_document
+from quivhom.generate import MAX_BOUND, generate_document
 from quivhom.instances import (
     InstanceError,
     document_of_instance,
@@ -184,9 +186,33 @@ def test_gen_output_pinned(capsys, mode_and_flags):
     assert digest.hexdigest() == GEN_DIGESTS[mode_and_flags]
 
 
+GEN_FLAGS = ("--max-vertices", "--max-arrows", "--max-dim", "--max-twist")
+
+
 def test_gen_bad_bounds_exit_3(capsys):
     code, _, err = run(capsys, "gen", "--max-dim", "0")
     assert code == 3
+    for mode in ("vector", "p1"):
+        at_cap = [x for flag in GEN_FLAGS for x in (flag, str(MAX_BOUND))]
+        assert run(capsys, "gen", "--mode", mode, *at_cap)[0] == 0
+        for flag in GEN_FLAGS:
+            code, out, err = run(capsys, "gen", "--mode", mode, flag, str(MAX_BOUND + 1))
+            assert (code, out) == (3, "") and f"1..{MAX_BOUND}" in err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("mode", ["vector", "p1"])
+@pytest.mark.parametrize("flag", GEN_FLAGS)
+def test_gen_huge_bound_exits_3_in_bounded_time(mode, flag):
+    # without the cap the draws and the zero-map sheaves of the size guard
+    # are built in full, so the child runs under a time and memory limit
+    proc = _python("-c", "import sys, quivhom.cli; sys.exit(quivhom.cli.main(sys.argv[1:]))",
+                   "gen", "--mode", mode, flag, "400000",
+                   timeout=20, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
 
 
 def test_gen_single_vertex_forces_loops(capsys):
@@ -284,14 +310,23 @@ def test_unknown_log_level_warns_once(capsys, monkeypatch):
     assert "'verbose'" in err and "quiet, info, debug" in err
 
 
-def _python(*args):
+def _python(*args, timeout=60, preexec_fn=None):
     # the subprocesses import the same package as this test, installed or not
     src = str(Path(quivhom.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("QUIVHOM_LOG", None)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=env, timeout=timeout, preexec_fn=preexec_fn)
+
+
+def test_package_has_no_assert_statement():
+    # cross-checks must keep working under python -O, which strips asserts
+    package = Path(quivhom.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_does_not_import_numpy():

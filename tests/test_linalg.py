@@ -315,6 +315,14 @@ def test_builder_rejects_entries_outside_the_shape(i, j):
         builder.build()
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 3)])
+def test_entry_outside_the_shape_raises(i, j):
+    # a negative row would otherwise read the last row
+    m = ExactMatrix(F5, 2, 3, [[1, 2, 3], [4, 0, 1]])
+    with pytest.raises(IndexError, match="outside a 2x3 matrix"):
+        m[i, j]
+
+
 def test_cross_checks_raise_cross_check_error(monkeypatch):
     # a raised error, unlike an assert, survives python -O
     import quivhom.linalg as linalg

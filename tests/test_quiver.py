@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from quivhom.adjunction import _elements
 from quivhom.quiver import Quiver
 from quivhom.rep import TwistData
 from quivhom.resolution import GradedBasis
@@ -14,6 +15,11 @@ from path_oracle import enumerate_paths
 
 def _untwisted(q):
     return TwistData([1] * q.n_arrows)
+
+
+def _tails(basis):
+    """{(i, l): {j: dim e_i A_l e_j}}, counted over the elements walked."""
+    return {key: Counter(j for j, _ in elems) for key, elems in _elements(basis).items()}
 
 
 def test_quiver_validation():
@@ -30,30 +36,32 @@ def test_quiver_validation():
 def test_loop_quiver_one_path_per_length():
     loop = Quiver(1, [(0, 0)])
     basis = GradedBasis(loop, _untwisted(loop), 3)
+    tails = _tails(basis)
     for length in range(4):
         assert basis.dim[(0, length)] == 1
-        assert basis.tail_dim[(0, length)] == {0: 1}
+        assert tails[(0, length)] == {0: 1}
 
 
 def test_single_arrow_no_long_paths():
     q = Quiver(2, [(1, 0)])
     basis = GradedBasis(q, _untwisted(q), 5)
-    assert basis.tail_dim[(0, 0)] == {0: 1}
-    assert basis.tail_dim[(1, 0)] == {1: 1}
-    assert basis.tail_dim[(0, 1)] == {1: 1}
-    assert basis.tail_dim[(1, 1)] == {}
+    tails = _tails(basis)
+    assert tails[(0, 0)] == {0: 1}
+    assert tails[(1, 0)] == {1: 1}
+    assert tails[(0, 1)] == {1: 1}
+    assert tails[(1, 1)] == {}
     for length in range(2, 6):
         for i in range(2):
             assert basis.dim[(i, length)] == 0
-            assert basis.tail_dim[(i, length)] == {}
+            assert tails[(i, length)] == {}
 
 
 def test_two_cycle_length_two_paths():
     # arrow 0: 0 -> 1, arrow 1: 1 -> 0; each length-2 path returns to its tail
     q = Quiver(2, [(0, 1), (1, 0)])
-    basis = GradedBasis(q, _untwisted(q), 2)
-    assert basis.tail_dim[(0, 2)] == {0: 1}
-    assert basis.tail_dim[(1, 2)] == {1: 1}
+    tails = _tails(GradedBasis(q, _untwisted(q), 2))
+    assert tails[(0, 2)] == {0: 1}
+    assert tails[(1, 2)] == {1: 1}
 
 
 def _random_quiver(rng, acyclic=False):
@@ -73,9 +81,10 @@ def test_path_count_recursion():
     for _ in range(15):
         q = _random_quiver(rng)
         basis = GradedBasis(q, _untwisted(q), 4)
+        tails = _tails(basis)
         for (length, i), paths in enumerate_paths(q, 4).items():
             assert basis.dim[(i, length)] == len(paths)
-            assert basis.tail_dim[(i, length)] == Counter(p.tail for p in paths)
+            assert tails[(i, length)] == Counter(p.tail for p in paths)
 
 
 def test_acyclic_paths_stabilize():
@@ -85,10 +94,11 @@ def test_acyclic_paths_stabilize():
         assert q.is_acyclic()
         twist = TwistData([rng.randint(1, 3) for _ in q.arrows])
         basis = GradedBasis(q, twist, q.n_vertices + 2)
+        tails = _tails(basis)
         for length in range(q.n_vertices, q.n_vertices + 3):
             for i in range(q.n_vertices):
                 assert basis.dim[(i, length)] == 0
-                assert basis.tail_dim[(i, length)] == {}
+                assert tails[(i, length)] == {}
 
 
 def test_is_acyclic_detects_cycles():

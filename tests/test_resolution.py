@@ -1,11 +1,11 @@
 """The standard resolution: assembly, exactness, lifting."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from quivhom.adjunction import _elements
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
@@ -223,8 +223,8 @@ def _check_blocks_against_path_actions(V, n):
     listing, starts = _block_basis(V.quiver, V.twist, n)
     assert basis.block_offset == starts
     assert basis.dim == {key: len(elems) for key, elems in listing.items()}
-    assert basis.tail_dim == {key: Counter(p.tail for p, _ in elems)
-                              for key, elems in listing.items()}
+    assert {key: [j for j, _ in elems] for key, elems in _elements(basis).items()} == {
+        key: [p.tail for p, _ in elems] for key, elems in listing.items()}
     # a permutation of the (path, tensor index) pairs of enumerate_paths
     for (l, i), paths in enumerate_paths(V.quiver, n).items():
         assert sorted(listing[(i, l)], key=repr) == sorted(
