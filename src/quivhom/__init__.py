@@ -30,7 +30,6 @@ from .resolution import (
     resolution_matrices,
 )
 from .sheaf import (
-    BinForm,
     ExtReport,
     FormMatrix,
     QSheafP1,
@@ -55,7 +54,7 @@ __all__ = [
     "GradedBasis", "GradedMapFamily", "ExactnessReport",
     "resolution_matrices", "check_resolution_exactness", "lift_beta",
     "adjunction_iso",
-    "SplitBundle", "BinForm", "FormMatrix", "QSheafP1", "ExtReport",
+    "SplitBundle", "FormMatrix", "QSheafP1", "ExtReport",
     "sheaf_hom_ext_dims", "delta0_matrix", "delta1_matrix",
     "ext_quiver_sheaf", "cech_hyper", "euler_characteristic", "euler_check",
     "tensor_bundle",

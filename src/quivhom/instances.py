@@ -16,8 +16,9 @@ row-major matrices whose entries are strings ("3/2") over the rationals
 and plain integers over prime fields.  P1-mode modules are
 {"twists": [per-vertex twist lists], "phi": [form matrix per arrow]}
 where each form entry is the coefficient list of a binary form (x^d
-first) or null for a forced-zero entry of negative degree.  Unknown keys
-are rejected and every shape constraint is re-validated on load.
+first) or null for the zero form, which an entry of negative degree must
+be.  A loaded form is the tuple of its coefficients, () for null.  Unknown
+keys are rejected and every shape constraint is re-validated on load.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, Tuple, Union
 from .linalg import ExactMatrix, FieldSpec
 from .quiver import Quiver
 from .rep import TwistData, TwistedRep
-from .sheaf import BinForm, FormMatrix, QSheafP1, SplitBundle, tensor_bundles
+from .sheaf import FormMatrix, QSheafP1, SplitBundle, tensor_bundles
 
 
 # The largest dimension of a space ext, hyper and check may build (cli.MAX_DIM):
@@ -167,16 +168,15 @@ def _parse_vector_module(field: FieldSpec, quiver: Quiver, twist: TwistData,
     return TwistedRep(quiver, twist, field, dims, phi)
 
 
-def _parse_form(field: FieldSpec, value, degree: int, path: str) -> BinForm:
+def _parse_form(field: FieldSpec, value, degree: int, path: str) -> tuple:
     if value is None:
-        return BinForm.zero()
+        return ()
     value = _require_list(value, path)
     if degree < 0:
         raise InstanceError("entry of negative degree must be null", path)
     if len(value) != degree + 1:
         raise InstanceError(f"expected {degree + 1} coefficients", path)
-    coeffs = [_parse_entry(field, x, f"{path}[{k}]") for k, x in enumerate(value)]
-    return BinForm(degree, coeffs)
+    return tuple(_parse_entry(field, x, f"{path}[{k}]") for k, x in enumerate(value))
 
 
 def _parse_p1_module(field: FieldSpec, quiver: Quiver,
@@ -271,10 +271,8 @@ def _matrix_value(field: FieldSpec, m: ExactMatrix) -> list:
             for r in range(m.nrows)]
 
 
-def _form_value(field: FieldSpec, f: BinForm):
-    if f.degree < 0:
-        return None
-    return [_entry_value(field, c) for c in f.coeffs]
+def _form_value(field: FieldSpec, f: tuple):
+    return [_entry_value(field, c) for c in f] if f else None
 
 
 def document_of_instance(inst: Instance) -> dict:
@@ -302,12 +300,8 @@ def document_of_instance(inst: Instance) -> dict:
         doc["modules"] = {
             name: {
                 "twists": [list(b.twists) for b in sheaf.vertex_bundles],
-                "phi": [
-                    [[_form_value(field, sheaf.phi[a].entry(r, s))
-                      for s in range(sheaf.phi[a].source.rank)]
-                     for r in range(sheaf.phi[a].target.rank)]
-                    for a in range(inst.quiver.n_arrows)
-                ],
+                "phi": [[[_form_value(field, f) for f in row] for row in m.dense()]
+                        for m in sheaf.phi],
             }
             for name, sheaf in inst.modules.items()
         }

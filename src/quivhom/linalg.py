@@ -198,11 +198,15 @@ class ExactMatrix:
         return self._rows[i].get(j, self.field.zero())
 
     def row_list(self, i: int) -> list:
+        if not 0 <= i < self.nrows:
+            raise IndexError(f"row {i} outside a {self.nrows}x{self.ncols} matrix")
         row = self._rows[i]
         zero = self.field.zero()
         return [row.get(j, zero) for j in range(self.ncols)]
 
     def column_list(self, j: int) -> list:
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} outside a {self.nrows}x{self.ncols} matrix")
         zero = self.field.zero()
         return [r.get(j, zero) for r in self._rows]
 
@@ -297,6 +301,9 @@ class ExactMatrix:
         return out if p is None else [x % p for x in out]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
+        if not (0 <= r0 <= r1 <= self.nrows and 0 <= c0 <= c1 <= self.ncols):
+            raise IndexError(f"rows {r0}:{r1}, columns {c0}:{c1} outside a "
+                             f"{self.nrows}x{self.ncols} matrix")
         rows = tuple({j - c0: x for j, x in r.items() if c0 <= j < c1}
                      for r in self._rows[r0:r1])
         return ExactMatrix._wrap(self.field, rows, c1 - c0)

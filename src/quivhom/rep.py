@@ -224,8 +224,10 @@ def connecting_terms(V, W):
     V and W are two TwistedReps or two QSheafP1s (see summand_data).  Each
     term (a, i, (s, r), (c, r2), coefficient, sign) says that the (r, s)
     entry of f_i, acted on by the coefficient, lands in the (r2, c) entry of
-    the arrow-a component; c indexes M_a⊗V_ta in stored order.  Zero
-    coefficients are skipped; the caller supplies how a coefficient acts.
+    the arrow-a component; c indexes M_a⊗V_ta in stored order.  A term is
+    yielded for every stored entry of phi_a and psi_a: a TwistedRep stores no
+    zero, and an all-zero form of a QSheafP1 yields a term with no runs.  The
+    caller supplies how a coefficient acts.
     """
     v_sizes, v_order, phi = V.summand_data()
     w_sizes, w_order, psi = W.summand_data()

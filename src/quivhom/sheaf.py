@@ -3,7 +3,10 @@
 Bundles are sums of line bundles O(d1) ⊕ ... ⊕ O(dr) with twists sorted
 non-increasing; morphisms are matrices of homogeneous binary forms, the
 (r, s) entry having degree target[r] − source[s] (the zero form when that
-is negative).  Cohomology is the explicit two-chart calculus:
+is negative).  A form is the tuple of its coefficients of x^d, x^(d-1)y,
+..., y^d, with () the zero form of any degree; a FormMatrix stores its
+rows once, as {column: form} dicts.  Cohomology is the explicit two-chart
+calculus:
 
   H0(O(d)) has basis the monomials x^k y^(d-k), 0 <= k <= d;
   H1(O(d)) has basis the overlap classes x^(-i) y^(-j), i, j >= 1,
@@ -91,113 +94,62 @@ def tensor_bundles(quiver: Quiver, twist_bundles: Sequence[SplitBundle],
                  for a, (t, _) in enumerate(quiver.arrows))
 
 
-@dataclass(frozen=True)
-class BinForm:
-    """Homogeneous binary form; coeffs list x^d, x^(d-1)y, ..., y^d.
-
-    degree -1 with no coefficients encodes the zero form.
-    """
-
-    degree: int
-    coeffs: Tuple
-
-    def __init__(self, degree: int, coeffs):
-        coeffs = tuple(coeffs)
-        if degree < 0:
-            if coeffs:
-                raise ValueError("the zero form carries no coefficients")
-            degree = -1
-        elif len(coeffs) != degree + 1:
-            raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @staticmethod
-    def zero() -> "BinForm":
-        return BinForm(-1, ())
-
-    @staticmethod
-    def monomial(field: FieldSpec, degree: int, x_exp: int) -> "BinForm":
-        if not 0 <= x_exp <= degree:
-            raise ValueError("monomial exponent out of range")
-        coeffs = [field.zero()] * (degree + 1)
-        coeffs[degree - x_exp] = field.one()
-        return BinForm(degree, coeffs)
-
-    def is_zero(self) -> bool:
-        return self.degree < 0 or all(c == 0 for c in self.coeffs)
-
-    def coefficient(self, x_exp: int):
-        """Coefficient of x^x_exp y^(degree - x_exp); zero outside range."""
-        if self.degree < 0 or not 0 <= x_exp <= self.degree:
-            return 0
-        return self.coeffs[self.degree - x_exp]
-
-
 class FormMatrix:
     """Matrix of binary forms between split bundles, entry degrees enforced.
 
-    BinForm.zero() may stand for the zero form of any degree; its
-    coefficients are never spelled out.
+    A form of degree d is the tuple of its coefficients of x^d, x^(d-1)y,
+    ..., y^d, and () is the zero form of any degree.  Entry (r, s) has degree
+    target[r] − source[s]; an entry of negative degree must be all zero and
+    is dropped.  The matrix is stored once, as rows: one {s: form} dict per
+    row holding every entry that is not ().  All-zero tuples such as (0, 0)
+    are kept, so that an instance document can be written back as it was.
     """
 
     def __init__(self, field: FieldSpec, source: SplitBundle, target: SplitBundle,
-                 entries: Sequence[Sequence[BinForm]]):
-        entries = tuple(tuple(row) for row in entries)
+                 entries: Sequence[Sequence[Sequence]]):
         if len(entries) != target.rank or any(len(r) != source.rank for r in entries):
             raise ValueError(
                 f"entries do not form a {target.rank}x{source.rank} matrix"
             )
-        norm = []
-        for r in range(target.rank):
-            row = []
-            for s in range(source.rank):
+        rows = []
+        for r, row in enumerate(entries):
+            rows.append({})
+            for s, f in enumerate(row):
+                f = tuple(f)
                 want = target.twists[r] - source.twists[s]
-                f = entries[r][s]
                 if want < 0:
-                    if not f.is_zero():
+                    if any(c != 0 for c in f):
+                        raise ValueError(f"entry ({r},{s}) must vanish (degree {want})")
+                elif f:
+                    if len(f) != want + 1:
                         raise ValueError(
-                            f"entry ({r},{s}) must vanish (degree {want})"
+                            f"entry ({r},{s}) has degree {len(f) - 1}, expected {want}"
                         )
-                    f = BinForm.zero()
-                elif f.degree not in (want, -1):
-                    raise ValueError(
-                        f"entry ({r},{s}) has degree {f.degree}, expected {want}"
-                    )
-                row.append(f)
-            norm.append(tuple(row))
+                    rows[-1][s] = f
         self.field = field
         self.source = source
         self.target = target
-        self.entries = tuple(norm)
+        self.rows = tuple(rows)
 
     @staticmethod
     def zero(field: FieldSpec, source: SplitBundle, target: SplitBundle) -> "FormMatrix":
-        rows = [[BinForm.zero()] * source.rank for _ in range(target.rank)]
-        return FormMatrix(field, source, target, rows)
+        return FormMatrix(field, source, target, [[()] * source.rank] * target.rank)
 
-    def entry(self, r: int, s: int) -> BinForm:
-        return self.entries[r][s]
+    def dense(self) -> list:
+        """The entries as a list of rows, () where nothing is stored."""
+        return [[row.get(s, ()) for s in range(self.source.rank)] for row in self.rows]
 
     def scale(self, c) -> "FormMatrix":
         c = self.field.element(c)
-        rows = []
-        for row in self.entries:
-            out = []
-            for f in row:
-                if f.degree < 0:
-                    out.append(f)
-                else:
-                    out.append(BinForm(f.degree, [self.field.element(c * x) if self.field.is_prime_field else c * x
-                                                  for x in f.coeffs]))
-            rows.append(out)
+        rows = [[tuple(self.field.element(c * x) for x in f) for f in row]
+                for row in self.dense()]
         return FormMatrix(self.field, self.source, self.target, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormMatrix):
             return NotImplemented
         return (self.field == other.field and self.source == other.source
-                and self.target == other.target and self.entries == other.entries)
+                and self.target == other.target and self.rows == other.rows)
 
 
 class QSheafP1:
@@ -243,14 +195,11 @@ class QSheafP1:
         """Input of connecting_terms: summands are the line bundles.
 
         Returns the per-vertex ranks, each tensor bundle's inv_perm (natural
-        index -> sorted position) and the rows of each phi_a as {column:
-        nonzero form} dicts.
+        index -> sorted position) and the stored rows of each phi_a, {column:
+        coefficient tuple} dicts that may hold all-zero forms.
         """
-        ranks = [b.rank for b in self.vertex_bundles]
-        order = [tb.inv_perm for tb in self.tensors]
-        rows = [[{c: f for c, f in enumerate(row) if not f.is_zero()} for row in m.entries]
-                for m in self.phi]
-        return ranks, order, rows
+        return ([b.rank for b in self.vertex_bundles], [tb.inv_perm for tb in self.tensors],
+                [m.rows for m in self.phi])
 
     def summand_twists(self):
         """Input of hom_layout: the twists of each vertex and tensor bundle."""
@@ -273,7 +222,7 @@ class QSheafP1:
         shifted = [SplitBundle(tuple(d + t for d in b.twists))
                    for b in self.vertex_bundles]
         tensors = tensor_bundles(self.quiver, self.twist_bundles, shifted)
-        phi = [FormMatrix(self.field, tb.bundle, shifted[h], f.entries)
+        phi = [FormMatrix(self.field, tb.bundle, shifted[h], f.dense())
                for tb, (_, h), f in zip(tensors, self.quiver.arrows, self.phi)]
         return QSheafP1(self.quiver, self.field, self.twist_bundles, shifted, phi,
                         _tensors=tensors)
@@ -296,15 +245,15 @@ def _euler_pair(e: SplitBundle, f: SplitBundle) -> int:
 # hom_layout: monomials by ascending x-exponent for q = 0, overlap classes
 # x^(-i) y^(-j) by ascending i for q = 1.  A monomial of a form is one run.
 
-def _monomial_times_form(d: int, form: BinForm) -> List[Tuple[int, int, int, object]]:
+def _monomial_times_form(d: int, form: tuple) -> List[Tuple[int, int, int, object]]:
     """Products of the H0(O(d)) monomials x^k y^(d-k) with a form.
 
     The monomial x^k2 y^(...) of the form sends x^k y^(d-k) to x^(k+k2) y^(...).
     """
-    return [(0, k2, h0_dim(d), cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
+    return [(0, k2, h0_dim(d), cf) for k2, cf in enumerate(reversed(form)) if cf != 0]
 
 
-def _class_times_form(d: int, form: BinForm) -> List[Tuple[int, int, int, object]]:
+def _class_times_form(d: int, form: tuple) -> List[Tuple[int, int, int, object]]:
     """Yoneda products of the H1(O(d)) classes x^(-i) y^(-j) with a form.
 
     Class k has i = k + 1 and j = -d - i.  The monomial x^k2 y^(...) of the
@@ -312,8 +261,8 @@ def _class_times_form(d: int, form: BinForm) -> List[Tuple[int, int, int, object
     negative, else to a coboundary, which is dropped: classes k2, k2 + 1, ...
     go to the h1_dim(d + degree) classes of the target in order.
     """
-    n = h1_dim(d + form.degree)
-    return [(k2, 0, n, cf) for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
+    n = h1_dim(d + len(form) - 1)
+    return [(k2, 0, n, cf) for k2, cf in enumerate(reversed(form)) if cf != 0]
 
 
 def delta0_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
@@ -411,14 +360,14 @@ def _horizontal(window: int):
     """(dim_of, times) of the connecting map on the charts, then on the overlap
     with the sign of d1.  The monomial t^k2 of a form sends t^e to t^(e+k2);
     chart 0 and the overlap keep e + k2 <= T, chart 1 takes every e <= d."""
-    def charts(d: int, form: BinForm):
-        return [run for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0
+    def charts(d: int, form: tuple):
+        return [run for k2, cf in enumerate(reversed(form)) if cf != 0
                 for run in ((0, k2, window + 1 - k2, cf),
                             (window + 1, window + 1 + k2, window + 1 + d, cf))]
 
-    def overlap(d: int, form: BinForm):
+    def overlap(d: int, form: tuple):
         return [(0, k2, 2 * window + 1 - k2, -cf)
-                for k2, cf in enumerate(reversed(form.coeffs)) if cf != 0]
+                for k2, cf in enumerate(reversed(form)) if cf != 0]
     return ((lambda d: 2 * window + 2 + d), charts), ((lambda d: 2 * window + 1), overlap)
 
 

@@ -247,6 +247,44 @@ def test_gen_document_round_trip():
             assert document_of_instance(load_instance(doc)) == doc
 
 
+# Every kind of zero form: null at a negative and at a non-negative degree,
+# [0] at degree 0 and [0, 0] at degree 1, beside nonzero forms.  All-zero
+# coefficient lists are kept as written, so the document comes back unchanged.
+ZERO_FORMS = {
+    "field": {"fp": 7},
+    "quiver": {"vertices": 1, "arrows": [[0, 0]]},
+    "mode": "p1",
+    "twists": [[-1]],
+    "modules": {
+        # M ⊗ V = O ⊕ O(-1) ⊕ O(-3) into V = O(1) ⊕ O ⊕ O(-2)
+        "V": {"twists": [[1, 0, -2]],
+              "phi": [[[[0, 0], None, [1, 0, 2, 0, 3]],
+                       [[0], [1, 5], None],
+                       [None, None, [0, 4]]]]},
+        # M ⊗ W = O(-1) ⊕ O(-2) into W = O ⊕ O(-1)
+        "W": {"twists": [[0, -1]],
+              "phi": [[[[1, 1], None],
+                       [[0], [0, 3]]]]},
+    },
+}
+# sha256 of the stdout of `hyper --verify --json` in each order, recorded
+# when a form was still a class of its own
+ZERO_FORMS_HYPER = {
+    ("V", "W"): "94faa2b4e6491b5bd1aa6570b40c76494837923ce33b2b940a19f0b000c278e1",
+    ("W", "V"): "f487baa07b29f445d253dae6bb448e9b1ec2766e42e2577aaac6225449117dff",
+}
+
+
+def test_explicit_zero_forms_round_trip(tmp_path, capsys):
+    assert document_of_instance(load_instance(ZERO_FORMS)) == ZERO_FORMS
+    f = tmp_path / "zero_forms.json"
+    f.write_text(json.dumps(ZERO_FORMS), encoding="utf-8")
+    for (v, w), want in ZERO_FORMS_HYPER.items():
+        code, out, _ = run(capsys, "hyper", str(f), v, w, "--verify", "--json")
+        assert code == 0 and json.loads(out)["result"]["verify"] == "pass"
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_report_byte_identical_across_runs(capsys):
     code, out1, _ = run(capsys, "ext", HIGGS, "V", "W", "--json")
     code, out2, _ = run(capsys, "ext", HIGGS, "V", "W", "--json")
@@ -327,6 +365,13 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from quivhom import *", namespace)    # a stale __all__ entry raises here
+    assert all(hasattr(quivhom, name) for name in quivhom.__all__)
+    assert set(quivhom.__all__) <= set(namespace)
 
 
 def test_cli_does_not_import_numpy():

@@ -61,7 +61,7 @@ def test_delta_column_by_column(seed, field):
 # -- p1 mode: matrices of binary forms as coefficient lists by x-exponent -----
 
 def _coeffs(form):
-    return [form.coefficient(k) for k in range(form.degree + 1)]
+    return list(reversed(form))
 
 
 def _form_matmul(x, y, degree, rows, cols):
@@ -93,8 +93,8 @@ def _delta0_image(V, W, f):
         def degree(r2, c):
             return wh.twists[r2] - tv.bundle.twists[c]
 
-        phi = [[_coeffs(g) for g in row] for row in V.phi[a].entries]
-        psi = [[_coeffs(g) for g in row] for row in W.phi[a].entries]
+        phi = [[_coeffs(g) for g in row] for row in V.phi[a].dense()]
+        psi = [[_coeffs(g) for g in row] for row in W.phi[a].dense()]
         left = _form_matmul(f[h], phi, degree, wh.rank, tv.bundle.rank)
         right = _form_matmul(psi, one_f, degree, wh.rank, tv.bundle.rank)
         for c in range(tv.bundle.rank):

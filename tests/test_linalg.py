@@ -323,6 +323,19 @@ def test_entry_outside_the_shape_raises(i, j):
         m[i, j]
 
 
+@pytest.mark.parametrize("read", [
+    lambda m: m.submatrix(0, 5, 0, 9),
+    lambda m: m.submatrix(-1, 2, 0, 3),
+    lambda m: m.row_list(-1),
+    lambda m: m.column_list(-1),
+], ids=["submatrix past the end", "submatrix from row -1", "row -1", "column -1"])
+def test_slice_outside_the_shape_raises(read):
+    # slicing would otherwise pad the columns, drop rows or wrap around
+    m = ExactMatrix(F5, 2, 3, [[1, 2, 3], [4, 0, 1]])
+    with pytest.raises(IndexError, match="outside a 2x3 matrix"):
+        read(m)
+
+
 def test_cross_checks_raise_cross_check_error(monkeypatch):
     # a raised error, unlike an assert, survives python -O
     import quivhom.linalg as linalg

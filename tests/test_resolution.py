@@ -1,5 +1,6 @@
 """The standard resolution: assembly, exactness, lifting."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -190,6 +191,23 @@ def test_composite_d_eps_vanishes():
         V = _random_rep(rng)
         eps, d = resolution_matrices(V, 3)
         assert (d @ eps).is_zero()
+
+
+# sha256 over the shape and sorted entries of eps and d at degree 4, for V and
+# W of gen vector seeds 0-49.  eps and d code phi independently, which the
+# d∘eps = 0 check relies on; this pins each of them on its own.
+RESOLUTION_DIGEST = "f2370ae2d28b7080faeee033d7fd637260557a8633048d492253c572dfa1a3b0"
+
+
+def test_resolution_matrices_pinned():
+    digest = hashlib.sha256()
+    for seed in range(50):
+        instance = load_instance(generate_document(seed))
+        for name in ("V", "W"):
+            eps, d = resolution_matrices(instance.modules[name], 4)
+            digest.update(repr((seed, name, eps.shape, sorted(eps.nonzeros()),
+                                d.shape, sorted(d.nonzeros()))).encode())
+    assert digest.hexdigest() == RESOLUTION_DIGEST
 
 
 # -- the block basis, against path actions computed one path at a time -------

@@ -9,7 +9,6 @@ from quivhom.instances import load_instance
 from quivhom.linalg import FieldSpec, rank, vstack
 from quivhom.quiver import Quiver
 from quivhom.sheaf import (
-    BinForm,
     FormMatrix,
     QSheafP1,
     SplitBundle,
@@ -46,27 +45,32 @@ def test_split_bundle_canonical_form():
     assert SplitBundle([]).rank == 0
 
 
-def test_bin_form_validation():
+def test_form_matrix_coefficient_count():
+    # a form of degree d lists the d + 1 coefficients of x^d, ..., y^d
+    src, dst = SplitBundle([0]), SplitBundle([2])
     with pytest.raises(ValueError):
-        BinForm(2, [1, 2])
+        FormMatrix(F, src, dst, [[(1, 2)]])
     with pytest.raises(ValueError):
-        BinForm(-1, [1])
-    f = BinForm(2, [1, 2, 3])         # x^2 + 2xy + 3y^2
-    assert f.coefficient(2) == 1
-    assert f.coefficient(0) == 3
-    assert f.coefficient(5) == 0
-    assert BinForm.monomial(F, 2, 2).coeffs == (1, 0, 0)
+        FormMatrix(F, src, dst, [[(1, 2, 3, 4)]])
+    fm = FormMatrix(F, src, dst, [[(1, 2, 3)]])         # x^2 + 2xy + 3y^2
+    assert fm.rows == ({0: (1, 2, 3)},)
 
 
 def test_form_matrix_degree_enforcement():
     src = SplitBundle([1])
     dst = SplitBundle([0])
     with pytest.raises(ValueError):
-        FormMatrix(F, src, dst, [[BinForm(0, [1])]])   # degree -1 entry must vanish
-    fm = FormMatrix(F, src, dst, [[BinForm.zero()]])
-    assert fm.entry(0, 0).is_zero()
+        FormMatrix(F, src, dst, [[(1,)]])   # degree -1 entry must vanish
+    fm = FormMatrix(F, src, dst, [[()]])
+    assert fm.rows == ({},)
     with pytest.raises(ValueError):
-        FormMatrix(F, SplitBundle([0]), SplitBundle([2]), [[BinForm(1, [1, 0])]])
+        FormMatrix(F, SplitBundle([0]), SplitBundle([2]), [[(1, 0)]])
+
+
+def test_summand_data_hands_over_the_stored_rows():
+    V = higgs_sheaf(forms=[[(0, 0, 0)]])
+    rows = V.summand_data()[2]
+    assert rows[0] is V.phi[0].rows == ({0: (0, 0, 0)},)
 
 
 def test_tensor_bundle_sorting_and_permutation():
@@ -101,7 +105,7 @@ def test_delta0_higgs_zero_field():
 
 
 def test_delta0_scalar_commutator():
-    x2 = BinForm.monomial(F, 2, 2)
+    x2 = (1, 0, 0)
     V = higgs_sheaf(forms=[[x2]])
     d0 = delta0_matrix(V, V)
     assert rank(d0) == 0
@@ -126,7 +130,7 @@ def test_delta1_degenerate_empty_spaces():
 
 def _scalar_loop_sheaf(bundle, scalar):
     src = tensor_bundle(O, bundle).bundle
-    phi = FormMatrix(F, src, bundle, [[BinForm(0, [scalar])]])
+    phi = FormMatrix(F, src, bundle, [[(scalar,)]])
     return QSheafP1(LOOP, F, [O], [bundle], [phi])
 
 
@@ -177,7 +181,7 @@ def test_ext_zero_sheaf():
 def test_ext_triple_example():
     q = Quiver(2, [(1, 0)])
     src = tensor_bundle(O, O).bundle
-    phi = FormMatrix(F, src, O, [[BinForm(0, [1])]])
+    phi = FormMatrix(F, src, O, [[(1,)]])
     V = QSheafP1(q, F, [O], [O, O], [phi])
     r = ext_quiver_sheaf(V, V)
     assert (r.ext0, r.ext1, r.ext2) == (1, 0, 0)
@@ -243,10 +247,9 @@ def _random_pair(rng, max_vertices=3, max_arrows=3, max_rank=2, max_twist=3):
                 for c in range(src.rank):
                     deg = dst.twists[r] - src.twists[c]
                     if deg < 0:
-                        row.append(BinForm.zero())
+                        row.append(())
                     else:
-                        row.append(BinForm(deg, [rng.randrange(101)
-                                                 for _ in range(deg + 1)]))
+                        row.append(tuple(rng.randrange(101) for _ in range(deg + 1)))
                 rows.append(row)
             phi.append(FormMatrix(F, src, dst, rows))
         return phi
