@@ -133,11 +133,9 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
             element, v = divmod(c, v_dim)
             j = elems[(i, l)][element][0]
             coord = voff[j] + (v - v_start[j]) * J.dims[j]
-            for n_idx in range(n_dim):
-                for lam in range(l_dim):
-                    f_row = (n_idx * t_dims[j] + pos[l][element]) * l_dim + lam
-                    g_col = (n_idx * V.dims[i] + w) * l_dim + lam
-                    back.add(coord + f_row, g_col, x)
+            for n_idx in range(n_dim):      # one run over the l_dim coordinates
+                f_row = (n_idx * t_dims[j] + pos[l][element]) * l_dim
+                back.add_run(coord + f_row, (n_idx * V.dims[i] + w) * l_dim, l_dim, x)
     back = back.build()
 
     # express the backward map in the hom_space basis, every column at once

@@ -113,8 +113,9 @@ def _parse_quiver(value, path: str) -> Quiver:
 
 
 def _parse_entry(field: FieldSpec, value, path: str):
+    """A checked entry, an int or a Fraction; the matrix brings it into the field."""
     if field.is_prime_field:
-        return field.element(_require_int(value, path))
+        return _require_int(value, path)
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InstanceError("expected an integer or a fraction string", path)
     try:

@@ -9,7 +9,8 @@ There is one storage layout and one code path for both kinds of field.  A
 matrix is a tuple of rows, each row a `{column: value}` dict holding only
 the nonzero entries; no zero is ever stored, so equal matrices have equal
 rows.  The assembled matrices are about 1 % nonzero, which is why rows are
-sparse rather than dense.
+sparse rather than dense.  MatrixBuilder keeps its rows in this form as it
+places each diagonal run whole, so building a matrix takes no second pass.
 
 One routine, `_echelon`, does all elimination.  It reduces each row in
 turn against the pivot rows found so far, leftmost column first, and adds
@@ -101,13 +102,14 @@ class FieldSpec:
 
     def element(self, value) -> Element:
         """Coerce an int, string ("3/2", "7") or Fraction into the field."""
-        if self.is_prime_field:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError(f"{value} is not an integer residue")
-                value = value.numerator
-            return int(value) % self.modulus
-        return Fraction(value)
+        p = self.modulus
+        if p is None:
+            return value if type(value) is Fraction else Fraction(value)
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise ValueError(f"{value} is not an integer residue")
+            value = value.numerator
+        return int(value) % p
 
     def inv(self, x: Element) -> Element:
         """Multiplicative inverse of a nonzero field element."""
@@ -128,11 +130,7 @@ def _canonical(field: FieldSpec, acc: dict) -> dict:
     p = field.modulus
     out = {}
     for j, v in acc.items():
-        # ints and Fractions are reduced cheaply; anything else is coerced
-        if p is not None and type(v) is int:
-            v %= p
-        elif p is not None or type(v) is not Fraction:
-            v = field.element(v)
+        v = v % p if p is not None and type(v) is int else field.element(v)
         if v:
             out[j] = v
     return out
@@ -309,44 +307,84 @@ class ExactMatrix:
         return ExactMatrix._wrap(self.field, rows, c1 - c0)
 
 
+def _store_sum(row: dict, c: int, v, p: Optional[int]):
+    """row[c] = v brought into the field, or no entry at c when that is zero."""
+    v = v if p is None else v % p
+    if v:
+        row[c] = v
+    else:
+        del row[c]
+
+
 class MatrixBuilder:
     """Mutable accumulator used to assemble large block matrices.
 
-    Entries are summed unreduced and brought into the field by build(),
-    which also rejects any (i, j) outside the shape.
+    Its rows stay canonical while entries arrive: a value is brought into
+    the field once per run and a cell whose sum is zero is deleted, so
+    build() adopts the rows as they are.  An entry outside the shape is not
+    placed; build() raises IndexError for the first one.  build() hands its
+    rows to the matrix, so any later call raises RuntimeError.
     """
 
     def __init__(self, field: FieldSpec, rows: int, cols: int):
         self.field = field
         self.nrows = rows
         self.ncols = cols
-        self._rows = {}
+        self._rows = [{} for _ in range(rows)]
+        self._outside = None        # message naming the first entry outside the shape
+
+    def _live_rows(self) -> list:
+        if self._rows is None:
+            raise RuntimeError("this builder has built its matrix already")
+        return self._rows
 
     def add(self, i: int, j: int, value):
         """Add an int or a field element at (i, j)."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = {}
-        row[j] = row.get(j, 0) + value
+        self.add_run(i, j, 1, value)
+
+    def add_run(self, i: int, j: int, n: int, value):
+        """Add an int or a field element at (i + e, j + e) for 0 <= e < n."""
+        rows, p = self._rows or self._live_rows(), self.field.modulus
+        x = value % p if p is not None and type(value) is int else self.field.element(value)
+        if n <= 0 or not x:
+            return
+        if not (0 <= i <= self.nrows - n and 0 <= j <= self.ncols - n):
+            if self._outside is None:       # the run's first entry outside
+                e = 0 if min(i, j) < 0 else max(0, min(self.nrows - i, self.ncols - j))
+                self._outside = (f"entry ({i + e}, {j + e}) outside a "
+                                 f"{self.nrows}x{self.ncols} matrix")
+            return
+        for e in range(n):
+            row, c = rows[i + e], j + e
+            old = row.get(c)
+            if old is None:
+                row[c] = x
+            else:
+                _store_sum(row, c, old + x, p)
 
     def add_block(self, r0: int, c0: int, block: ExactMatrix):
+        """Add a matrix over the same field with its (0, 0) entry at (r0, c0)."""
         if block.field != self.field:
             raise ValueError("block over a different field")
-        for i, src in enumerate(block._rows):
-            if src:
-                dst = self._rows.setdefault(r0 + i, {})
-                for j, x in src.items():
-                    dst[c0 + j] = dst.get(c0 + j, 0) + x
+        rows = self._live_rows()
+        if not (0 <= r0 <= self.nrows - block.nrows and 0 <= c0 <= self.ncols - block.ncols):
+            for i, j, x in block.nonzeros():
+                self.add_run(r0 + i, c0 + j, 1, x)
+            return
+        for row, src in zip(rows[r0:r0 + block.nrows], block._rows):
+            for j, x in src.items():
+                c = c0 + j
+                old = row.get(c)
+                if old is None:
+                    row[c] = x
+                else:
+                    _store_sum(row, c, old + x, self.field.modulus)
 
     def build(self) -> ExactMatrix:
-        rows = [{}] * self.nrows
-        for i, acc in self._rows.items():
-            if not (0 <= i < self.nrows and 0 <= min(acc) and max(acc) < self.ncols):
-                j = next(j for j in sorted(acc)
-                         if not (0 <= i < self.nrows and 0 <= j < self.ncols))
-                raise IndexError(f"entry ({i}, {j}) outside a "
-                                 f"{self.nrows}x{self.ncols} matrix")
-            rows[i] = _canonical(self.field, acc)
+        rows = self._live_rows()
+        self._rows = None
+        if self._outside is not None:
+            raise IndexError(self._outside)
         return ExactMatrix._wrap(self.field, tuple(rows), self.ncols)
 
 
@@ -527,9 +565,6 @@ def vec_matrix(x: ExactMatrix) -> list:
 def unvec_matrix(field: FieldSpec, vec: Sequence, rows: int, cols: int,
                  offset: int = 0) -> ExactMatrix:
     """Inverse of vec_matrix on a slice of a coordinate vector."""
-    out = MatrixBuilder(field, rows, cols)
-    for c in range(cols):
-        for r in range(rows):
-            out.add(r, c, vec[offset + c * rows + r])
-    return out.build()
+    return ExactMatrix(field, rows, cols, [[vec[offset + c * rows + r] for c in range(cols)]
+                                           for r in range(rows)])
 

@@ -259,14 +259,11 @@ def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
     V.compatible_with(W)
     vertex, arrow, vertex_start, arrow_start = hom_layout(V, W, dim_of)
     out = MatrixBuilder(V.field, arrow_start[-1], vertex_start[-1])
-    add = out.add
     for a, i, (s, r), (c, r2), cf, sign in connecting_terms(V, W):
         col, d = vertex[i][s][r]
         row = arrow[a][c][r2][0]
         for k, k2, n, x in times(d, cf):
-            x *= sign
-            for e in range(n):
-                add(row + k2 + e, col + k + e, x)
+            out.add_run(row + k2, col + k, n, sign * x)
     return out.build()
 
 

@@ -166,8 +166,7 @@ def _d_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
             src = basis.dim[(t, l)]
             # alpha_ha on the block of arrow a: an identity block
             col = layout.f_offsets[(h, l + 1)] + basis.block_offset[(a, l)] * dh
-            for k in range(V.twist[a] * src * dh):
-                d_out.add(row + k, col + k, 1)
+            d_out.add_run(row, col, V.twist[a] * src * dh, 1)
             # −phi_a ∘ (I_m ⊗ alpha_ta): phi_a's entry (r, j·dt + s) takes
             # alpha_ta's entry (s, x) to the entry (r, j·src + x)
             col = layout.f_offsets[(t, l)]

@@ -100,7 +100,8 @@ class FormMatrix:
     A form of degree d is the tuple of its coefficients of x^d, x^(d-1)y,
     ..., y^d, and () is the zero form of any degree.  Entry (r, s) has degree
     target[r] − source[s]; an entry of negative degree must be all zero and
-    is dropped.  The matrix is stored once, as rows: one {s: form} dict per
+    is dropped.  Every coefficient is brought into the field, as in an
+    ExactMatrix.  The matrix is stored once, as rows: one {s: form} dict per
     row holding every entry that is not ().  All-zero tuples such as (0, 0)
     are kept, so that an instance document can be written back as it was.
     """
@@ -115,10 +116,10 @@ class FormMatrix:
         for r, row in enumerate(entries):
             rows.append({})
             for s, f in enumerate(row):
-                f = tuple(f)
+                f = tuple(map(field.element, f))
                 want = target.twists[r] - source.twists[s]
                 if want < 0:
-                    if any(c != 0 for c in f):
+                    if any(f):
                         raise ValueError(f"entry ({r},{s}) must vanish (degree {want})")
                 elif f:
                     if len(f) != want + 1:
@@ -141,8 +142,7 @@ class FormMatrix:
 
     def scale(self, c) -> "FormMatrix":
         c = self.field.element(c)
-        rows = [[tuple(self.field.element(c * x) for x in f) for f in row]
-                for row in self.dense()]
+        rows = [[tuple(c * x for x in f) for f in row] for row in self.dense()]
         return FormMatrix(self.field, self.source, self.target, rows)
 
     def __eq__(self, other) -> bool:
@@ -394,10 +394,9 @@ def _vertical(field: FieldSpec, window: int, charts: list, overlaps: list,
     out = MatrixBuilder(field, nrows, ncols)
     for chart_block, overlap_block in zip(charts, overlaps):
         for (col, d), (row, _) in zip(chain(*chart_block), chain(*overlap_block)):
-            for e in range(window + 1):             # t^e of chart 0, 0 <= e <= T
-                out.add(row + window + e, col + e, 1)
-            for e in range(window + 1 + d):         # t^(e-T) of chart 1, up to t^d
-                out.add(row + e, col + window + 1 + e, -1)
+            # t^e of chart 0, 0 <= e <= T; then t^(e-T) of chart 1, up to t^d
+            out.add_run(row + window, col, window + 1, 1)
+            out.add_run(row, col + window + 1, window + 1 + d, -1)
     return out.build()
 
 

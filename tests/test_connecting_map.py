@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from quivhom import linalg
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, kron, unvec_matrix, vec_matrix
@@ -235,3 +236,18 @@ def test_cech_dims_match_the_two_chart_windows(seed):
     for X, Y in ((V, W), (W, V)):
         for extra in (0, 3):
             assert cech_dims(X, Y, extra) == _cech_dims_by_hand(X, Y, extra)
+
+
+def test_cech_assembly_places_canonical_rows(monkeypatch):
+    # the builder keeps its rows canonical as runs arrive, so no row of the
+    # Cech complex, delta0 or delta1 passes through _canonical afterwards
+    pairs = [_modules(seed, "p1") for seed in range(10)]
+    calls = []
+    canonical = linalg._canonical
+    monkeypatch.setattr(linalg, "_canonical",
+                        lambda field, acc: calls.append(1) or canonical(field, acc))
+    for V, W in pairs:
+        _cech_matrices(V, W, 0)
+        delta0_matrix(V, W)
+        delta1_matrix(V, W)
+    assert len(calls) == 0

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from quivhom.linalg import (
@@ -313,6 +314,95 @@ def test_builder_rejects_entries_outside_the_shape(i, j):
     builder.add_block(1, 2, ExactMatrix.identity(F5, 2))
     with pytest.raises(IndexError):
         builder.build()
+
+
+def test_builder_builds_once():
+    builder = MatrixBuilder(F5, 2, 3)
+    builder.add_run(0, 0, 2, 8)
+    built = builder.build()
+    # build() hands its rows to the matrix, so further use must not reach them
+    for use in (lambda: builder.add(0, 0, 1), lambda: builder.add_run(0, 1, 2, 1),
+                lambda: builder.add_block(0, 0, ExactMatrix.identity(F5, 2)),
+                builder.build):
+        with pytest.raises(RuntimeError):
+            use()
+    assert built.to_lists() == [[3, 0, 0], [0, 3, 0]]
+
+
+@st.composite
+def _builder_script(draw):
+    """A field, a small shape and a sequence of add, add_run and add_block calls.
+
+    Starts reach one past each edge on either side or end a run exactly at
+    the last row or column; runs may be empty or be followed by their negation.
+    """
+    field = draw(st.sampled_from([F5, F101, Q]))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if field.is_prime_field:
+        values = st.integers(-3 * field.modulus, 3 * field.modulus)
+    else:
+        values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)) | st.integers(-6, 6)
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["add", "run", "cancel", "block"]))
+        n = 1 if kind == "add" else draw(st.integers(-1, 5))
+        i = draw(st.integers(-1, rows) | st.just(rows - n))
+        j = draw(st.integers(-1, cols) | st.just(cols - n))
+        if kind == "block":
+            lists = _sparse_lists(field, random.Random(draw(st.integers(0, 10**6))),
+                                  draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+            ops.append(("block", i, j, lists))
+        else:
+            x = draw(values)
+            ops.append((kind, i, j, n, x))
+            if kind == "cancel":
+                ops.append(("run", i, j, n, -x))
+    return field, rows, cols, ops
+
+
+@given(_builder_script())
+@seed(20260)
+@settings(max_examples=300, deadline=None)
+def test_builder_against_dense_reference(script):
+    field, rows, cols, ops = script
+    builder = MatrixBuilder(field, rows, cols)
+    dense = [[0] * cols for _ in range(rows)]
+    outside = None
+
+    def place(i, j, x):
+        nonlocal outside
+        if 0 <= i < rows and 0 <= j < cols:
+            dense[i][j] += x
+        elif outside is None:
+            outside = (i, j)
+
+    for op in ops:
+        if op[0] == "block":
+            _, i, j, lists = op
+            block = ExactMatrix(field, len(lists), len(lists[0]) if lists else 0, lists)
+            builder.add_block(i, j, block)
+            for r, c, x in block.nonzeros():
+                place(i + r, j + c, x)
+        else:
+            kind, i, j, n, x = op
+            if kind == "add":
+                builder.add(i, j, x)
+            else:
+                builder.add_run(i, j, n, x)
+            if field.element(x):
+                for e in range(n):
+                    place(i + e, j + e, x)
+    if outside is not None:
+        message = f"entry ({outside[0]}, {outside[1]}) outside a {rows}x{cols} matrix"
+        with pytest.raises(IndexError, match=re.escape(message)):
+            builder.build()
+        return
+    want = [[field.element(x) for x in row] for row in dense]
+    built = builder.build()
+    assert built.to_lists() == want
+    assert all(x for row in built.sparse_rows() for x in row.values())
+    kind = int if field.is_prime_field else Fraction
+    assert all(type(x) is kind for row in built.sparse_rows() for x in row.values())
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 3)])

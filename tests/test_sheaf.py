@@ -1,6 +1,7 @@
 """Twisted sheaves on the projective line: LES data and hypercohomology."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,24 @@ def test_form_matrix_degree_enforcement():
     assert fm.rows == ({},)
     with pytest.raises(ValueError):
         FormMatrix(F, SplitBundle([0]), SplitBundle([2]), [[(1, 0)]])
+
+
+def test_form_matrix_reduces_coefficients_mod_p():
+    F7 = FieldSpec.prime(7)
+    m = FormMatrix(F7, O, O, [[(9,)]])
+    assert m.rows == ({0: (2,)},)
+    assert m == FormMatrix(F7, O, O, [[(2,)]])
+
+
+def test_form_matrix_scale_by_one_is_the_identity():
+    m = FormMatrix(FieldSpec.prime(7), O, O, [[(9,)]])
+    assert m.scale(1) == m
+
+
+def test_form_matrix_coefficients_over_q_are_fractions():
+    m = FormMatrix(FieldSpec.rationals(), O, SplitBundle([1]), [[(3, "3/2")]])
+    assert m.rows == ({0: (Fraction(3), Fraction(3, 2))},)
+    assert [type(c) for c in m.rows[0][0]] == [Fraction, Fraction]
 
 
 def test_summand_data_hands_over_the_stored_rows():
