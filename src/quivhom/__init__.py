@@ -24,7 +24,6 @@ from .rep import (
 from .resolution import (
     ExactnessReport,
     GradedBasis,
-    GradedMapFamily,
     check_resolution_exactness,
     lift_beta,
     resolution_matrices,
@@ -51,7 +50,7 @@ __all__ = [
     "TwistData", "TwistedRep", "RepMorphism",
     "delta_matrix", "hom_space", "ext1_dim", "build_extension",
     "is_split_extension", "ext1_classes",
-    "GradedBasis", "GradedMapFamily", "ExactnessReport",
+    "GradedBasis", "ExactnessReport",
     "resolution_matrices", "check_resolution_exactness", "lift_beta",
     "adjunction_iso",
     "SplitBundle", "FormMatrix", "QSheafP1", "ExtReport",

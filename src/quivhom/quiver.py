@@ -6,6 +6,7 @@ at a time, in resolution.py.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -22,9 +23,10 @@ class Quiver:
     arrows: Tuple[Tuple[int, int], ...]
 
     def __init__(self, n_vertices: int, arrows):
+        n_vertices = operator.index(n_vertices)
         if n_vertices <= 0:
             raise ValueError("a quiver needs at least one vertex")
-        arrows = tuple((int(t), int(h)) for t, h in arrows)
+        arrows = tuple((operator.index(t), operator.index(h)) for t, h in arrows)
         for k, (t, h) in enumerate(arrows):
             if not (0 <= t < n_vertices and 0 <= h < n_vertices):
                 raise ValueError(f"arrow {k} endpoints ({t},{h}) out of range")

@@ -13,6 +13,7 @@ representations and for the split-bundle sheaves of sheaf.py alike.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,7 +45,7 @@ class TwistData:
     dims: Tuple[int, ...]
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(operator.index(d) for d in dims)
         if any(d < 1 for d in dims):
             raise ValueError("twist dimensions must be >= 1")
         object.__setattr__(self, "dims", dims)
@@ -64,7 +65,7 @@ class TwistedRep:
             raise ValueError("one twist dimension per arrow required")
         if len(phi) != quiver.n_arrows:
             raise ValueError("one matrix per arrow required")
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(operator.index(d) for d in dims)
         if any(d < 0 for d in dims):
             raise ValueError("vertex dimensions must be non-negative")
         for a, m in enumerate(phi):
@@ -370,6 +371,10 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
     stacked with the section condition proj_i ∘ s_i = id.
     """
     V.compatible_with(W)
+    E.compatible_with(V)
+    for i, e in enumerate(E.dims):
+        if e != W.dims[i] + V.dims[i]:
+            raise ValueError(f"E has dimension {e} at vertex {i}, not {W.dims[i]} + {V.dims[i]}")
     field = V.field
     delta = delta_matrix(V, E)
     soff = hom_layout(V, E, one_coordinate).vertex_start

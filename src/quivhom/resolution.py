@@ -24,15 +24,18 @@ Each row of d then leads with its +1 on alpha_{h,l+1}, left of its −phi_a
 entries on alpha_{t,l}, in a column no other row leads in; elimination
 takes every row of d as a pivot without a single subtraction.  Ordered by
 vertex first, the +1 can fall right of other rows' pivots and rank(d)
-fills in.
+fills in.  ResolutionLayout holds these coordinates, and the public API
+works in them: lift_beta takes beta as a vector in the order of d's rows
+and returns alpha in the order of d's columns, or None when the re-check
+d·alpha = beta fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix, MatrixBuilder, kron, rank, vec_matrix
+from .linalg import ExactMatrix, MatrixBuilder, kron, rank, unvec_matrix, vec_matrix
 from .quiver import Quiver
 from .rep import TwistData, TwistedRep
 
@@ -62,30 +65,32 @@ class GradedBasis:
                 self.dim[(h, l + 1)] += twist[a] * self.dim[(t, l)]
 
 
-@dataclass
 class ResolutionLayout:
-    """Block offsets of the truncated middle and right resolution terms."""
+    """Coordinates of the truncated middle and right resolution terms.
 
-    basis: GradedBasis
-    dims: Tuple[int, ...]
-    f_offsets: Dict[Tuple[int, int], int] = dc_field(default_factory=dict)
-    g_offsets: Dict[Tuple[int, int], int] = dc_field(default_factory=dict)
-    f_total: int = 0
-    g_total: int = 0
+    f_offsets[(i, l)] is where the column-major block Hom(e_i A_l, V_i)
+    starts among the columns of d, degree highest first, then vertex;
+    g_offsets[(a, l)] is where Hom(M_a ⊗ e_ta A_l, V_ha) starts among its
+    rows, by arrow, then degree.  f_total and g_total are the two sizes.
+    """
 
-    def __post_init__(self):
-        n = self.basis.max_degree
+    def __init__(self, basis: GradedBasis, dims: Tuple[int, ...]):
+        self.basis = basis
+        self.dims = dims
+        n = basis.max_degree
+        self.f_offsets: Dict[Tuple[int, int], int] = {}
         pos = 0
         for l in range(n, -1, -1):
-            for i in range(self.basis.quiver.n_vertices):
+            for i in range(basis.quiver.n_vertices):
                 self.f_offsets[(i, l)] = pos
-                pos += self.dims[i] * self.basis.dim[(i, l)]
+                pos += dims[i] * basis.dim[(i, l)]
         self.f_total = pos
+        self.g_offsets: Dict[Tuple[int, int], int] = {}
         pos = 0
-        for a, (t, h) in enumerate(self.basis.quiver.arrows):
+        for a, (t, h) in enumerate(basis.quiver.arrows):
             for l in range(n):
                 self.g_offsets[(a, l)] = pos
-                pos += self.basis.twist[a] * self.basis.dim[(t, l)] * self.dims[h]
+                pos += basis.twist[a] * basis.dim[(t, l)] * dims[h]
         self.g_total = pos
 
 
@@ -94,12 +99,9 @@ def resolution_layout(V: TwistedRep, max_degree: int) -> ResolutionLayout:
     return ResolutionLayout(basis, V.dims)
 
 
-def resolution_matrices(V: TwistedRep, max_degree: int,
-                        layout: Optional[ResolutionLayout] = None
+def resolution_matrices(V: TwistedRep, layout: ResolutionLayout
                         ) -> Tuple[ExactMatrix, ExactMatrix]:
-    """Matrices of eps and d on the degree-<= max_degree truncation."""
-    if layout is None:
-        layout = resolution_layout(V, max_degree)
+    """Matrices of eps and d on the truncation of layout."""
     return _eps_matrix(V, layout), _d_matrix(V, layout)
 
 
@@ -187,18 +189,12 @@ class ExactnessReport:
         return self.eps_injective and self.ker_d_eq_im_eps and self.d_surjective
 
 
-def check_resolution_exactness(V: TwistedRep, max_degree: int,
-                               matrices: Optional[Tuple[ExactMatrix, ExactMatrix]] = None
-                               ) -> ExactnessReport:
-    """Rank checks of exactness on the truncation (valid for max_degree >= 1).
-
-    matrices are (eps, d) from resolution_matrices(V, max_degree), when the
-    caller has them already; they are built otherwise.
-    """
-    if max_degree < 1:
+def check_resolution_exactness(layout: ResolutionLayout, eps: ExactMatrix,
+                               d: ExactMatrix) -> ExactnessReport:
+    """Rank checks that (eps, d) = resolution_matrices(V, layout) is exact, max_degree >= 1."""
+    if layout.basis.max_degree < 1:
         raise ValueError("exactness requires max_degree >= 1")
-    eps, d = matrices or resolution_matrices(V, max_degree)
-    total = V.total_dim()
+    total = eps.ncols
     eps_injective = rank(eps) == total
     composite_zero = (d @ eps).is_zero()
     rank_d = rank(d)
@@ -207,69 +203,27 @@ def check_resolution_exactness(V: TwistedRep, max_degree: int,
     return ExactnessReport(eps_injective, ker_d_eq_im_eps, d_surjective)
 
 
-@dataclass
-class GradedMapFamily:
-    """Degreewise components alpha (per vertex) and beta (per arrow).
+def lift_beta(V: TwistedRep, layout: ResolutionLayout, beta: Sequence,
+              d: ExactMatrix) -> Optional[list]:
+    """Preimage alpha with d·alpha = beta, by induction on the degree.
 
-    alpha[(i, l)] : Hom(e_i A_l, V_i) for l <= max_degree;
-    beta[(a, l)]  : Hom(M_a ⊗ e_ta A_l, V_ha) for l <= max_degree − 1.
+    beta holds layout.g_total coordinates in the order of d's rows; alpha
+    is returned in the order of d's columns.  Degree 0 components vanish;
+    on e_i A_l the components are defined by alpha_i(x_a ⊗ x) =
+    x_a·alpha_ta(x) + beta_a(x_a ⊗ x).  The identity d·alpha = beta is
+    re-verified by matrix multiplication; None when it fails.
     """
-
-    max_degree: int
-    alpha: Optional[Dict[Tuple[int, int], ExactMatrix]] = None
-    beta: Optional[Dict[Tuple[int, int], ExactMatrix]] = None
-
-
-def _to_vector(offsets: Dict[Tuple[int, int], int], total: int,
-               blocks: Dict[Tuple[int, int], ExactMatrix]) -> list:
-    out = [None] * total
-    for key, mat in blocks.items():
-        base = offsets[key]
-        out[base:base + mat.nrows * mat.ncols] = vec_matrix(mat)
-    return out
-
-
-def alpha_to_vector(layout: ResolutionLayout,
-                    alpha: Dict[Tuple[int, int], ExactMatrix]) -> list:
-    return _to_vector(layout.f_offsets, layout.f_total, alpha)
-
-
-def beta_to_vector(layout: ResolutionLayout,
-                   beta: Dict[Tuple[int, int], ExactMatrix]) -> list:
-    return _to_vector(layout.g_offsets, layout.g_total, beta)
-
-
-def lift_beta(V: TwistedRep, beta: GradedMapFamily,
-              layout: Optional[ResolutionLayout] = None,
-              d: Optional[ExactMatrix] = None) -> GradedMapFamily:
-    """Preimage alpha with d(alpha) = beta, by induction on the degree.
-
-    Degree 0 components vanish; on e_i A_l the components are defined by
-    alpha_i(x_a ⊗ x) = x_a·alpha_ta(x) + beta_a(x_a ⊗ x).  The identity
-    d(alpha) = beta is re-verified by matrix multiplication before
-    returning, with the matrix d of the layout when given, built otherwise.
-    """
-    n = beta.max_degree
-    if layout is None:
-        layout = resolution_layout(V, n)
+    if len(beta) != layout.g_total:
+        raise ValueError(f"beta has {len(beta)} coordinates, expected {layout.g_total}")
     basis = layout.basis
     field = V.field
-    bmats = beta.beta or {}
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        for l in range(n):
-            want = (V.dims[h], V.twist[a] * basis.dim[(t, l)])
-            got = bmats.get((a, l))
-            if got is None or got.shape != want:
-                raise ValueError(f"beta[({a}, {l})] missing or of wrong shape")
-
+    blocks = {(a, l): unvec_matrix(field, beta, V.dims[h], V.twist[a] * basis.dim[(t, l)],
+                                   layout.g_offsets[(a, l)])
+              for a, (t, h) in enumerate(V.quiver.arrows) for l in range(basis.max_degree)}
     alpha = {(i, 0): ExactMatrix.zeros(field, di, 1) for i, di in enumerate(V.dims)}
-    _extend(V, basis, alpha, bmats)
-
-    if d is None:
-        d = _d_matrix(V, layout)
-    avec = alpha_to_vector(layout, alpha)
-    bvec = beta_to_vector(layout, bmats)
-    image = d.apply(avec)
-    if image != [field.element(x) for x in bvec]:
-        raise AssertionError("lift does not satisfy d(alpha) = beta")
-    return GradedMapFamily(max_degree=n, alpha=alpha)
+    _extend(V, basis, alpha, blocks)
+    # f_offsets lists the blocks in the order they tile d's columns
+    avec = [x for key in layout.f_offsets for x in vec_matrix(alpha[key])]
+    if d.apply(avec) != [field.element(x) for x in beta]:
+        return None
+    return avec

@@ -26,6 +26,7 @@ shared layout and summand walk; tests/test_connecting_map.py checks those.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import List, Sequence, Tuple
@@ -50,14 +51,14 @@ class SplitBundle:
     twists: Tuple[int, ...]
 
     def __init__(self, twists):
-        twists = tuple(int(d) for d in twists)
+        twists = tuple(operator.index(d) for d in twists)
         if any(twists[k] < twists[k + 1] for k in range(len(twists) - 1)):
             raise ValueError("twists must be sorted non-increasing")
         object.__setattr__(self, "twists", twists)
 
     @staticmethod
     def of(twists) -> "SplitBundle":
-        return SplitBundle(tuple(sorted((int(d) for d in twists), reverse=True)))
+        return SplitBundle(sorted(twists, reverse=True))
 
     @property
     def rank(self) -> int:

@@ -31,10 +31,10 @@ from quivhom.rep import (
     is_split_extension,
 )
 from quivhom.resolution import (
-    GradedMapFamily,
     check_resolution_exactness,
     lift_beta,
     resolution_layout,
+    resolution_matrices,
 )
 from quivhom.sheaf import cech_hyper, euler_check, ext_quiver_sheaf
 
@@ -74,7 +74,9 @@ def test_criterion_1_resolution_exactness():
     all_ok = True
     for inst in vector_instances():
         for module in inst.modules.values():
-            rep = check_resolution_exactness(module, RESOLUTION_DEGREE)
+            layout = resolution_layout(module, RESOLUTION_DEGREE)
+            rep = check_resolution_exactness(
+                layout, *resolution_matrices(module, layout))
             all_ok = all_ok and rep.all_ok()
     elapsed = time.monotonic() - t0
     _report(1, f"resolution exactness, {N_VECTOR_INSTANCES} instances, "
@@ -90,22 +92,11 @@ def test_criterion_2_lifting_round_trip():
     for inst in vector_instances():
         V = inst.modules["V"]
         layout = resolution_layout(V, RESOLUTION_DEGREE)
+        eps, d = resolution_matrices(V, layout)
         for _ in range(per_instance):
-            beta = {}
-            for a, (t, h) in enumerate(V.quiver.arrows):
-                for l in range(RESOLUTION_DEGREE):
-                    rows = V.dims[h]
-                    cols = V.twist[a] * layout.basis.dim[(t, l)]
-                    beta[(a, l)] = ExactMatrix(
-                        V.field, rows, cols,
-                        [[rng.randrange(101) for _ in range(cols)]
-                         for _ in range(rows)])
-            try:
-                # lift_beta re-verifies d(alpha) = beta by multiplication
-                lift_beta(V, GradedMapFamily(max_degree=RESOLUTION_DEGREE,
-                                             beta=beta), layout)
-            except AssertionError:
-                ok = False
+            beta = [rng.randrange(101) for _ in range(layout.g_total)]
+            # lift_beta re-verifies d(alpha) = beta by multiplication
+            ok = lift_beta(V, layout, beta, d) is not None and ok
             count += 1
     _report(2, f"d(lift_beta(beta)) = beta for {count} >= 200 random beta",
             ok and count >= 200)

@@ -139,6 +139,19 @@ def test_check_passes_on_jordan(capsys):
         assert result[key] == "pass"
 
 
+@pytest.mark.parametrize("name, fake, failed", [
+    ("lift_beta", lambda *args: None, "lift_roundtrip"),
+    ("check_resolution_exactness",
+     lambda *args: quivhom.ExactnessReport(True, False, True), "ker_d_eq_im_eps"),
+], ids=["lift", "exactness"])
+def test_check_failure_exits_1(capsys, monkeypatch, name, fake, failed):
+    monkeypatch.setattr(cli, name, fake)
+    code, out, _ = run(capsys, "check", JORDAN, "J2")
+    assert code == 1
+    for key in ("eps_injective", "ker_d_eq_im_eps", "d_surjective", "lift_roundtrip"):
+        assert f"{key}: {'FAIL' if key == failed else 'pass'}\n" in out
+
+
 def test_check_rejects_degree_zero(capsys):
     code, _, err = run(capsys, "check", JORDAN, "J2", "--max-degree", "0")
     assert code == 3
@@ -358,12 +371,23 @@ def _python(*args, timeout=60, preexec_fn=None):
                           env=env, timeout=timeout, preexec_fn=preexec_fn)
 
 
+def _asserts(node) -> bool:
+    """An assert statement, or a raise or except naming AssertionError."""
+    if isinstance(node, ast.Assert):
+        return True
+    named = (node.exc if isinstance(node, ast.Raise)
+             else node.type if isinstance(node, ast.ExceptHandler) else None)
+    return named is not None and any(isinstance(n, ast.Name) and n.id == "AssertionError"
+                                     for n in ast.walk(named))
+
+
 def test_package_has_no_assert_statement():
-    # cross-checks must keep working under python -O, which strips asserts
+    # cross-checks must keep working under python -O, which strips asserts,
+    # and a failed check is a return value or CrossCheckError, not AssertionError
     package = Path(quivhom.__file__).parent
     found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
+             if _asserts(node)]
     assert found == []
 
 

@@ -33,6 +33,11 @@ def test_quiver_validation():
     assert q.arrows_into(0) == [1]
 
 
+def test_quiver_rejects_float_endpoints():
+    with pytest.raises(TypeError):
+        Quiver(2, [(0.5, 1.9)])
+
+
 def test_loop_quiver_one_path_per_length():
     loop = Quiver(1, [(0, 0)])
     basis = GradedBasis(loop, _untwisted(loop), 3)

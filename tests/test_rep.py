@@ -49,6 +49,16 @@ def test_rep_shape_validation():
         TwistData([0])
 
 
+def test_twist_data_rejects_a_float():
+    with pytest.raises(TypeError):
+        TwistData([1.7])
+
+
+def test_rep_rejects_a_float_dimension():
+    with pytest.raises(TypeError):
+        TwistedRep(LOOP, UNTWISTED, Q, [2.9], [ExactMatrix(Q, 2, 2)])
+
+
 def _actions(V, max_degree):
     # block [(i, l)]: each basis element x of e_i A_l acting on V = ⊕_j V_j
     return path_actions(V, GradedBasis(V.quiver, V.twist, max_degree))
@@ -221,6 +231,16 @@ def test_build_extension_jordan_block():
     assert E.phi[0].to_lists() == [[Fraction(0), Fraction(1)],
                                    [Fraction(0), Fraction(0)]]
     assert not is_split_extension(E, V, V)
+
+
+@pytest.mark.parametrize("e_dims", [[1, 3], [3, 1]])
+def test_split_extension_checks_the_shape_of_e(e_dims):
+    # on 0 -> 1, V and W of dims [1, 1] need E of dims [2, 2]
+    q = Quiver(2, [(0, 1)])
+    V = TwistedRep(q, UNTWISTED, Q, [1, 1], [ExactMatrix(Q, 1, 1, [[1]])])
+    E = TwistedRep.zero_maps(q, UNTWISTED, Q, e_dims)
+    with pytest.raises(ValueError, match="vertex"):
+        is_split_extension(E, V, V)
 
 
 def test_build_extension_shape_check():

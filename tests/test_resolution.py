@@ -14,9 +14,6 @@ from quivhom.quiver import Quiver
 from quivhom.rep import TwistData, TwistedRep
 from quivhom.resolution import (
     GradedBasis,
-    GradedMapFamily,
-    alpha_to_vector,
-    beta_to_vector,
     check_resolution_exactness,
     lift_beta,
     resolution_layout,
@@ -36,6 +33,12 @@ def simple_loop_module(field=Q):
     return TwistedRep(LOOP, UNTWISTED, field, [1], [ExactMatrix(field, 1, 1, [[0]])])
 
 
+def resolve(V, n):
+    """(layout, eps, d) of the resolution of V truncated at degree n."""
+    layout = resolution_layout(V, n)
+    return (layout, *resolution_matrices(V, layout))
+
+
 def test_graded_basis_dimensions():
     q = Quiver(1, [(0, 0), (0, 0)])
     tw = TwistData([2, 1])
@@ -48,7 +51,7 @@ def test_graded_basis_dimensions():
 def test_degree_zero_truncation():
     V = TwistedRep(LOOP, UNTWISTED, Q, [2],
                    [ExactMatrix(Q, 2, 2, [[0, 1], [0, 0]])])
-    eps, d = resolution_matrices(V, 0)
+    eps, d = resolution_matrices(V, resolution_layout(V, 0))
     assert d.nrows == 0
     assert eps.shape == (2, 2)
     assert rank(eps) == 2           # v -> (v_i)_i is injective
@@ -58,7 +61,7 @@ def test_polynomial_example_matrices():
     # eps(1) = (1, 0, 0) on the duals of 1, x, x^2; ker(d) is one-dimensional
     V = simple_loop_module()
     layout = resolution_layout(V, 2)
-    eps, d = resolution_matrices(V, 2, layout)
+    eps, d = resolution_matrices(V, layout)
     duals = [layout.f_offsets[(0, l)] for l in range(3)]    # of 1, x, x^2
     assert eps.shape == (3, 1)
     assert [eps.column_list(0)[c] for c in duals] == [Fraction(1), Fraction(0),
@@ -73,26 +76,26 @@ def test_polynomial_example_matrices():
 def test_acyclic_triple_resolution():
     q = Quiver(2, [(1, 0)])
     V = TwistedRep(q, UNTWISTED, Q, [1, 1], [ExactMatrix(Q, 1, 1, [[1]])])
-    eps, d = resolution_matrices(V, 2)
+    eps, d = resolution_matrices(V, resolution_layout(V, 2))
     assert rank(d) == d.nrows                # d surjective
     assert d.ncols - rank(d) == 2            # nullity = dim V
 
 
 def test_exactness_requires_positive_degree():
     with pytest.raises(ValueError):
-        check_resolution_exactness(simple_loop_module(), 0)
+        check_resolution_exactness(*resolve(simple_loop_module(), 0))
 
 
 def test_exactness_zero_module():
     V = TwistedRep.zero_maps(LOOP, UNTWISTED, Q, [0])
-    report = check_resolution_exactness(V, 2)
+    report = check_resolution_exactness(*resolve(V, 2))
     assert report.all_ok()
 
 
 def test_exactness_jordan_block():
     V = TwistedRep(LOOP, UNTWISTED, Q, [2],
                    [ExactMatrix(Q, 2, 2, [[0, 1], [0, 0]])])
-    assert check_resolution_exactness(V, 3).all_ok()
+    assert check_resolution_exactness(*resolve(V, 3)).all_ok()
 
 
 def _random_rep(rng, max_vertices=3, max_arrows=4, max_dim=3, max_twist=2):
@@ -116,7 +119,7 @@ def test_exactness_random_instances_all_degrees():
     for _ in range(8):
         V = _random_rep(rng)
         for n in range(1, 5):
-            assert check_resolution_exactness(V, n).all_ok()
+            assert check_resolution_exactness(*resolve(V, n)).all_ok()
 
 
 def test_exactness_random_rational_instance():
@@ -135,61 +138,59 @@ def test_exactness_random_rational_instance():
                                    [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                      for _ in range(cols)] for _ in range(rows)]))
         V = TwistedRep(q, tw, Q, dims, phi)
-        assert check_resolution_exactness(V, 3).all_ok()
+        assert check_resolution_exactness(*resolve(V, 3)).all_ok()
 
 
 def test_lift_zero_beta_gives_zero_alpha():
     V = simple_loop_module()
-    layout = resolution_layout(V, 2)
-    beta = {(0, l): ExactMatrix.zeros(Q, 1, layout.basis.dim[(0, l)])
-            for l in range(2)}
-    fam = lift_beta(V, GradedMapFamily(max_degree=2, beta=beta), layout)
-    assert all(m.is_zero() for m in fam.alpha.values())
+    layout, eps, d = resolve(V, 2)
+    alpha = lift_beta(V, layout, [0] * layout.g_total, d)
+    assert len(alpha) == layout.f_total
+    assert all(x == 0 for x in alpha)
 
 
 def test_lift_monomial_dual_example():
     # beta the dual of x: alpha vanishes in degree 0 and is 1 on x
     V = simple_loop_module()
-    layout = resolution_layout(V, 1)
-    beta = {(0, 0): ExactMatrix(Q, 1, 1, [[1]])}
-    fam = lift_beta(V, GradedMapFamily(max_degree=1, beta=beta), layout)
-    assert fam.alpha[(0, 0)].is_zero()
-    assert fam.alpha[(0, 1)].to_lists() == [[Fraction(1)]]
+    layout, eps, d = resolve(V, 1)
+    alpha = lift_beta(V, layout, [1], d)
+    assert alpha[layout.f_offsets[(0, 0)]] == 0
+    assert alpha[layout.f_offsets[(0, 1)]] == Fraction(1)
 
 
 def test_lift_random_round_trip():
     rng = random.Random(8)
     for _ in range(10):
         V = _random_rep(rng)
-        n = rng.randint(1, 3)
-        layout = resolution_layout(V, n)
-        beta = {}
-        for a, (t, h) in enumerate(V.quiver.arrows):
-            for l in range(n):
-                rows = V.dims[h]
-                cols = V.twist[a] * layout.basis.dim[(t, l)]
-                beta[(a, l)] = ExactMatrix(
-                    F101, rows, cols,
-                    [[rng.randrange(101) for _ in range(cols)]
-                     for _ in range(rows)])
-        fam = lift_beta(V, GradedMapFamily(max_degree=n, beta=beta), layout)
+        layout, eps, d = resolve(V, rng.randint(1, 3))
+        beta = [rng.randrange(101) for _ in range(layout.g_total)]
+        alpha = lift_beta(V, layout, beta, d)
+        assert alpha is not None
         # cross-check the verified identity once more through the matrices
-        eps, d = resolution_matrices(V, n, layout)
-        assert d.apply(alpha_to_vector(layout, fam.alpha)) == [
-            V.field.element(x) for x in beta_to_vector(layout, beta)]
+        assert d.apply(alpha) == [V.field.element(x) for x in beta]
 
 
 def test_lift_shape_validation():
     V = simple_loop_module()
+    layout, eps, d = resolve(V, 1)
     with pytest.raises(ValueError):
-        lift_beta(V, GradedMapFamily(max_degree=1, beta={}))
+        lift_beta(V, layout, [], d)
+
+
+def test_lift_reports_a_failed_recheck():
+    # alpha lifts beta through d, so 2d·alpha = 2beta misses beta
+    V = _random_rep(random.Random(5))
+    layout, eps, d = resolve(V, 2)
+    beta = [1] * layout.g_total
+    assert lift_beta(V, layout, beta, d) is not None
+    assert lift_beta(V, layout, beta, d.scale(2)) is None
 
 
 def test_composite_d_eps_vanishes():
     rng = random.Random(21)
     for _ in range(5):
         V = _random_rep(rng)
-        eps, d = resolution_matrices(V, 3)
+        eps, d = resolution_matrices(V, resolution_layout(V, 3))
         assert (d @ eps).is_zero()
 
 
@@ -204,7 +205,8 @@ def test_resolution_matrices_pinned():
     for seed in range(50):
         instance = load_instance(generate_document(seed))
         for name in ("V", "W"):
-            eps, d = resolution_matrices(instance.modules[name], 4)
+            V = instance.modules[name]
+            eps, d = resolution_matrices(V, resolution_layout(V, 4))
             digest.update(repr((seed, name, eps.shape, sorted(eps.nonzeros()),
                                 d.shape, sorted(d.nonzeros()))).encode())
     assert digest.hexdigest() == RESOLUTION_DIGEST
@@ -249,7 +251,7 @@ def _check_blocks_against_path_actions(V, n):
             ((p, k) for p in paths for k in range(path_tensor_dim(V.twist, p))),
             key=repr)
 
-    eps, d = resolution_matrices(V, n, layout)
+    eps, d = resolution_matrices(V, layout)
     total = V.total_dim()
     v_offsets = [sum(V.dims[:j]) for j in range(len(V.dims))]
     for (i, l), elems in listing.items():

@@ -46,6 +46,11 @@ def test_split_bundle_canonical_form():
     assert SplitBundle([]).rank == 0
 
 
+def test_split_bundle_rejects_float_twists():
+    with pytest.raises(TypeError):
+        SplitBundle([1.5, 0.2])
+
+
 def test_form_matrix_coefficient_count():
     # a form of degree d lists the d + 1 coefficients of x^d, ..., y^d
     src, dst = SplitBundle([0]), SplitBundle([2])
