@@ -23,6 +23,7 @@ keys are rejected and every shape constraint is re-validated on load.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -113,12 +114,22 @@ def _parse_quiver(value, path: str) -> Quiver:
 
 
 def _parse_entry(field: FieldSpec, value, path: str):
-    """A checked entry, an int or a Fraction; the matrix brings it into the field."""
+    """A checked entry, an int or a Fraction; the matrix brings it into the field.
+
+    Fraction expands an exponent ("1e10000000") into a full integer, so a
+    string whose expansion would have more digits than Python's limit for
+    integer strings (its default, if switched off) is rejected first.
+    """
     if field.is_prime_field:
         return _require_int(value, path)
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InstanceError("expected an integer or a fraction string", path)
     try:
+        if isinstance(value, str):
+            mantissa, e, exponent = value.lower().partition("e")
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            if e and len(mantissa) + abs(int(exponent)) > limit:
+                raise ValueError
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise InstanceError(f"not a rational number: {value!r}", path)

@@ -101,7 +101,10 @@ class FieldSpec:
         return self.kind == "prime_field"
 
     def element(self, value) -> Element:
-        """Coerce an int, string ("3/2", "7") or Fraction into the field."""
+        """Coerce an int, string ("3/2", "7") or Fraction into the field; a
+        float, which is not exact and which int() would truncate, raises TypeError."""
+        if isinstance(value, float):
+            raise TypeError(f"{value!r} is a float, not an exact field element")
         p = self.modulus
         if p is None:
             return value if type(value) is Fraction else Fraction(value)

@@ -96,7 +96,7 @@ class TwistedRep:
                                      m_index * d, (m_index + 1) * d)
 
     def summand_data(self):
-        """Input of connecting_terms: summands are the basis vectors.
+        """Input of connecting_matrix: summands are the basis vectors.
 
         Returns the per-vertex dimensions, the identity order of each
         tensor basis of M_a⊗V_ta, and the rows of each phi_a as
@@ -200,7 +200,7 @@ def hom_layout(V, W, dim_of) -> HomLayout:
 
 
 def hom_summands(V, W) -> int:
-    """How many summands hom_layout and connecting_terms visit: the Hom
+    """How many summands hom_layout and connecting_matrix visit: the Hom
     summands, and those of each V_i, W_i, M_a⊗V_ta and M_a⊗W_ta, counted
     without enumerating them."""
     v_sizes, v_order, _ = V.summand_data()
@@ -219,17 +219,19 @@ def one_coordinate(d: int) -> int:
     return 1
 
 
-def connecting_terms(V, W):
-    """Terms of the connecting map f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a.
+def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
+    """f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a in the coordinates of
+    hom_layout(V, W, dim_of), for two TwistedReps or two QSheafP1s.
 
-    V and W are two TwistedReps or two QSheafP1s (see summand_data).  Each
-    term (a, i, (s, r), (c, r2), coefficient, sign) says that the (r, s)
-    entry of f_i, acted on by the coefficient, lands in the (r2, c) entry of
-    the arrow-a component; c indexes M_a⊗V_ta in stored order.  A term is
-    yielded for every stored entry of phi_a and psi_a: a TwistedRep stores no
-    zero, and an all-zero form of a QSheafP1 yields a term with no runs.  The
-    caller supplies how a coefficient acts.
+    Each stored entry cf of phi_a or psi_a sends the (r, s) entry of some f_i
+    into the (r2, c) entry of the arrow-a component, c indexing M_a⊗V_ta in
+    stored order.  times(d, cf) lists the diagonal runs (k, k2, n, x) of
+    acting by cf on a Hom summand of twist d: coordinate k + e of it goes to
+    x times coordinate k2 + e of the arrow summand, 0 <= e < n.
     """
+    V.compatible_with(W)
+    vertex, arrow, vertex_start, arrow_start = hom_layout(V, W, dim_of)
+    out = MatrixBuilder(V.field, arrow_start[-1], vertex_start[-1])
     v_sizes, v_order, phi = V.summand_data()
     w_sizes, w_order, psi = W.summand_data()
     for a, (t, h) in enumerate(V.quiver.arrows):
@@ -237,34 +239,23 @@ def connecting_terms(V, W):
         for s in range(v_sizes[h]):
             for c, cf in phi[a][s].items():
                 for r in range(w_sizes[h]):
-                    yield a, h, (s, r), (c, r), cf, 1
+                    col, d = vertex[h][s][r]
+                    row = arrow[a][c][r][0]
+                    for k, k2, n, x in times(d, cf):
+                        out.add_run(row + k2, col + k, n, x)
         # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
         # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
-        for n, c in enumerate(v_order[a]):
-            m, s = divmod(n, v_sizes[t])
+        for pos, c in enumerate(v_order[a]):
+            m, s = divmod(pos, v_sizes[t])
             for r in range(w_sizes[t]):
                 j = w_order[a][m * w_sizes[t] + r]
+                col, d = vertex[t][s][r]
                 for r2 in range(w_sizes[h]):
                     cf = psi[a][r2].get(j)
                     if cf is not None:
-                        yield a, t, (s, r), (c, r2), cf, -1
-
-
-def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
-    """The connecting map in the coordinates of hom_layout(V, W, dim_of).
-
-    times(d, cf) lists the diagonal runs (k, k2, n, x) of acting by the
-    coefficient cf on a Hom summand of twist d: coordinate k + e of it goes
-    to x times coordinate k2 + e of the arrow summand it lands in, 0 <= e < n.
-    """
-    V.compatible_with(W)
-    vertex, arrow, vertex_start, arrow_start = hom_layout(V, W, dim_of)
-    out = MatrixBuilder(V.field, arrow_start[-1], vertex_start[-1])
-    for a, i, (s, r), (c, r2), cf, sign in connecting_terms(V, W):
-        col, d = vertex[i][s][r]
-        row = arrow[a][c][r2][0]
-        for k, k2, n, x in times(d, cf):
-            out.add_run(row + k2, col + k, n, sign * x)
+                        row = arrow[a][c][r2][0]
+                        for k, k2, n, x in times(d, cf):
+                            out.add_run(row + k2, col + k, n, -x)
     return out.build()
 
 

@@ -193,7 +193,7 @@ class QSheafP1:
         return QSheafP1(quiver, field, twist_bundles, vertex_bundles, phi, _tensors=tensors)
 
     def summand_data(self):
-        """Input of connecting_terms: summands are the line bundles.
+        """Input of connecting_matrix: summands are the line bundles.
 
         Returns the per-vertex ranks, each tensor bundle's inv_perm (natural
         index -> sorted position) and the stored rows of each phi_a, {column:
@@ -374,6 +374,8 @@ def _horizontal(window: int):
 
 def _cech_layouts(V: QSheafP1, W: QSheafP1, extra_window: int):
     """The window T, the chart layout and the overlap layout."""
+    if extra_window < 0:
+        raise ValueError(f"extra_window must be non-negative, got {extra_window}")
     hom = ([(V.vertex_bundles[i], W.vertex_bundles[i]) for i in range(V.quiver.n_vertices)]
            + [(V.tensors[a].bundle, W.vertex_bundles[h])
               for a, (_, h) in enumerate(V.quiver.arrows)])
@@ -418,7 +420,8 @@ def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, in
     Computed from the total complex of the Cech double complex on the
     two-chart cover, with Laurent exponents truncated to [-T, T] where
     T = max |twist| over all Hom-bundle summands + 2 + extra_window.
-    Enlarging the window never changes the result.
+    Enlarging the window never changes the result; a negative extra_window
+    raises ValueError.
     """
     V.compatible_with(W)
     d0, d1 = _cech_matrices(V, W, extra_window)

@@ -109,6 +109,28 @@ def test_huge_modulus_decided_quickly(tmp_path, capsys, modulus, want):
         assert "$.field.fp" in err
 
 
+# Fraction would expand "1e10000000" into a 33-million-bit integer, which took
+# seconds; a vector matrix entry and a p1 form coefficient over Q
+HUGE_EXPONENT = {
+    "vector": ({"dims": [1], "phi": [[["1e10000000"]]]}, 1, "$.modules.V.phi[0][0][0]"),
+    "p1": ({"twists": [[0]], "phi": [[[["1e10000000"]]]]}, [0], "$.modules.V.phi[0][0][0][0]"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(HUGE_EXPONENT))
+def test_huge_exponent_rejected_quickly(tmp_path, capsys, mode):
+    module, twist, path = HUGE_EXPONENT[mode]
+    doc = {"field": "q", "quiver": {"vertices": 1, "arrows": [[0, 0]]}, "mode": mode,
+           "twists": [twist], "modules": {"V": module}}
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ext", str(f), "V", "V")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert f"{path}: not a rational number" in err
+
+
 def test_validation_error_names_path(tmp_path, capsys):
     doc = json.loads(Path(TRIPLE).read_text())
     doc["modules"]["V"]["dims"] = [0, -1]
@@ -200,6 +222,28 @@ def test_gen_output_pinned(capsys, mode_and_flags):
 
 
 GEN_FLAGS = ("--max-vertices", "--max-arrows", "--max-dim", "--max-twist")
+
+
+# sha256 over what `gen` prints past its default bounds: seeds 0..49 in each
+# mode at the bounds of the benchmark and acceptance workloads, then seeds
+# 0..9 in each mode with every bound at 8; recorded while gen still wrote
+# its documents by hand.
+WIDE_GEN_RUNS = (
+    [(seed, "vector", "4", "5", "3", "2") for seed in range(50)]
+    + [(seed, "p1", "4", "5", "3", "3") for seed in range(50)]
+    + [(seed, mode, "8", "8", "8", "8") for mode in ("vector", "p1") for seed in range(10)]
+)
+WIDE_GEN_DIGEST = "601585538acecfb24f0bb9b252c91112214e8fd56d81f348ad625d1f79107bd6"
+
+
+def test_gen_output_pinned_past_default_bounds(capsys):
+    digest = hashlib.sha256()
+    for seed, mode, *bounds in WIDE_GEN_RUNS:
+        flags = [x for flag, b in zip(GEN_FLAGS, bounds) for x in (flag, b)]
+        code, out, _ = run(capsys, "gen", "--seed", str(seed), "--mode", mode, *flags)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == WIDE_GEN_DIGEST
 
 
 def test_gen_bad_bounds_exit_3(capsys):

@@ -1,8 +1,8 @@
 """The connecting map f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a, checked on its own.
 
 delta, delta0, delta1 and the Cech horizontal maps are all assembled by one
-routine (rep.connecting_matrix), from one summand walk (rep.connecting_terms)
-in the coordinates of one layout (rep.hom_layout); only the vertical Cech
+routine (rep.connecting_matrix), which walks the summands itself, in the
+coordinates of one layout (rep.hom_layout); only the vertical Cech
 differences are built apart.  So agreement of the long exact sequence with
 Cech hypercohomology tests neither the walk nor the layout.  Here delta and
 delta0 are rebuilt column by column from whole-matrix products, the

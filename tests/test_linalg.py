@@ -45,6 +45,17 @@ def test_field_spec_validation():
     assert F5.element(-1) == 4
 
 
+def test_floats_are_not_truncated_into_the_field():
+    # F_7 stored 2.9 as 2, and Q stored 0.1 as 3602879701896397/36028797018963968
+    F7 = FieldSpec.prime(7)
+    with pytest.raises(TypeError):
+        ExactMatrix(F7, 1, 1, [[2.9]])
+    with pytest.raises(TypeError):
+        MatrixBuilder(F7, 1, 1).add(0, 0, 2.9)
+    with pytest.raises(TypeError):
+        Q.element(0.1)
+
+
 def test_rank_empty_matrix():
     assert rank(ExactMatrix.zeros(Q, 0, 0)) == 0
 

@@ -15,6 +15,7 @@ from quivhom.sheaf import (
     SplitBundle,
     _cech_layouts,
     _cech_matrices,
+    cech_dims,
     cech_hyper,
     delta0_matrix,
     delta1_matrix,
@@ -298,6 +299,16 @@ def test_window_stability():
     for _ in range(8):
         V, W = _random_pair(rng)
         assert cech_hyper(V, W) == cech_hyper(V, W, extra_window=2)
+
+
+@pytest.mark.parametrize("entry", [cech_hyper, cech_dims])
+def test_negative_window_rejected(entry):
+    # below the window its truncation argument needs; cech_hyper raised
+    # IndexError from assembly on some generated pairs
+    for seed in (1, 7, 18):
+        inst = load_instance(generate_document(seed, mode="p1"))
+        with pytest.raises(ValueError, match="extra_window"):
+            entry(inst.modules["V"], inst.modules["W"], -3)
 
 
 def test_global_twist_shift_invariance():
