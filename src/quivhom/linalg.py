@@ -14,11 +14,15 @@ places each diagonal run whole, so building a matrix takes no second pass.
 
 One routine, `_echelon`, does all elimination.  It reduces each row in
 turn against the pivot rows found so far, leftmost column first, and adds
-what is left as a new pivot row; with reduced=True it back-substitutes to
-the reduced row echelon form.  The pivot columns of any echelon form of a
-matrix are the columns where the rank of the leading columns grows, and
-the reduced row echelon form is unique, so neither depends on the order
-in which rows are taken or pivots are found.  Ranks, kernel bases,
+what is left as a new pivot row; with reduced=True it scales each pivot row
+to 1 and back-substitutes to the reduced row echelon form.  It never
+writes to an input row: it copies one when a subtraction first changes it,
+or when reduced=True takes it as a pivot row.  So with reduced=False a
+pivot row that needed no subtraction is the input row itself, unscaled.
+The pivot columns of any echelon form of a matrix are the columns where
+the rank of the leading columns grows, and the reduced row echelon form is
+unique, so neither depends on the order in which rows are taken or pivots
+are found.  Ranks, kernel bases,
 solutions and cokernel representatives are therefore the same as those of
 textbook Gaussian elimination, and reproducible byte for byte.  Once every
 column holds a pivot, `_echelon` takes no more rows: they lie in the span of
@@ -453,26 +457,42 @@ def _subtract_multiple(row: dict, f: Element, prow: dict, p: Optional[int]):
 def _echelon(m: ExactMatrix, reduced: bool) -> list:
     """Pivot rows [(pivot column, row)] of an echelon form of m, by column.
 
-    Each pivot row is scaled to 1 at its pivot column and has no entries
-    left of it.  With reduced=True the rows form the reduced row echelon
-    form: no pivot row has an entry in another row's pivot column.
+    No pivot row has an entry left of its pivot column.  With reduced=True
+    each is scaled to 1 there and the rows form the reduced row echelon
+    form: no pivot row has an entry in another row's pivot column.  With
+    reduced=False the rows are not scaled, and a row of m that needed no
+    subtraction is returned as it is, the same dict.  No row of m is written
+    to: a row is copied when a subtraction first changes it, or when
+    reduced=True takes it as a pivot row.
     """
     field, p = m.field, m.field.modulus
-    pivots = {}
+    pivots, invs = {}, {}
     for src in m._rows:
         if len(pivots) == m.ncols:
             break
-        row = dict(src)
+        row = src
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                inv = field.inv(row[c])
-                if inv != 1:    # the entries are field elements already: only scale
-                    row = {j: x * inv % p if p else x * inv for j, x in row.items()}
+                if reduced:
+                    inv = field.inv(row[c])
+                    if inv != 1:    # the entries are field elements already: only scale
+                        row = {j: x * inv % p if p else x * inv for j, x in row.items()}
+                    elif row is src:
+                        row = dict(src)     # back-substitution writes to it
                 pivots[c] = row
                 break
-            _subtract_multiple(row, row[c], prow, p)
+            if row is src:
+                row = dict(src)
+            if reduced:
+                f = row[c]
+            else:
+                inv = invs.get(c)
+                if inv is None:
+                    inv = invs[c] = field.inv(prow[c])
+                f = row[c] * inv % p if p else row[c] * inv
+            _subtract_multiple(row, f, prow, p)
     order = sorted(pivots)
     if reduced:
         # right to left: rows at later pivots are already fully reduced

@@ -230,8 +230,16 @@ def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
     x times coordinate k2 + e of the arrow summand, 0 <= e < n.
     """
     V.compatible_with(W)
-    vertex, arrow, vertex_start, arrow_start = hom_layout(V, W, dim_of)
-    out = MatrixBuilder(V.field, arrow_start[-1], vertex_start[-1])
+    layout = hom_layout(V, W, dim_of)
+    out = MatrixBuilder(V.field, layout.arrow_start[-1], layout.vertex_start[-1])
+    _connecting_runs(V, W, layout, times, out.add_run)
+    return out.build()
+
+
+def _connecting_runs(V, W, layout: HomLayout, times, place) -> None:
+    """The summand walk of connecting_matrix: place(i, j, n, x) for each
+    diagonal run, i an arrow-side and j a vertex-side coordinate of layout."""
+    vertex, arrow = layout.vertex, layout.arrow
     v_sizes, v_order, phi = V.summand_data()
     w_sizes, w_order, psi = W.summand_data()
     for a, (t, h) in enumerate(V.quiver.arrows):
@@ -242,7 +250,7 @@ def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
                     col, d = vertex[h][s][r]
                     row = arrow[a][c][r][0]
                     for k, k2, n, x in times(d, cf):
-                        out.add_run(row + k2, col + k, n, x)
+                        place(row + k2, col + k, n, x)
         # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
         # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
         for pos, c in enumerate(v_order[a]):
@@ -255,8 +263,7 @@ def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
                     if cf is not None:
                         row = arrow[a][c][r2][0]
                         for k, k2, n, x in times(d, cf):
-                            out.add_run(row + k2, col + k, n, -x)
-    return out.build()
+                            place(row + k2, col + k, n, -x)
 
 
 def _scalar_times(d: int, cf) -> tuple:

@@ -147,15 +147,17 @@ def path_actions(V: TwistedRep, basis: GradedBasis) -> Dict[Tuple[int, int], Exa
 
 
 def _eps_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
-    # eps(v)(x) = x·v
+    # eps(v)(x) = x·v.  Each nonzero of a path action fills a cell of its
+    # own, so the rows are canonical as written and eps adopts them.
     total = V.total_dim()
-    eps = MatrixBuilder(V.field, layout.f_total, total)
+    rows = [{} for _ in range(layout.f_total)]
     for (i, l), mat in path_actions(V, layout.basis).items():
         base = layout.f_offsets[(i, l)]
-        for r, c, x in mat.nonzeros():
-            element, v = divmod(c, total)
-            eps.add(base + element * V.dims[i] + r, v, x)
-    return eps.build()
+        for r, src in enumerate(mat.sparse_rows()):
+            for c, x in src.items():
+                element, v = divmod(c, total)
+                rows[base + element * V.dims[i] + r][v] = x
+    return ExactMatrix._wrap(V.field, tuple(rows), total)
 
 
 def _d_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:

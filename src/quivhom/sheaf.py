@@ -17,11 +17,12 @@ Two routes compute Ext between twisted sheaves: the long exact sequence
 assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
 hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
-(cech_hyper).  They must agree.  One assembler, rep.connecting_matrix,
-builds delta0, delta1 and the horizontal maps of the Cech complex (as it
-builds the vector-mode delta); only the vertical Cech differences are built
-apart.  So their agreement cross-checks the cohomology models but not the
-shared layout and summand walk; tests/test_connecting_map.py checks those.
+(cech_hyper).  They must agree.  One summand walk, that of
+rep.connecting_matrix, places delta0, delta1 and the horizontal maps of the
+Cech complex (as it places the vector-mode delta); only the vertical Cech
+differences are placed apart.  So their agreement cross-checks the
+cohomology models but not the shared layout and summand walk;
+tests/test_connecting_map.py checks those.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import List, Sequence, Tuple
 
-from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, hstack, rank, vstack
+from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
-from .rep import connecting_matrix, hom_layout
+from .rep import _connecting_runs, connecting_matrix, hom_layout
 
 
 def h0_dim(d: int) -> int:
@@ -348,14 +349,18 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 #   T0 = Cech0(C0)  -d0->  T1 = Cech1(C0) ⊕ Cech0(C1)  -d1->  T2 = Cech1(C1),
 #
 # C0 the vertex side of the layouts and C1 the arrow side.  Its horizontal
-# maps are the connecting map on the charts and on the overlap, built by
-# rep.connecting_matrix; only the vertical differences s0 − s1 are built here.
+# maps are the connecting map on the charts and on the overlap, placed by
+# the summand walk of rep.connecting_matrix; only the vertical differences
+# s0 − s1 are placed here.
 #
-# The rows of d0 are Cech1(C0), then Cech0(C1).  Each Cech1(C0) row, s0 − s1
-# at one overlap exponent e, is at most a 1 and a −1 and leads in a column of
-# its own (chart 0 for e >= 0, else chart 1), so rank takes it as a pivot with
-# no subtraction and reduces the Cech0(C1) rows against these to H0 columns.
-# The columns of d1 stay Cech0(C1), Cech1(C0), so that its vertical entries lead.
+# Both differentials are ranked with T1 as their column space: d0 as its
+# transpose d0ᵀ, T0 × T1 with columns Cech1(C0) then Cech0(C1), and d1 with
+# columns Cech0(C1) then Cech1(C0).  Each row of d0ᵀ, a chart coordinate
+# t^e, holds one ±1 of s0 − s1, at overlap exponent e, and leads with it.
+# Only the chart-0 and chart-1 rows at one exponent 0 <= e <= d share a
+# lead, and one subtraction leaves the second with H0 columns only.  Each
+# row of d1, an overlap coordinate t^e, leads with a vertical entry in a
+# column of its own, except at d < e < 0: those rows are the H1 classes.
 
 def _horizontal(window: int):
     """(dim_of, times) of the connecting map on the charts, then on the overlap
@@ -391,27 +396,32 @@ def cech_dims(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int
             overlaps.arrow_start[-1])
 
 
-def _vertical(field: FieldSpec, window: int, charts: list, overlaps: list,
-              nrows: int, ncols: int) -> ExactMatrix:
-    """(s0, s1) -> s0 − s1 on the summands of one side of the two layouts."""
-    out = MatrixBuilder(field, nrows, ncols)
+def _vertical(window: int, charts: list, overlaps: list, place) -> None:
+    """(s0, s1) -> s0 − s1 on the summands of one side of the two layouts:
+    place(i, j, n, x) for each run, i an overlap and j a chart coordinate."""
     for chart_block, overlap_block in zip(charts, overlaps):
         for (col, d), (row, _) in zip(chain(*chart_block), chain(*overlap_block)):
             # t^e of chart 0, 0 <= e <= T; then t^(e-T) of chart 1, up to t^d
-            out.add_run(row + window, col, window + 1, 1)
-            out.add_run(row, col + window + 1, window + 1 + d, -1)
-    return out.build()
+            place(row + window, col, window + 1, 1)
+            place(row, col + window + 1, window + 1 + d, -1)
 
 
 def _cech_matrices(V: QSheafP1, W: QSheafP1, extra_window: int):
-    """The differentials d0: T0 -> T1 and d1: T1 -> T2 of the Cech total complex."""
+    """d0ᵀ and d1, in the column orders above, each placed by one builder."""
     window, charts, overlaps = _cech_layouts(V, W, extra_window)
-    on_charts, on_overlap = (connecting_matrix(V, W, *maps) for maps in _horizontal(window))
-    d0 = vstack([_vertical(V.field, window, charts.vertex, overlaps.vertex,
-                           overlaps.vertex_start[-1], charts.vertex_start[-1]), on_charts])
-    d1 = hstack([_vertical(V.field, window, charts.arrow, overlaps.arrow,
-                           overlaps.arrow_start[-1], charts.arrow_start[-1]), on_overlap])
-    return d0, d1
+    (_, on_charts), (_, on_overlap) = _horizontal(window)
+    c0_overlap, c1_charts = overlaps.vertex_start[-1], charts.arrow_start[-1]
+    d0t = MatrixBuilder(V.field, charts.vertex_start[-1], c0_overlap + c1_charts)
+    put0 = d0t.add_run
+    _vertical(window, charts.vertex, overlaps.vertex, lambda i, j, n, x: put0(j, i, n, x))
+    _connecting_runs(V, W, charts, on_charts,
+                     lambda i, j, n, x: put0(j, c0_overlap + i, n, x))
+    d1 = MatrixBuilder(V.field, overlaps.arrow_start[-1], c1_charts + c0_overlap)
+    put1 = d1.add_run
+    _vertical(window, charts.arrow, overlaps.arrow, put1)
+    _connecting_runs(V, W, overlaps, on_overlap,
+                     lambda i, j, n, x: put1(i, c1_charts + j, n, x))
+    return d0t.build(), d1.build()
 
 
 def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
@@ -424,7 +434,7 @@ def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, in
     raises ValueError.
     """
     V.compatible_with(W)
-    d0, d1 = _cech_matrices(V, W, extra_window)
-    (t1, t0), t2 = d0.shape, d1.nrows
-    r0, r1 = rank(d0), rank(d1)
+    d0t, d1 = _cech_matrices(V, W, extra_window)
+    (t0, t1), t2 = d0t.shape, d1.nrows
+    r0, r1 = rank(d0t), rank(d1)
     return t0 - r0, (t1 - r1) - r0, t2 - r1

@@ -552,3 +552,39 @@ def test_rows_past_full_column_rank_are_not_reduced(monkeypatch):
         assert rank(m) == 6
         assert kernel_basis(m) == []
         monkeypatch.undo()
+
+
+# -- elimination reads its input and never writes to it ---------------------
+
+def _shared_row_matrices(field, rng):
+    """Matrices whose rows are shared with each other and with their parts."""
+    built = MatrixBuilder(field, 5, 7)
+    for i, row in enumerate(_sparse_lists(field, rng, 5, 7)):
+        for j, x in enumerate(row):
+            built.add(i, j, x)
+    b = built.build()
+    lead = MatrixBuilder(field, 3, 7)
+    for i, row in enumerate(_sparse_lists(field, rng, 3, 7)):
+        lead.add(i, i, 1)           # unit leads: pivot rows that need no scaling
+        for j, x in enumerate(row[i + 1:], i + 1):
+            lead.add(i, j, x)
+    u = lead.build()
+    e = ExactMatrix.identity(field, 7)
+    return [b, u, e, vstack([b, b]), vstack([u, b, u]), vstack([b, e, b]),
+            vstack([e.submatrix(0, 4, 0, 7), u, e])]
+
+
+@pytest.mark.parametrize("field", [F5, P61, Q], ids=str)
+def test_elimination_never_writes_to_its_input(field):
+    rng = random.Random(11)
+    for _ in range(6):
+        for m in _shared_row_matrices(field, rng):
+            rhs = ExactMatrix(field, m.nrows, 2, _sparse_lists(field, rng, m.nrows, 2))
+            inputs = [(row, dict(row)) for row in m.sparse_rows() + rhs.sparse_rows()]
+            rank(m)
+            kernel_basis(m)
+            cokernel_representatives(m)
+            solve(m, m.apply([field.element(rng.randint(-3, 3)) for _ in range(m.ncols)]))
+            solve(m, rhs.column_list(0))
+            solve(m, rhs)
+            assert all(row == copy for row, copy in inputs)

@@ -9,7 +9,7 @@ import pytest
 from quivhom.adjunction import _elements
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
-from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
+from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, _echelon, rank
 from quivhom.quiver import Quiver
 from quivhom.rep import TwistData, TwistedRep
 from quivhom.resolution import (
@@ -286,3 +286,17 @@ def test_eps_blocks_match_path_actions_on_twisted_two_loop_quiver():
     phi = [ExactMatrix(F101, 2, 2 * m, [[rng.randrange(101) for _ in range(2 * m)]
                                         for _ in range(2)]) for m in tw.dims]
     _check_blocks_against_path_actions(TwistedRep(q, tw, F101, [2], phi), 3)
+
+
+def test_rank_of_d_adopts_every_row_as_its_pivot():
+    # each row of d leads with its +1 in a column of its own, so elimination
+    # takes every row as it is: no copy, no scaling, no subtraction
+    for seed in range(50):
+        instance = load_instance(generate_document(seed))
+        for name in ("V", "W"):
+            V = instance.modules[name]
+            _, d = resolution_matrices(V, resolution_layout(V, 4))
+            own = {id(row) for row in d.sparse_rows()}
+            pivots = _echelon(d, reduced=False)
+            assert len(pivots) == d.nrows
+            assert all(id(row) in own for _, row in pivots)
