@@ -18,6 +18,7 @@ from .rep import (
     delta_matrix,
     ext1_classes,
     ext1_dim,
+    hom_complex,
     hom_space,
     is_split_extension,
 )
@@ -49,7 +50,7 @@ __all__ = [
     "Quiver",
     "TwistData", "TwistedRep", "RepMorphism",
     "delta_matrix", "hom_space", "ext1_dim", "build_extension",
-    "is_split_extension", "ext1_classes",
+    "is_split_extension", "ext1_classes", "hom_complex",
     "GradedBasis", "ExactnessReport",
     "resolution_matrices", "check_resolution_exactness", "lift_beta",
     "adjunction_iso",

@@ -21,7 +21,7 @@ from typing import Tuple
 
 from .linalg import (CrossCheckError, ExactMatrix, MatrixBuilder, hstack, kron,
                      solve, vec_matrix)
-from .rep import TwistedRep, hom_layout, hom_space, one_coordinate
+from .rep import TwistedRep, hom_space, hom_twists
 from .resolution import GradedBasis, path_actions
 
 
@@ -110,7 +110,7 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     d_out = n_dim * V.dims[i] * l_dim
 
     # vectorised coordinates of ⊕_j Hom(V_j, J_j)
-    voff = hom_layout(V, J, one_coordinate).vertex_start
+    _, _, voff, _ = hom_twists(V, J)
     total = voff[-1]
     hom_cols = ExactMatrix(field, h, total, [
         [x for block in f.blocks for x in vec_matrix(block)] for f in homs]).transpose()

@@ -29,7 +29,7 @@ from typing import Optional
 from .generate import generate_document
 from .instances import MAX_DIM, Instance, InstanceError, load_instance
 from .linalg import CrossCheckError, rank
-from .rep import TwistedRep, delta_matrix, hom_layout, hom_space, hom_summands, one_coordinate
+from .rep import TwistedRep, delta_matrix, hom_space, hom_summands, hom_twists
 from .resolution import (check_resolution_exactness, lift_beta, resolution_layout,
                          resolution_matrices)
 from .sheaf import ExtReport, cech_dims, cech_hyper, ext_quiver_sheaf, h0_dim, h1_dim
@@ -104,11 +104,12 @@ def _preflight(command: str, *dims: int) -> None:
 
 
 def _preflight_hom(command: str, V, W, *dims_of) -> None:
-    """Bound the Hom summands first, then the layout of each dim_of given."""
+    """Bound the Hom summands first, then C0 and C1 for each dim_of given."""
     _preflight(command, hom_summands(V, W))
-    for dim_of in dims_of:
-        lay = hom_layout(V, W, dim_of)
-        _preflight(command, lay.vertex_start[-1], lay.arrow_start[-1])
+    if dims_of:
+        c0, c1, _, _ = hom_twists(V, W)
+        for dim_of in dims_of:
+            _preflight(command, sum(map(dim_of, c0)), sum(map(dim_of, c1)))
 
 
 def _preflight_resolution(V: TwistedRep, n: int):
@@ -201,7 +202,7 @@ def cmd_ext(args) -> int:
         if args.bases:
             # a basis of up to n vectors of n coordinates, n = dim ⊕_i Hom(V_i, W_i),
             # each checked against I_m ⊗ f_ta for every twist dimension m
-            n = hom_layout(V, W, one_coordinate).vertex_start[-1]
+            n = len(hom_twists(V, W)[0])
             _preflight("ext --bases", n * n, *V.twist.dims)
         delta = delta_matrix(V, W)
         # the kernel basis of --bases gives the rank without a second elimination

@@ -6,15 +6,17 @@ dimension twist[a].  Tensor bases are ordered with the M_a index most
 significant, everywhere; Hom blocks are vectorised column-major, and
 direct sums are ordered by vertex, then by arrow, in quiver list order.
 These three conventions make the connecting map, the resolution
-differential and the lifting algorithm index identically.  hom_layout
-turns them into the coordinates of the connecting map, for these
-representations and for the split-bundle sheaves of sheaf.py alike.
+differential and the lifting algorithm index identically.  hom_complex
+turns them into the two-term complex C0 -> C1 of Hom summands, walking the
+quiver once, for these representations and for the split-bundle sheaves
+of sheaf.py alike; every connecting map is read off that complex.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -96,7 +98,7 @@ class TwistedRep:
                                      m_index * d, (m_index + 1) * d)
 
     def summand_data(self):
-        """Input of connecting_matrix: summands are the basis vectors.
+        """Input of hom_complex: summands are the basis vectors.
 
         Returns the per-vertex dimensions, the identity order of each
         tensor basis of M_a⊗V_ta, and the rows of each phi_a as
@@ -107,8 +109,7 @@ class TwistedRep:
         return self.dims, order, [m.sparse_rows() for m in self.phi]
 
     def summand_twists(self):
-        """Input of hom_layout: each basis vector of V_i and M_a⊗V_ta is a
-        summand of twist 0."""
+        """Input of hom_twists: every basis vector is a summand of twist 0."""
         return ([(0,) * d for d in self.dims],
                 [(0,) * (self.twist[a] * self.dims[t])
                  for a, (t, _) in enumerate(self.quiver.arrows)])
@@ -162,47 +163,71 @@ class RepMorphism:
         return True
 
 
-class HomLayout(NamedTuple):
-    """(first coordinate, twist) of each Hom summand, as vertex[i][s][r] and
-    arrow[a][c][r]; the first coordinate of each block, then the dimension."""
-    vertex: list
-    arrow: list
+class HomComplex(NamedTuple):
+    """The two-term complex C0 = ⊕_i Hom(V_i, W_i) -> C1 = ⊕_a Hom(M_a⊗V_ta, W_ha).
+
+    c0, c1, vertex_start and arrow_start are as hom_twists gives them.  Entry
+    (i, j, cf, sign): the stored coefficient cf of phi_a or psi_a sends
+    summand j of C0 to sign·cf times summand i of C1.
+    """
+    field: FieldSpec
+    c0: list
+    c1: list
     vertex_start: list
     arrow_start: list
+    entries: list
 
 
-def hom_layout(V, W, dim_of) -> HomLayout:
-    """Coordinates of the domain ⊕_i Hom(V_i, W_i) and the codomain
-    ⊕_a Hom(M_a⊗V_ta, W_ha) of the connecting map.
+def hom_twists(V, W) -> Tuple[list, list, list, list]:
+    """The twist of each summand of C0 and of C1, then the first summand of
+    each vertex block and of each arrow block, and the count.
 
     Blocks are ordered by vertex, then by arrow; inside a block, by source
     summand s (of V_i, or of M_a⊗V_ta in stored order), then by target
-    summand r.  Summand (s, r) has twist d = twist(r) − twist(s) and takes
-    dim_of(d) coordinates.  Every twist of a TwistedRep is 0.
+    summand r.  Summand (s, r) has twist twist(r) − twist(s).  Every twist
+    of a TwistedRep is 0.
     """
-    v_twists, t_twists = V.summand_twists()
-    w_twists, _ = W.summand_twists()
-    sides = []
-    for pairs in (zip(v_twists, w_twists),
-                  ((t_twists[a], w_twists[h]) for a, (_, h) in enumerate(V.quiver.arrows))):
-        blocks, starts, pos = [], [0], 0
-        for src, dst in pairs:
-            blocks.append([])
-            for ds in src:
-                blocks[-1].append([])
-                for dr in dst:
-                    blocks[-1][-1].append((pos, dr - ds))
-                    pos += dim_of(dr - ds)
-            starts.append(pos)
-        sides.append((blocks, starts))
-    (vertex, vertex_start), (arrow, arrow_start) = sides
-    return HomLayout(vertex, arrow, vertex_start, arrow_start)
+    V.compatible_with(W)
+    (v, mv), (w, _) = V.summand_twists(), W.summand_twists()
+    c0 = [[dr - ds for ds in src for dr in dst] for src, dst in zip(v, w)]
+    c1 = [[dr - ds for ds in mv[a] for dr in w[h]] for a, (_, h) in enumerate(V.quiver.arrows)]
+    return ([*chain(*c0)], [*chain(*c1)], summand_offsets(c0, len), summand_offsets(c1, len))
+
+
+def hom_complex(V, W) -> HomComplex:
+    """The one walk over the summands of f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a.
+
+    Each stored entry cf of phi_a or psi_a sends the (r, s) entry of some
+    f_i into the (r2, c) entry of the arrow-a component, c indexing
+    M_a⊗V_ta in stored order.
+    """
+    c0, c1, vertex_start, arrow_start = hom_twists(V, W)
+    v_sizes, v_order, phi = V.summand_data()
+    w_sizes, w_order, psi = W.summand_data()
+    entries = []
+    for a, (t, h) in enumerate(V.quiver.arrows):
+        wh, wt, start = w_sizes[h], w_sizes[t], arrow_start[a]
+        # f_ha ∘ phi_a: row s of phi_a feeds column c of the product
+        for s in range(v_sizes[h]):
+            for c, cf in phi[a][s].items():
+                for r in range(wh):
+                    entries.append((start + c * wh + r, vertex_start[h] + s * wh + r, cf, 1))
+        # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
+        # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
+        for pos, c in enumerate(v_order[a]):
+            m, s = divmod(pos, v_sizes[t])
+            for r in range(wt):
+                j = w_order[a][m * wt + r]
+                for r2 in range(wh):
+                    cf = psi[a][r2].get(j)
+                    if cf is not None:
+                        entries.append((start + c * wh + r2, vertex_start[t] + s * wt + r, cf, -1))
+    return HomComplex(V.field, c0, c1, vertex_start, arrow_start, entries)
 
 
 def hom_summands(V, W) -> int:
-    """How many summands hom_layout and connecting_matrix visit: the Hom
-    summands, and those of each V_i, W_i, M_a⊗V_ta and M_a⊗W_ta, counted
-    without enumerating them."""
+    """How many summands hom_complex visits: the Hom summands, and those of
+    each V_i, W_i, M_a⊗V_ta and M_a⊗W_ta, counted without enumerating them."""
     v_sizes, v_order, _ = V.summand_data()
     w_sizes, w_order, _ = W.summand_data()
     return (sum((dv + 1) * (dw + 1) for dv, dw in zip(v_sizes, w_sizes))
@@ -219,51 +244,30 @@ def one_coordinate(d: int) -> int:
     return 1
 
 
-def connecting_matrix(V, W, dim_of, times) -> ExactMatrix:
-    """f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a in the coordinates of
-    hom_layout(V, W, dim_of), for two TwistedReps or two QSheafP1s.
+def summand_offsets(twists: list, dim_of) -> list:
+    """First coordinate of each summand of twist d, dim_of(d) each, then the total."""
+    return list(accumulate(map(dim_of, twists), initial=0))
 
-    Each stored entry cf of phi_a or psi_a sends the (r, s) entry of some f_i
-    into the (r2, c) entry of the arrow-a component, c indexing M_a⊗V_ta in
-    stored order.  times(d, cf) lists the diagonal runs (k, k2, n, x) of
-    acting by cf on a Hom summand of twist d: coordinate k + e of it goes to
-    x times coordinate k2 + e of the arrow summand, 0 <= e < n.
+
+def connecting_matrix(C: HomComplex, dim_of, times) -> ExactMatrix:
+    """The map C0 -> C1 on dim_of(d) coordinates per summand of twist d.
+
+    times(d, cf) lists the diagonal runs (k, k2, n, x) of acting by cf on a
+    C0 summand of twist d: coordinate k + e of it goes to x times
+    coordinate k2 + e of the C1 summand, 0 <= e < n.
     """
-    V.compatible_with(W)
-    layout = hom_layout(V, W, dim_of)
-    out = MatrixBuilder(V.field, layout.arrow_start[-1], layout.vertex_start[-1])
-    _connecting_runs(V, W, layout, times, out.add_run)
+    rows, cols = summand_offsets(C.c1, dim_of), summand_offsets(C.c0, dim_of)
+    out = MatrixBuilder(C.field, rows[-1], cols[-1])
+    _connecting_runs(C, rows, cols, times, out.add_run)
     return out.build()
 
 
-def _connecting_runs(V, W, layout: HomLayout, times, place) -> None:
-    """The summand walk of connecting_matrix: place(i, j, n, x) for each
-    diagonal run, i an arrow-side and j a vertex-side coordinate of layout."""
-    vertex, arrow = layout.vertex, layout.arrow
-    v_sizes, v_order, phi = V.summand_data()
-    w_sizes, w_order, psi = W.summand_data()
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        # f_ha ∘ phi_a: row s of phi_a feeds column c of the product
-        for s in range(v_sizes[h]):
-            for c, cf in phi[a][s].items():
-                for r in range(w_sizes[h]):
-                    col, d = vertex[h][s][r]
-                    row = arrow[a][c][r][0]
-                    for k, k2, n, x in times(d, cf):
-                        place(row + k2, col + k, n, x)
-        # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
-        # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
-        for pos, c in enumerate(v_order[a]):
-            m, s = divmod(pos, v_sizes[t])
-            for r in range(w_sizes[t]):
-                j = w_order[a][m * w_sizes[t] + r]
-                col, d = vertex[t][s][r]
-                for r2 in range(w_sizes[h]):
-                    cf = psi[a][r2].get(j)
-                    if cf is not None:
-                        row = arrow[a][c][r2][0]
-                        for k, k2, n, x in times(d, cf):
-                            place(row + k2, col + k, n, -x)
+def _connecting_runs(C: HomComplex, rows: list, cols: list, times, place) -> None:
+    """place(i, j, n, x) for each run of each entry; rows, cols: C1, C0 summand starts."""
+    for i, j, cf, sign in C.entries:
+        row, col = rows[i], cols[j]
+        for k, k2, n, x in times(C.c0[j], cf):
+            place(row + k2, col + k, n, sign * x)
 
 
 def _scalar_times(d: int, cf) -> tuple:
@@ -277,7 +281,7 @@ def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
     column-major block coordinates.  Its kernel is Hom(V, W) and its
     cokernel computes Ext^1 over a field.
     """
-    return connecting_matrix(V, W, one_coordinate, _scalar_times)
+    return connecting_matrix(hom_complex(V, W), one_coordinate, _scalar_times)
 
 
 def hom_space(V: TwistedRep, W: TwistedRep,
@@ -288,7 +292,7 @@ def hom_space(V: TwistedRep, W: TwistedRep,
     """
     if delta is None:
         delta = delta_matrix(V, W)
-    voff = hom_layout(V, W, one_coordinate).vertex_start
+    _, _, voff, _ = hom_twists(V, W)
     morphisms = []
     for vec in kernel_basis(delta):
         blocks = [
@@ -375,7 +379,7 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
             raise ValueError(f"E has dimension {e} at vertex {i}, not {W.dims[i]} + {V.dims[i]}")
     field = V.field
     delta = delta_matrix(V, E)
-    soff = hom_layout(V, E, one_coordinate).vertex_start
+    _, _, soff, _ = hom_twists(V, E)
     section = MatrixBuilder(field, sum(d * d for d in V.dims), delta.ncols)
     rhs = [field.zero()] * delta.nrows
     r = 0
@@ -391,7 +395,7 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
 def ext1_classes(V: TwistedRep, W: TwistedRep) -> List[List[ExactMatrix]]:
     """Representatives eta = (eta_a) of a basis of coker(delta) = Ext^1(V, W)."""
     delta = delta_matrix(V, W)
-    aoff = hom_layout(V, W, one_coordinate).arrow_start
+    _, _, _, aoff = hom_twists(V, W)
     classes = []
     for vec in cokernel_representatives(delta):
         etas = []

@@ -17,12 +17,11 @@ Two routes compute Ext between twisted sheaves: the long exact sequence
 assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
 hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
-(cech_hyper).  They must agree.  One summand walk, that of
-rep.connecting_matrix, places delta0, delta1 and the horizontal maps of the
-Cech complex (as it places the vector-mode delta); only the vertical Cech
-differences are placed apart.  So their agreement cross-checks the
-cohomology models but not the shared layout and summand walk;
-tests/test_connecting_map.py checks those.
+(cech_hyper).  They must agree.  Both read one rep.HomComplex, the output
+of the one summand walk rep.hom_complex: delta0, delta1 and the horizontal
+Cech maps are placed from its entries, the vertical Cech differences from
+its twists.  So their agreement cross-checks the cohomology models but not
+the shared complex; tests/test_connecting_map.py checks that.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from typing import List, Sequence, Tuple
 
 from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
-from .rep import _connecting_runs, connecting_matrix, hom_layout
+from .rep import (HomComplex, _connecting_runs, connecting_matrix, hom_complex, hom_twists,
+                  summand_offsets)
 
 
 def h0_dim(d: int) -> int:
@@ -194,7 +194,7 @@ class QSheafP1:
         return QSheafP1(quiver, field, twist_bundles, vertex_bundles, phi, _tensors=tensors)
 
     def summand_data(self):
-        """Input of connecting_matrix: summands are the line bundles.
+        """Input of hom_complex: summands are the line bundles.
 
         Returns the per-vertex ranks, each tensor bundle's inv_perm (natural
         index -> sorted position) and the stored rows of each phi_a, {column:
@@ -204,7 +204,7 @@ class QSheafP1:
                 [m.rows for m in self.phi])
 
     def summand_twists(self):
-        """Input of hom_layout: the twists of each vertex and tensor bundle."""
+        """Input of hom_twists: the twists of each vertex and tensor bundle."""
         return ([b.twists for b in self.vertex_bundles],
                 [tb.bundle.twists for tb in self.tensors])
 
@@ -243,8 +243,8 @@ def _euler_pair(e: SplitBundle, f: SplitBundle) -> int:
 
 # -- the connecting maps on H0 and H1 ----------------------------------------
 #
-# H^q of a Hom summand O(d) has h0_dim(d) or h1_dim(d) coordinates in
-# hom_layout: monomials by ascending x-exponent for q = 0, overlap classes
+# H^q of a Hom summand O(d) has h0_dim(d) or h1_dim(d) coordinates:
+# monomials by ascending x-exponent for q = 0, overlap classes
 # x^(-i) y^(-j) by ascending i for q = 1.  A monomial of a form is one run.
 
 def _monomial_times_form(d: int, form: tuple) -> List[Tuple[int, int, int, object]]:
@@ -267,14 +267,14 @@ def _class_times_form(d: int, form: tuple) -> List[Tuple[int, int, int, object]]
     return [(k2, 0, n, cf) for k2, cf in enumerate(reversed(form)) if cf != 0]
 
 
-def delta0_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
+def delta0_matrix(C: HomComplex) -> ExactMatrix:
     """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)) on global sections."""
-    return connecting_matrix(V, W, h0_dim, _monomial_times_form)
+    return connecting_matrix(C, h0_dim, _monomial_times_form)
 
 
-def delta1_matrix(V: QSheafP1, W: QSheafP1) -> ExactMatrix:
+def delta1_matrix(C: HomComplex) -> ExactMatrix:
     """Matrix of the connecting map on first cohomology, via overlap classes."""
-    return connecting_matrix(V, W, h1_dim, _class_times_form)
+    return connecting_matrix(C, h1_dim, _class_times_form)
 
 
 # -- Ext via the long exact sequence ------------------------------------------
@@ -314,9 +314,8 @@ def ext_quiver_sheaf(V: QSheafP1, W: QSheafP1) -> ExtReport:
     The sequence terminates after Ext^2 because Ext^2 between locally free
     sheaves vanishes on a one-dimensional base.
     """
-    V.compatible_with(W)
-    d0 = delta0_matrix(V, W)
-    d1 = delta1_matrix(V, W)
+    C = hom_complex(V, W)
+    d0, d1 = delta0_matrix(C), delta1_matrix(C)
     return ExtReport.of_sequence(d0.shape, d1.shape, rank(d0), rank(d1))
 
 
@@ -342,16 +341,16 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 #
 # Sections are Laurent polynomials in t = x/y, truncated to a window (lo, hi)
 # of exponents.  On O(d), |d| <= T − 2, a Cech 0-cochain is a chart-0
-# section, (0, T), then a chart-1 section, (-T, d): 2T+2+d coordinates in the
-# chart layout.  A Cech 1-cochain is an overlap section, (-T, T): 2T+1
-# coordinates in the overlap layout.  The total complex is
+# section, (0, T), then a chart-1 section, (-T, d): 2T+2+d chart
+# coordinates.  A Cech 1-cochain is an overlap section, (-T, T): 2T+1
+# overlap coordinates.  The total complex is
 #
 #   T0 = Cech0(C0)  -d0->  T1 = Cech1(C0) ⊕ Cech0(C1)  -d1->  T2 = Cech1(C1),
 #
-# C0 the vertex side of the layouts and C1 the arrow side.  Its horizontal
-# maps are the connecting map on the charts and on the overlap, placed by
-# the summand walk of rep.connecting_matrix; only the vertical differences
-# s0 − s1 are placed here.
+# for the Hom complex C0 -> C1.  Its horizontal maps are the connecting map
+# on the charts and on the overlap, placed from the entries of the complex
+# by rep._connecting_runs; only the vertical differences s0 − s1, one pair
+# of runs per summand, are placed here.
 #
 # Both differentials are ranked with T1 as their column space: d0 as its
 # transpose d0ᵀ, T0 × T1 with columns Cech1(C0) then Cech0(C1), and d1 with
@@ -377,49 +376,45 @@ def _horizontal(window: int):
     return ((lambda d: 2 * window + 2 + d), charts), ((lambda d: 2 * window + 1), overlap)
 
 
-def _cech_layouts(V: QSheafP1, W: QSheafP1, extra_window: int):
-    """The window T, the chart layout and the overlap layout."""
+def _window(c0: list, c1: list, extra_window: int) -> int:
+    """T: the largest |twist| of a Hom summand, plus 2 and extra_window."""
     if extra_window < 0:
         raise ValueError(f"extra_window must be non-negative, got {extra_window}")
-    hom = ([(V.vertex_bundles[i], W.vertex_bundles[i]) for i in range(V.quiver.n_vertices)]
-           + [(V.tensors[a].bundle, W.vertex_bundles[h])
-              for a, (_, h) in enumerate(V.quiver.arrows)])
-    window = max((abs(df - de) for e, f in hom for de in e.twists for df in f.twists),
-                 default=0) + 2 + extra_window
-    return (window, *(hom_layout(V, W, dim_of) for dim_of, _ in _horizontal(window)))
+    return max(map(abs, chain(c0, c1)), default=0) + 2 + extra_window
 
 
 def cech_dims(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
     """Dimensions T0, T1, T2 of the Cech total complex cech_hyper builds."""
-    _, charts, overlaps = _cech_layouts(V, W, extra_window)
-    return (charts.vertex_start[-1], overlaps.vertex_start[-1] + charts.arrow_start[-1],
-            overlaps.arrow_start[-1])
+    c0, c1, _, _ = hom_twists(V, W)
+    (chart, _), (overlap, _) = _horizontal(_window(c0, c1, extra_window))
+    return sum(map(chart, c0)), sum(map(overlap, c0)) + sum(map(chart, c1)), sum(map(overlap, c1))
 
 
-def _vertical(window: int, charts: list, overlaps: list, place) -> None:
-    """(s0, s1) -> s0 − s1 on the summands of one side of the two layouts:
+def _vertical(window: int, twists: list, charts: list, overlaps: list, place) -> None:
+    """(s0, s1) -> s0 − s1 on the summands of one side of the complex:
     place(i, j, n, x) for each run, i an overlap and j a chart coordinate."""
-    for chart_block, overlap_block in zip(charts, overlaps):
-        for (col, d), (row, _) in zip(chain(*chart_block), chain(*overlap_block)):
-            # t^e of chart 0, 0 <= e <= T; then t^(e-T) of chart 1, up to t^d
-            place(row + window, col, window + 1, 1)
-            place(row, col + window + 1, window + 1 + d, -1)
+    for d, col, row in zip(twists, charts, overlaps):
+        # t^e of chart 0, 0 <= e <= T; then t^(e-T) of chart 1, up to t^d
+        place(row + window, col, window + 1, 1)
+        place(row, col + window + 1, window + 1 + d, -1)
 
 
-def _cech_matrices(V: QSheafP1, W: QSheafP1, extra_window: int):
+def _cech_matrices(C: HomComplex, extra_window: int):
     """d0ᵀ and d1, in the column orders above, each placed by one builder."""
-    window, charts, overlaps = _cech_layouts(V, W, extra_window)
-    (_, on_charts), (_, on_overlap) = _horizontal(window)
-    c0_overlap, c1_charts = overlaps.vertex_start[-1], charts.arrow_start[-1]
-    d0t = MatrixBuilder(V.field, charts.vertex_start[-1], c0_overlap + c1_charts)
+    window = _window(C.c0, C.c1, extra_window)
+    (chart_dim, on_charts), (overlap_dim, on_overlap) = _horizontal(window)
+    charts0, charts1 = (summand_offsets(twists, chart_dim) for twists in (C.c0, C.c1))
+    overlaps0, overlaps1 = (summand_offsets(twists, overlap_dim) for twists in (C.c0, C.c1))
+    c0_overlap, c1_charts = overlaps0[-1], charts1[-1]
+    d0t = MatrixBuilder(C.field, charts0[-1], c0_overlap + c1_charts)
     put0 = d0t.add_run
-    _vertical(window, charts.vertex, overlaps.vertex, lambda i, j, n, x: put0(j, i, n, x))
-    _connecting_runs(V, W, charts, on_charts,
+    _vertical(window, C.c0, charts0, overlaps0, lambda i, j, n, x: put0(j, i, n, x))
+    _connecting_runs(C, charts1, charts0, on_charts,
                      lambda i, j, n, x: put0(j, c0_overlap + i, n, x))
-    d1 = MatrixBuilder(V.field, overlaps.arrow_start[-1], c1_charts + c0_overlap)
+    d1 = MatrixBuilder(C.field, overlaps1[-1], c1_charts + c0_overlap)
     put1 = d1.add_run
-    _vertical(window, charts.arrow, overlaps.arrow, put1)
-    _connecting_runs(V, W, overlaps, on_overlap,
+    _vertical(window, C.c1, charts1, overlaps1, put1)
+    _connecting_runs(C, overlaps1, overlaps0, on_overlap,
                      lambda i, j, n, x: put1(i, c1_charts + j, n, x))
     return d0t.build(), d1.build()
 
@@ -433,8 +428,7 @@ def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, in
     Enlarging the window never changes the result; a negative extra_window
     raises ValueError.
     """
-    V.compatible_with(W)
-    d0t, d1 = _cech_matrices(V, W, extra_window)
+    d0t, d1 = _cech_matrices(hom_complex(V, W), extra_window)
     (t0, t1), t2 = d0t.shape, d1.nrows
     r0, r1 = rank(d0t), rank(d1)
     return t0 - r0, (t1 - r1) - r0, t2 - r1

@@ -550,6 +550,29 @@ def test_p1_loader_builds_each_tensor_bundle_once(monkeypatch):
     assert calls == []
 
 
+def test_p1_commands_build_the_hom_complex_once_per_route(tmp_path, capsys, monkeypatch):
+    # the complex is the only walk over the quiver's summands: the LES and
+    # the Cech route build one each, and the size guard reads twists only
+    from quivhom import rep, sheaf
+    calls = []
+    build = rep.hom_complex
+    for module in (rep, sheaf, cli):        # every binding of hom_complex
+        if getattr(module, "hom_complex", None) is build:
+            monkeypatch.setattr(module, "hom_complex",
+                                lambda V, W: calls.append(1) or build(V, W))
+    doc = generate_document(0, mode="p1")
+    f = tmp_path / "gen.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, walks in ((("hyper", "--verify"), 2), (("ext",), 1)):
+        calls.clear()
+        code, _, _ = run(capsys, argv[0], str(f), "V", "W", *argv[1:])
+        assert (code, len(calls)) == (0, walks)
+    calls.clear()
+    inst = load_instance(doc)
+    sheaf.cech_dims(inst.modules["V"], inst.modules["W"])
+    assert calls == []
+
+
 def test_preflight_passes_a_large_check_under_the_limit(tmp_path, capsys):
     # two loops at degree 12: the resolution has dimension 8,191
     f = tmp_path / "loops.json"

@@ -1,14 +1,17 @@
 """The connecting map f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a, checked on its own.
 
-delta, delta0, delta1 and the Cech horizontal maps are all assembled by one
-routine (rep.connecting_matrix), which walks the summands itself, in the
-coordinates of one layout (rep.hom_layout); only the vertical Cech
-differences are built apart.  So agreement of the long exact sequence with
-Cech hypercohomology tests neither the walk nor the layout.  Here delta and
-delta0 are rebuilt column by column from whole-matrix products, the
-assembled matrices and both Cech differentials are pinned by content
-digests, and the layout is checked against the vectorisation, the
-cohomology of each Hom bundle and the Cech windows.
+delta, delta0, delta1 and the Cech horizontal maps are all placed from one
+two-term complex (rep.hom_complex, the only walk over the summands), at
+coordinates that are prefix sums over its twist lists; only the vertical
+Cech differences are built apart, from the twists alone.  So agreement of
+the long exact sequence with Cech hypercohomology tests neither the walk
+nor the coordinates.  Here delta and delta0 are rebuilt column by column
+from whole-matrix products, the assembled matrices and both Cech
+differentials are pinned by content digests, and the coordinates are
+checked against the vectorisation, the cohomology of each Hom bundle and
+the Cech windows.  Serre duality runs both p1 routes a second time, on the
+dual complex, where the H1 model carries the load the H0 model carries on
+the complex itself.
 """
 
 import hashlib
@@ -18,14 +21,16 @@ import pytest
 from quivhom import linalg
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
-from quivhom.linalg import ExactMatrix, kron, unvec_matrix, vec_matrix
-from quivhom.rep import delta_matrix, hom_layout, hom_summands, one_coordinate
+from quivhom.linalg import ExactMatrix, kron, rank, unvec_matrix, vec_matrix
+from quivhom.rep import delta_matrix, hom_complex, hom_summands, one_coordinate, summand_offsets
 from quivhom.sheaf import (
+    ExtReport,
     _cech_matrices,
     cech_dims,
     cech_hyper,
     delta0_matrix,
     delta1_matrix,
+    ext_quiver_sheaf,
     h0_dim,
     h1_dim,
     sheaf_hom_ext_dims,
@@ -108,7 +113,7 @@ def _delta0_image(V, W, f):
 @pytest.mark.parametrize("seed", range(30))
 def test_delta0_column_by_column(seed):
     V, W = _modules(seed, "p1")
-    delta0 = delta0_matrix(V, W)
+    delta0 = delta0_matrix(hom_complex(V, W))
     # domain coordinates: vertex, source summand s, target summand r, x-exponent
     col = 0
     for i in range(V.quiver.n_vertices):
@@ -145,7 +150,7 @@ def test_pinned_content_digests():
         got["delta"].update(repr((m.shape, m.to_lists())).encode())
         V, W = _modules(seed, "p1")
         for name, build in (("delta0", delta0_matrix), ("delta1", delta1_matrix)):
-            m = build(V, W)
+            m = build(hom_complex(V, W))
             got[name].update(repr((m.shape, m.to_lists())).encode())
         got["cech_hyper"].update(repr(cech_hyper(V, W)).encode())
     assert {name: h.hexdigest() for name, h in got.items()} == PINNED
@@ -165,58 +170,60 @@ def test_pinned_cech_digests():
     for seed in range(50):
         V, W = _modules(seed, "p1")
         for X, Y in ((V, W), (W, V)):
-            d0t, d1 = _cech_matrices(X, Y, 0)
+            d0t, d1 = _cech_matrices(hom_complex(X, Y), 0)
             for name, m in zip(CECH_PINNED, (d0t.transpose(), d1)):
                 got[name].update(repr((m.shape, sorted(m.nonzeros()))).encode())
     assert {name: h.hexdigest() for name, h in got.items()} == CECH_PINNED
 
 
-# -- the shared Hom-summand layout ------------------------------------------
+# -- the coordinates of the shared Hom complex ---------------------------------
 
 @pytest.mark.parametrize("seed", range(30))
 def test_vector_layout_is_column_major_vectorisation(seed):
     V, W = _modules(seed, "vector")
-    lay = hom_layout(V, W, one_coordinate)
-    pos = 0
-    for i in range(V.quiver.n_vertices):
-        assert lay.vertex_start[i] == pos
-        for s in range(V.dims[i]):
-            for r in range(W.dims[i]):
-                assert lay.vertex[i][s][r] == (pos + s * W.dims[i] + r, 0)
-        pos += V.dims[i] * W.dims[i]
-    assert lay.vertex_start[-1] == pos
-    pos = 0
-    for a, (t, h) in enumerate(V.quiver.arrows):
-        assert lay.arrow_start[a] == pos
-        for c in range(V.twist[a] * V.dims[t]):
-            for r in range(W.dims[h]):
-                assert lay.arrow[a][c][r] == (pos + c * W.dims[h] + r, 0)
-        pos += V.twist[a] * V.dims[t] * W.dims[h]
-    assert lay.arrow_start[-1] == pos
+    C = hom_complex(V, W)
+    for twists, block_start, blocks in (
+            (C.c0, C.vertex_start, [(V.dims[i], W.dims[i]) for i in range(V.quiver.n_vertices)]),
+            (C.c1, C.arrow_start, [(V.twist[a] * V.dims[t], W.dims[h])
+                                   for a, (t, h) in enumerate(V.quiver.arrows)])):
+        coords = summand_offsets(twists, one_coordinate)
+        pos = k = 0
+        for b, (n_src, n_dst) in enumerate(blocks):
+            assert coords[block_start[b]] == pos
+            for s in range(n_src):
+                for r in range(n_dst):
+                    assert (coords[k], twists[k]) == (pos + s * n_dst + r, 0)
+                    k += 1
+            pos += n_src * n_dst
+        assert coords[block_start[-1]] == coords[-1] == pos
     own = sum(V.dims) + sum(W.dims) + V.quiver.n_vertices + sum(
         V.twist[a] * (V.dims[t] + W.dims[t]) for a, (t, _) in enumerate(V.quiver.arrows))
-    assert hom_summands(V, W) == lay.vertex_start[-1] + lay.arrow_start[-1] + own
+    assert hom_summands(V, W) == len(C.c0) + len(C.c1) + own
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_p1_layout_blocks_hold_the_cohomology_of_each_hom_bundle(seed):
     V, W = _modules(seed, "p1")
+    C = hom_complex(V, W)
     for q, dim_of in ((0, h0_dim), (1, h1_dim)):
-        lay = hom_layout(V, W, dim_of)
         pairs = [(V.vertex_bundles[i], W.vertex_bundles[i]) for i in range(V.quiver.n_vertices)]
-        for starts, blocks, pairs in ((lay.vertex_start, lay.vertex, pairs),
-                                      (lay.arrow_start, lay.arrow,
-                                       [(V.tensors[a].bundle, W.vertex_bundles[h])
-                                        for a, (_, h) in enumerate(V.quiver.arrows)])):
+        for twists, block_start, pairs in ((C.c0, C.vertex_start, pairs),
+                                           (C.c1, C.arrow_start,
+                                            [(V.tensors[a].bundle, W.vertex_bundles[h])
+                                             for a, (_, h) in enumerate(V.quiver.arrows)])):
+            coords = summand_offsets(twists, dim_of)
+            starts = [coords[k] for k in block_start]
+            k = 0
             for b, (e, f) in enumerate(pairs):
                 assert starts[b + 1] - starts[b] == sheaf_hom_ext_dims(e, f)[q]
                 pos = starts[b]
                 for s, ds in enumerate(e.twists):
                     for r, dr in enumerate(f.twists):
-                        assert blocks[b][s][r] == (pos, dr - ds)
+                        assert (coords[k], twists[k]) == (pos, dr - ds)
                         pos += dim_of(dr - ds)
-        m = (delta0_matrix if q == 0 else delta1_matrix)(V, W)
-        assert m.shape == (lay.arrow_start[-1], lay.vertex_start[-1])
+                        k += 1
+        m = (delta0_matrix if q == 0 else delta1_matrix)(C)
+        assert m.shape == (summand_offsets(C.c1, dim_of)[-1], summand_offsets(C.c0, dim_of)[-1])
 
 
 def _cech_dims_by_hand(V, W, extra):
@@ -239,6 +246,45 @@ def test_cech_dims_match_the_two_chart_windows(seed):
             assert cech_dims(X, Y, extra) == _cech_dims_by_hand(X, Y, extra)
 
 
+# -- Serre duality: a third route over the same complex ----------------------
+#
+# On the projective line, h^i(C) = h^(2-i)(D) for D = C^∨ ⊗ O(−2), the
+# two-term complex with C0 and C1 swapped, each twist d made −d − 2 and each
+# entry transposed (multiplying by a form is adjoint to multiplying by it).
+# D's H1 side is the size of C's H0 side, so this puts the Yoneda product of
+# _class_times_form under the load that the monomial model carries on C.
+
+def _serre_dual(C):
+    return C._replace(c0=[-d - 2 for d in C.c1], c1=[-d - 2 for d in C.c0],
+                      vertex_start=C.arrow_start, arrow_start=C.vertex_start,
+                      entries=[(j, i, cf, sign) for i, j, cf, sign in C.entries])
+
+
+def _les(C):
+    d0, d1 = delta0_matrix(C), delta1_matrix(C)
+    r = ExtReport.of_sequence(d0.shape, d1.shape, rank(d0), rank(d1))
+    return r.ext0, r.ext1, r.ext2
+
+
+def _cech(C):
+    d0t, d1 = _cech_matrices(C, 0)
+    (t0, t1), t2 = d0t.shape, d1.nrows
+    r0, r1 = rank(d0t), rank(d1)
+    return t0 - r0, (t1 - r1) - r0, t2 - r1
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_serre_dual_complex_gives_the_same_ext(seed):
+    V, W = _modules(seed, "p1")
+    for X, Y in ((V, W), (W, V)):
+        r = ext_quiver_sheaf(X, Y)
+        ext = (r.ext0, r.ext1, r.ext2)
+        C = hom_complex(X, Y)
+        D = _serre_dual(C)
+        assert _les(C) == _les(D)[::-1] == ext, (seed, X is V)
+        assert cech_hyper(X, Y) == _cech(D)[::-1] == ext, (seed, X is V)
+
+
 def test_cech_assembly_places_canonical_rows(monkeypatch):
     # the builder keeps its rows canonical as runs arrive, so no row of the
     # Cech complex, delta0 or delta1 passes through _canonical afterwards
@@ -248,7 +294,7 @@ def test_cech_assembly_places_canonical_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_canonical",
                         lambda field, acc: calls.append(1) or canonical(field, acc))
     for V, W in pairs:
-        _cech_matrices(V, W, 0)
-        delta0_matrix(V, W)
-        delta1_matrix(V, W)
+        _cech_matrices(hom_complex(V, W), 0)
+        delta0_matrix(hom_complex(V, W))
+        delta1_matrix(hom_complex(V, W))
     assert len(calls) == 0

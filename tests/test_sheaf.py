@@ -9,12 +9,13 @@ from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import FieldSpec, rank, vstack
 from quivhom.quiver import Quiver
+from quivhom.rep import hom_complex
 from quivhom.sheaf import (
     FormMatrix,
     QSheafP1,
     SplitBundle,
-    _cech_layouts,
     _cech_matrices,
+    _window,
     cech_dims,
     cech_hyper,
     delta0_matrix,
@@ -119,12 +120,12 @@ def test_sheaf_hom_ext_examples():
 def test_delta0_zero_maps():
     q = Quiver(2, [(1, 0)])
     V = QSheafP1.zero_maps(q, F, [SplitBundle([0])], [O, SplitBundle([1])])
-    assert delta0_matrix(V, V).is_zero()
+    assert delta0_matrix(hom_complex(V, V)).is_zero()
 
 
 def test_delta0_higgs_zero_field():
     V = higgs_sheaf()
-    d0 = delta0_matrix(V, V)
+    d0 = delta0_matrix(hom_complex(V, V))
     assert d0.shape == (3, 1)          # h0(O(2)) = 3, h0(O) = 1
     assert d0.is_zero()
 
@@ -132,13 +133,13 @@ def test_delta0_higgs_zero_field():
 def test_delta0_scalar_commutator():
     x2 = (1, 0, 0)
     V = higgs_sheaf(forms=[[x2]])
-    d0 = delta0_matrix(V, V)
+    d0 = delta0_matrix(hom_complex(V, V))
     assert rank(d0) == 0
 
 
 def test_delta1_zero_maps_and_domain():
     V = higgs_sheaf(vertex_bundle=SplitBundle([1, -1]))
-    d1 = delta1_matrix(V, V)
+    d1 = delta1_matrix(hom_complex(V, V))
     # Hom(V, V) contains one O(-2) summand: domain dim 1; codomain has no H1
     assert d1.ncols == 1
     assert d1.nrows == 0
@@ -149,7 +150,7 @@ def test_delta1_degenerate_empty_spaces():
     # one arrow 1 -> 0, M = O, V_1 = O(-2), V_0 the zero sheaf
     q = Quiver(2, [(1, 0)])
     V = QSheafP1.zero_maps(q, F, [O], [SplitBundle([]), SplitBundle([-2])])
-    d1 = delta1_matrix(V, V)
+    d1 = delta1_matrix(hom_complex(V, V))
     assert d1.shape == (0, 0)
 
 
@@ -164,14 +165,14 @@ def test_delta1_commutator_by_hand():
     # connecting map multiplies the overlap class by c - d
     V = _scalar_loop_sheaf(O, 2)
     W = _scalar_loop_sheaf(SplitBundle([-2]), 5)
-    d1 = delta1_matrix(V, W)
+    d1 = delta1_matrix(hom_complex(V, W))
     assert d1.to_lists() == [[(2 - 5) % 101]]
     r = ext_quiver_sheaf(V, W)
     assert (r.ext0, r.ext1, r.ext2) == (0, 0, 0)
     assert cech_hyper(V, W) == (0, 0, 0)
     # equal scalars commute: the map vanishes and Ext^1, Ext^2 survive
     W_eq = _scalar_loop_sheaf(SplitBundle([-2]), 2)
-    assert delta1_matrix(V, W_eq).is_zero()
+    assert delta1_matrix(hom_complex(V, W_eq)).is_zero()
     r = ext_quiver_sheaf(V, W_eq)
     assert (r.ext0, r.ext1, r.ext2) == (0, 1, 1)
     assert cech_hyper(V, W_eq) == (0, 1, 1)
@@ -183,8 +184,8 @@ def test_delta_maps_scale_linearly():
         V, W = _random_pair(rng)
         lam = rng.randrange(1, 101)
         v2, w2 = V.scale_forms(lam), W.scale_forms(lam)
-        assert delta0_matrix(v2, w2) == delta0_matrix(V, W).scale(lam)
-        assert delta1_matrix(v2, w2) == delta1_matrix(V, W).scale(lam)
+        assert delta0_matrix(hom_complex(v2, w2)) == delta0_matrix(hom_complex(V, W)).scale(lam)
+        assert delta1_matrix(hom_complex(v2, w2)) == delta1_matrix(hom_complex(V, W)).scale(lam)
 
 
 def test_ext_higgs_example():
@@ -328,7 +329,7 @@ def test_hom_dimension_consistency_with_kernel():
     rng = random.Random(25)
     for _ in range(8):
         V, W = _random_pair(rng)
-        d0 = delta0_matrix(V, W)
+        d0 = delta0_matrix(hom_complex(V, W))
         assert ext_quiver_sheaf(V, W).ext0 == d0.ncols - rank(d0)
 
 
@@ -336,7 +337,7 @@ def test_incompatible_sheaves_rejected():
     V = higgs_sheaf()
     W = QSheafP1.zero_maps(LOOP, F, [SplitBundle([-1])], [O])
     with pytest.raises(ValueError):
-        delta0_matrix(V, W)
+        delta0_matrix(hom_complex(V, W))
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -348,9 +349,9 @@ def test_cech_d0_lists_its_unit_pivot_rows_first(seed):
     inst = load_instance(generate_document(seed, mode="p1"))
     V, W = inst.modules["V"], inst.modules["W"]
     for X, Y in ((V, W), (W, V)):
-        _, _, overlaps = _cech_layouts(X, Y, 0)
-        n_vertical = overlaps.vertex_start[-1]                    # dim Cech1(C0)
-        d0t, _ = _cech_matrices(X, Y, 0)
+        C = hom_complex(X, Y)
+        n_vertical = len(C.c0) * (2 * _window(C.c0, C.c1, 0) + 1)   # dim Cech1(C0)
+        d0t, _ = _cech_matrices(C, 0)
         units = {X.field.one(), X.field.element(-1)}
         for row in d0t.sparse_rows():
             vertical = [(j, x) for j, x in row.items() if j < n_vertical]
@@ -376,6 +377,6 @@ def test_cech_rank_work_stays_bounded(monkeypatch):
         inst = load_instance(generate_document(seed, mode="p1"))
         V, W = inst.modules["V"], inst.modules["W"]
         for X, Y in ((V, W), (W, V)):
-            for m in _cech_matrices(X, Y, 0):
+            for m in _cech_matrices(hom_complex(X, Y), 0):
                 rank(m)
     assert 0 < len(calls) <= 3000
