@@ -29,7 +29,7 @@ from typing import Optional
 from .generate import generate_document
 from .instances import MAX_DIM, Instance, InstanceError, load_instance
 from .linalg import CrossCheckError, rank
-from .rep import TwistedRep, delta_matrix, hom_space, hom_summands, hom_twists
+from .rep import TwistedRep, delta_matrix, hom_complex, hom_space, hom_summands, hom_twists
 from .resolution import (check_resolution_exactness, lift_beta, resolution_layout,
                          resolution_matrices)
 from .sheaf import ExtReport, cech_dims, cech_hyper, ext_quiver_sheaf, h0_dim, h1_dim
@@ -199,17 +199,20 @@ def cmd_ext(args) -> int:
         V = _pick_module(instance, args.module_v, "vector")
         W = _pick_module(instance, args.module_w, "vector")
         _preflight_hom("ext", V, W)
+        basis = None
         if args.bases:
             # a basis of up to n vectors of n coordinates, n = dim ⊕_i Hom(V_i, W_i),
             # each checked against I_m ⊗ f_ta for every twist dimension m
-            n = len(hom_twists(V, W)[0])
-            _preflight("ext --bases", n * n, *V.twist.dims)
-        delta = delta_matrix(V, W)
-        # the kernel basis of --bases gives the rank without a second elimination
-        basis = hom_space(V, W, delta) if args.bases else None
-        r0 = rank(delta) if basis is None else delta.ncols - len(basis)
+            c0, c1, _, _ = hom_twists(V, W)
+            _preflight("ext --bases", len(c0) ** 2, *V.twist.dims)
+            # the kernel basis gives the rank without a second elimination
+            basis = hom_space(V, W)
+            shape, r0 = (len(c1), len(c0)), len(c0) - len(basis)
+        else:
+            delta = delta_matrix(V, W)
+            shape, r0 = delta.shape, rank(delta)
         # the long exact sequence with H^1 = 0 and delta as the only map
-        result = _ext_result(ExtReport.of_sequence(delta.shape, (0, 0), r0, 0), "vector")
+        result = _ext_result(ExtReport.of_sequence(shape, (0, 0), r0, 0), "vector")
         if basis is not None:
             result["hom_basis"] = [
                 {f"f_{i}": [[str(x) for x in row] for row in f.blocks[i].to_lists()]
@@ -257,11 +260,12 @@ def cmd_hyper(args) -> int:
     # the long exact sequence of --verify is no larger than the Cech complex
     _preflight_hom("hyper", V, W)
     _preflight("hyper", *cech_dims(V, W))
-    hh = cech_hyper(V, W)
+    C = hom_complex(V, W)       # both routes read one complex
+    hh = cech_hyper(V, W, C=C)
     result = {"hh0": hh[0], "hh1": hh[1], "hh2": hh[2]}
     verified: Optional[bool] = None
     if args.verify:
-        r = ext_quiver_sheaf(V, W)
+        r = ext_quiver_sheaf(V, W, C=C)
         verified = (r.ext0, r.ext1, r.ext2) == hh
         result["verify"] = "pass" if verified else "FAIL"
         result["ext_via_les"] = [r.ext0, r.ext1, r.ext2]

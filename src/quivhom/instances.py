@@ -18,7 +18,9 @@ and plain integers over prime fields.  P1-mode modules are
 where each form entry is the coefficient list of a binary form (x^d
 first) or null for the zero form, which an entry of negative degree must
 be.  A loaded form is the tuple of its coefficients, () for null.  Unknown
-keys are rejected and every shape constraint is re-validated on load.
+keys are rejected and every shape constraint is re-validated on load.  Each
+coefficient is checked once, as the matrix rows are built; a JSON path is
+built only for the error that names it.
 """
 
 from __future__ import annotations
@@ -113,40 +115,48 @@ def _parse_quiver(value, path: str) -> Quiver:
         raise InstanceError(str(e), path)
 
 
-def _parse_entry(field: FieldSpec, value, path: str):
-    """A checked entry, an int or a Fraction; the matrix brings it into the field.
+def _coefficients(field: FieldSpec, values: list, where) -> list:
+    """The JSON values of one row or form, each checked once and brought into
+    the field; where() is the row's JSON path, built only to raise.
 
     Fraction expands an exponent ("1e10000000") into a full integer, so a
     string whose expansion would have more digits than Python's limit for
     integer strings (its default, if switched off) is rejected first.
     """
-    if field.is_prime_field:
-        return _require_int(value, path)
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InstanceError("expected an integer or a fraction string", path)
-    try:
-        if isinstance(value, str):
-            mantissa, e, exponent = value.lower().partition("e")
-            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-            if e and len(mantissa) + abs(int(exponent)) > limit:
-                raise ValueError
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise InstanceError(f"not a rational number: {value!r}", path)
+    p = field.modulus
+    if p is not None:
+        if all(type(x) is int for x in values):     # the type of True is bool
+            return [x % p for x in values]
+        k = next(k for k, x in enumerate(values) if type(x) is not int)
+        raise InstanceError("expected an integer", f"{where()}[{k}]")
+    out = []
+    for k, x in enumerate(values):
+        if type(x) is not int and type(x) is not str:
+            raise InstanceError("expected an integer or a fraction string", f"{where()}[{k}]")
+        try:
+            if type(x) is str:
+                mantissa, e, exponent = x.lower().partition("e")
+                limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+                if e and len(mantissa) + abs(int(exponent)) > limit:
+                    raise ValueError
+            out.append(Fraction(x))
+        except (ValueError, ZeroDivisionError):
+            raise InstanceError(f"not a rational number: {x!r}", f"{where()}[{k}]")
+    return out
 
 
 def _parse_matrix(field: FieldSpec, value, rows: int, cols: int, path: str) -> ExactMatrix:
     value = _require_list(value, path)
     if len(value) != rows:
         raise InstanceError(f"expected {rows} rows, got {len(value)}", path)
-    entries = []
+    out = []
     for r, row in enumerate(value):
-        row = _require_list(row, f"{path}[{r}]")
-        if len(row) != cols:
+        if type(row) is not list or len(row) != cols:     # the path is built only to raise
+            row = _require_list(row, f"{path}[{r}]")
             raise InstanceError(f"expected {cols} columns, got {len(row)}", f"{path}[{r}]")
-        entries.append([_parse_entry(field, x, f"{path}[{r}][{c}]")
-                        for c, x in enumerate(row)])
-    return ExactMatrix(field, rows, cols, entries)
+        coefficients = _coefficients(field, row, lambda: f"{path}[{r}]")
+        out.append({c: x for c, x in enumerate(coefficients) if x})
+    return ExactMatrix._wrap(field, tuple(out), cols)
 
 
 def _parse_twist_list(value, path: str) -> SplitBundle:
@@ -180,15 +190,14 @@ def _parse_vector_module(field: FieldSpec, quiver: Quiver, twist: TwistData,
     return TwistedRep(quiver, twist, field, dims, phi)
 
 
-def _parse_form(field: FieldSpec, value, degree: int, path: str) -> tuple:
-    if value is None:
-        return ()
-    value = _require_list(value, path)
+def _parse_form(field: FieldSpec, value, degree: int, where) -> tuple:
+    if type(value) is not list:
+        raise InstanceError("expected a list", where())
     if degree < 0:
-        raise InstanceError("entry of negative degree must be null", path)
+        raise InstanceError("entry of negative degree must be null", where())
     if len(value) != degree + 1:
-        raise InstanceError(f"expected {degree + 1} coefficients", path)
-    return tuple(_parse_entry(field, x, f"{path}[{k}]") for k, x in enumerate(value))
+        raise InstanceError(f"expected {degree + 1} coefficients", where())
+    return tuple(_coefficients(field, value, where))
 
 
 def _parse_p1_module(field: FieldSpec, quiver: Quiver,
@@ -219,17 +228,15 @@ def _parse_p1_module(field: FieldSpec, quiver: Quiver,
         raw = _require_list(phi_raw[a], mpath)
         if len(raw) != dst.rank:
             raise InstanceError(f"expected {dst.rank} rows", mpath)
-        entries = []
-        for r in range(dst.rank):
-            row = _require_list(raw[r], f"{mpath}[{r}]")
-            if len(row) != src.rank:
+        rows = []
+        for r, row in enumerate(raw):
+            if type(row) is not list or len(row) != src.rank:
+                _require_list(row, f"{mpath}[{r}]")
                 raise InstanceError(f"expected {src.rank} columns", f"{mpath}[{r}]")
-            entries.append([
-                _parse_form(field, row[c], dst.twists[r] - src.twists[c],
-                            f"{mpath}[{r}][{c}]")
-                for c in range(src.rank)
-            ])
-        phi.append(FormMatrix(field, src, dst, entries))
+            rows.append({c: _parse_form(field, f, dst.twists[r] - src.twists[c],
+                                        lambda: f"{mpath}[{r}][{c}]")
+                         for c, f in enumerate(row) if f is not None})
+        phi.append(FormMatrix._wrap(field, src, dst, rows))
     return QSheafP1(quiver, field, twist_bundles, bundles, phi, _tensors=tensors)
 
 

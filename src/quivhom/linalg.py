@@ -10,7 +10,8 @@ matrix is a tuple of rows, each row a `{column: value}` dict holding only
 the nonzero entries; no zero is ever stored, so equal matrices have equal
 rows.  The assembled matrices are about 1 % nonzero, which is why rows are
 sparse rather than dense.  MatrixBuilder keeps its rows in this form as it
-places each diagonal run whole, so building a matrix takes no second pass.
+places each diagonal run whole, so building a matrix takes no second pass;
+it writes each cell once, without reading it, and checks that on build().
 
 One routine, `_echelon`, does all elimination.  It reduces each row in
 turn against the pivot rows found so far, leftmost column first, and adds
@@ -314,23 +315,15 @@ class ExactMatrix:
         return ExactMatrix._wrap(self.field, rows, c1 - c0)
 
 
-def _store_sum(row: dict, c: int, v, p: Optional[int]):
-    """row[c] = v brought into the field, or no entry at c when that is zero."""
-    v = v if p is None else v % p
-    if v:
-        row[c] = v
-    else:
-        del row[c]
-
-
 class MatrixBuilder:
-    """Mutable accumulator used to assemble large block matrices.
+    """Write-once assembler of large block matrices.
 
-    Its rows stay canonical while entries arrive: a value is brought into
-    the field once per run and a cell whose sum is zero is deleted, so
-    build() adopts the rows as they are.  An entry outside the shape is not
-    placed; build() raises IndexError for the first one.  build() hands its
-    rows to the matrix, so any later call raises RuntimeError.
+    A cell is written without being read: a value is brought into the field
+    once per run and a zero is not written, so build() adopts the rows as
+    they are.  build() raises CrossCheckError when the cells written differ
+    from the nonzeros stored (a cell was written twice), and IndexError for
+    the first entry outside the shape, which is not placed.  build() hands
+    its rows to the matrix, so any later call raises RuntimeError.
     """
 
     def __init__(self, field: FieldSpec, rows: int, cols: int):
@@ -338,6 +331,7 @@ class MatrixBuilder:
         self.nrows = rows
         self.ncols = cols
         self._rows = [{} for _ in range(rows)]
+        self._written = 0           # cells written, each one a nonzero
         self._outside = None        # message naming the first entry outside the shape
 
     def _live_rows(self) -> list:
@@ -346,11 +340,11 @@ class MatrixBuilder:
         return self._rows
 
     def add(self, i: int, j: int, value):
-        """Add an int or a field element at (i, j)."""
+        """Write an int or a field element at (i, j)."""
         self.add_run(i, j, 1, value)
 
     def add_run(self, i: int, j: int, n: int, value):
-        """Add an int or a field element at (i + e, j + e) for 0 <= e < n."""
+        """Write an int or a field element at (i + e, j + e) for 0 <= e < n."""
         rows, p = self._rows or self._live_rows(), self.field.modulus
         x = value % p if p is not None and type(value) is int else self.field.element(value)
         if n <= 0 or not x:
@@ -361,16 +355,13 @@ class MatrixBuilder:
                 self._outside = (f"entry ({i + e}, {j + e}) outside a "
                                  f"{self.nrows}x{self.ncols} matrix")
             return
-        for e in range(n):
-            row, c = rows[i + e], j + e
-            old = row.get(c)
-            if old is None:
-                row[c] = x
-            else:
-                _store_sum(row, c, old + x, p)
+        self._written += n
+        for row in rows[i:i + n]:
+            row[j] = x
+            j += 1
 
     def add_block(self, r0: int, c0: int, block: ExactMatrix):
-        """Add a matrix over the same field with its (0, 0) entry at (r0, c0)."""
+        """Write a matrix over the same field with its (0, 0) entry at (r0, c0)."""
         if block.field != self.field:
             raise ValueError("block over a different field")
         rows = self._live_rows()
@@ -379,19 +370,18 @@ class MatrixBuilder:
                 self.add_run(r0 + i, c0 + j, 1, x)
             return
         for row, src in zip(rows[r0:r0 + block.nrows], block._rows):
-            for j, x in src.items():
-                c = c0 + j
-                old = row.get(c)
-                if old is None:
-                    row[c] = x
-                else:
-                    _store_sum(row, c, old + x, self.field.modulus)
+            self._written += len(src)
+            row.update({c0 + j: x for j, x in src.items()})
 
     def build(self) -> ExactMatrix:
         rows = self._live_rows()
         self._rows = None
         if self._outside is not None:
             raise IndexError(self._outside)
+        stored = sum(map(len, rows))
+        if stored != self._written:
+            raise CrossCheckError(f"a cell was written twice: {self._written} writes, "
+                                  f"{stored} nonzeros")
         return ExactMatrix._wrap(self.field, tuple(rows), self.ncols)
 
 

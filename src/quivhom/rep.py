@@ -167,8 +167,9 @@ class HomComplex(NamedTuple):
     """The two-term complex C0 = ⊕_i Hom(V_i, W_i) -> C1 = ⊕_a Hom(M_a⊗V_ta, W_ha).
 
     c0, c1, vertex_start and arrow_start are as hom_twists gives them.  Entry
-    (i, j, cf, sign): the stored coefficient cf of phi_a or psi_a sends
-    summand j of C0 to sign·cf times summand i of C1.
+    (i, j, cf, sign): the stored coefficient cf of phi_a or psi_a, or on a
+    loop a their difference, sends summand j of C0 to sign·cf times summand
+    i of C1.  No pair (i, j) has two entries, so no two share a matrix cell.
     """
     field: FieldSpec
     c0: list
@@ -199,19 +200,22 @@ def hom_complex(V, W) -> HomComplex:
 
     Each stored entry cf of phi_a or psi_a sends the (r, s) entry of some
     f_i into the (r2, c) entry of the arrow-a component, c indexing
-    M_a⊗V_ta in stored order.
+    M_a⊗V_ta in stored order.  Only on a loop can a phi and a psi term meet
+    one pair; the walk keeps their difference in the phi term's entry.
     """
     c0, c1, vertex_start, arrow_start = hom_twists(V, W)
     v_sizes, v_order, phi = V.summand_data()
     w_sizes, w_order, psi = W.summand_data()
+    p = V.field.modulus
     entries = []
     for a, (t, h) in enumerate(V.quiver.arrows):
-        wh, wt, start = w_sizes[h], w_sizes[t], arrow_start[a]
+        wh, wt, start, first = w_sizes[h], w_sizes[t], arrow_start[a], len(entries)
         # f_ha ∘ phi_a: row s of phi_a feeds column c of the product
         for s in range(v_sizes[h]):
             for c, cf in phi[a][s].items():
                 for r in range(wh):
                     entries.append((start + c * wh + r, vertex_start[h] + s * wh + r, cf, 1))
+        on_phi = {e[:2]: k for k, e in enumerate(entries[first:], first)} if t == h else None
         # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
         # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
         for pos, c in enumerate(v_order[a]):
@@ -221,8 +225,20 @@ def hom_complex(V, W) -> HomComplex:
                 for r2 in range(wh):
                     cf = psi[a][r2].get(j)
                     if cf is not None:
-                        entries.append((start + c * wh + r2, vertex_start[t] + s * wt + r, cf, -1))
+                        pair = (start + c * wh + r2, vertex_start[t] + s * wt + r)
+                        k = on_phi.get(pair) if on_phi else None
+                        if k is None:
+                            entries.append((*pair, cf, -1))
+                        else:
+                            entries[k] = (*pair, _minus(p, entries[k][2], cf), 1)
     return HomComplex(V.field, c0, c1, vertex_start, arrow_start, entries)
+
+
+def _minus(p: Optional[int], f, g):
+    """f − g of two field elements, or of two coefficient tuples of one form degree."""
+    if isinstance(f, tuple):
+        return tuple(_minus(p, x, y) for x, y in zip(f, g))
+    return (f - g) % p if p else f - g
 
 
 def hom_summands(V, W) -> int:
@@ -266,6 +282,8 @@ def _connecting_runs(C: HomComplex, rows: list, cols: list, times, place) -> Non
     """place(i, j, n, x) for each run of each entry; rows, cols: C1, C0 summand starts."""
     for i, j, cf, sign in C.entries:
         row, col = rows[i], cols[j]
+        if row == rows[i + 1] or col == cols[j + 1]:
+            continue        # the block has no rows or no columns
         for k, k2, n, x in times(C.c0[j], cf):
             place(row + k2, col + k, n, sign * x)
 
@@ -281,22 +299,22 @@ def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
     column-major block coordinates.  Its kernel is Hom(V, W) and its
     cokernel computes Ext^1 over a field.
     """
-    return connecting_matrix(hom_complex(V, W), one_coordinate, _scalar_times)
+    return _delta(V, W)[1]
 
 
-def hom_space(V: TwistedRep, W: TwistedRep,
-              delta: Optional[ExactMatrix] = None) -> List[RepMorphism]:
-    """Basis of Hom(V, W) = ker(delta_matrix), as verified morphisms.
+def _delta(V: TwistedRep, W: TwistedRep) -> Tuple[HomComplex, ExactMatrix]:
+    """hom_complex(V, W), whose block starts place each Hom block, and delta."""
+    C = hom_complex(V, W)
+    return C, connecting_matrix(C, one_coordinate, _scalar_times)
 
-    delta is delta_matrix(V, W), when the caller has it already.
-    """
-    if delta is None:
-        delta = delta_matrix(V, W)
-    _, _, voff, _ = hom_twists(V, W)
+
+def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
+    """Basis of Hom(V, W) = ker(delta_matrix), as verified morphisms."""
+    C, delta = _delta(V, W)
     morphisms = []
     for vec in kernel_basis(delta):
         blocks = [
-            unvec_matrix(V.field, vec, W.dims[i], V.dims[i], voff[i])
+            unvec_matrix(V.field, vec, W.dims[i], V.dims[i], C.vertex_start[i])
             for i in range(V.quiver.n_vertices)
         ]
         f = RepMorphism(V, W, blocks)
@@ -378,29 +396,28 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
         if e != W.dims[i] + V.dims[i]:
             raise ValueError(f"E has dimension {e} at vertex {i}, not {W.dims[i]} + {V.dims[i]}")
     field = V.field
-    delta = delta_matrix(V, E)
-    _, _, soff, _ = hom_twists(V, E)
+    C, delta = _delta(V, E)
     section = MatrixBuilder(field, sum(d * d for d in V.dims), delta.ncols)
-    rhs = [field.zero()] * delta.nrows
-    r = 0
+    rhs, r = [], 0
     for i, d in enumerate(V.dims):
         if d > 0:
             proj = _projection_block(field, W.dims[i], d)
-            section.add_block(r, soff[i], kron(ExactMatrix.identity(field, d), proj))
+            section.add_block(r, C.vertex_start[i], kron(ExactMatrix.identity(field, d), proj))
             rhs += vec_matrix(ExactMatrix.identity(field, d))
         r += d * d
-    return solve(vstack([delta, section.build()]), rhs) is not None
+    # the section rows first: each holds a single 1, so each is a pivot at once
+    rhs += [field.zero()] * delta.nrows
+    return solve(vstack([section.build(), delta]), rhs) is not None
 
 
 def ext1_classes(V: TwistedRep, W: TwistedRep) -> List[List[ExactMatrix]]:
     """Representatives eta = (eta_a) of a basis of coker(delta) = Ext^1(V, W)."""
-    delta = delta_matrix(V, W)
-    _, _, _, aoff = hom_twists(V, W)
+    C, delta = _delta(V, W)
     classes = []
     for vec in cokernel_representatives(delta):
         etas = []
         for a, (t, h) in enumerate(V.quiver.arrows):
             m = V.twist[a]
-            etas.append(unvec_matrix(V.field, vec, W.dims[h], m * V.dims[t], aoff[a]))
+            etas.append(unvec_matrix(V.field, vec, W.dims[h], m * V.dims[t], C.arrow_start[a]))
         classes.append(etas)
     return classes

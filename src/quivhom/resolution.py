@@ -122,9 +122,8 @@ def _extend(V: TwistedRep, basis: GradedBasis,
         for a, (t, h) in enumerate(V.quiver.arrows):
             col = basis.block_offset[(a, l)] * w
             eye = ExactMatrix.identity(field, V.twist[a])
-            out[h].add_block(0, col, V.phi[a] @ kron(eye, alpha[(t, l)]))
-            if beta is not None:
-                out[h].add_block(0, col, beta[(a, l)])
+            block = V.phi[a] @ kron(eye, alpha[(t, l)])
+            out[h].add_block(0, col, block if beta is None else block + beta[(a, l)])
         for i, built in enumerate(out):
             alpha[(i, l + 1)] = built.build()
 

@@ -551,8 +551,8 @@ def test_p1_loader_builds_each_tensor_bundle_once(monkeypatch):
 
 
 def test_p1_commands_build_the_hom_complex_once_per_route(tmp_path, capsys, monkeypatch):
-    # the complex is the only walk over the quiver's summands: the LES and
-    # the Cech route build one each, and the size guard reads twists only
+    # the complex is the only walk over the quiver's summands: hyper --verify
+    # builds one for both routes, ext one, and the size guard reads twists only
     from quivhom import rep, sheaf
     calls = []
     build = rep.hom_complex
@@ -563,7 +563,7 @@ def test_p1_commands_build_the_hom_complex_once_per_route(tmp_path, capsys, monk
     doc = generate_document(0, mode="p1")
     f = tmp_path / "gen.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
-    for argv, walks in ((("hyper", "--verify"), 2), (("ext",), 1)):
+    for argv, walks in ((("hyper", "--verify"), 1), (("ext",), 1)):
         calls.clear()
         code, _, _ = run(capsys, argv[0], str(f), "V", "W", *argv[1:])
         assert (code, len(calls)) == (0, walks)

@@ -298,3 +298,18 @@ def test_cech_assembly_places_canonical_rows(monkeypatch):
         delta0_matrix(hom_complex(V, W))
         delta1_matrix(hom_complex(V, W))
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("mode", ["vector", "p1"])
+def test_hom_complex_has_one_entry_per_summand_pair(mode):
+    # only a loop's phi and psi terms can meet one pair; one vertex forces loops
+    loops = 0
+    for seed in range(100):
+        for max_vertices in (4, 1):
+            inst = load_instance(generate_document(seed, mode=mode, max_vertices=max_vertices))
+            V, W = inst.modules["V"], inst.modules["W"]
+            for X, Y in ((V, W), (W, V), (V, V)):
+                pairs = [(i, j) for i, j, _, _ in hom_complex(X, Y).entries]
+                assert len(pairs) == len(set(pairs)), (seed, max_vertices)
+            loops += sum(t == h for t, h in inst.quiver.arrows)
+    assert loops >= 300

@@ -297,16 +297,13 @@ def test_no_zero_is_stored(seed, field):
     zeros = ExactMatrix.zeros(field, r, c)
     assert a - a == zeros and (a - a).is_zero()
     assert hash(a - a) == hash(zeros)
-    # the same matrix along three routes: entries, a sum, a builder with cancellation
+    # the same matrix along three routes: entries, a sum, a builder that
+    # writes each cell once, given the entry plus a multiple of the modulus
     via_sum = (a + b) - b
     builder = MatrixBuilder(field, r, c)
     for i in range(r):
         for j in range(c):
-            builder.add(i, j, la[i][j])
-            builder.add(i, j, 1)
-            builder.add(i, j, -1)
-    builder.add_block(0, 0, b)
-    builder.add_block(0, 0, b.scale(-1))
+            builder.add(i, j, la[i][j] + 2 * (field.modulus or 0))
     via_builder = builder.build()
     for m in (via_sum, via_builder, a.transpose().transpose(), a @ ExactMatrix.identity(field, c)):
         assert m == a and hash(m) == hash(a)
@@ -344,30 +341,40 @@ def test_builder_builds_once():
 def _builder_script(draw):
     """A field, a small shape and a sequence of add, add_run and add_block calls.
 
-    Starts reach one past each edge on either side or end a run exactly at
-    the last row or column; runs may be empty or be followed by their negation.
+    In half the scripts every call fits inside the shape, save an add into
+    a shape with no cells; in the others, starts reach one past each edge
+    on either side or end a run exactly at the last row or column.  Runs
+    may be empty or be followed by their negation, which writes their cells
+    a second time.
     """
     field = draw(st.sampled_from([F5, F101, Q]))
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    inside = draw(st.booleans())
     if field.is_prime_field:
         values = st.integers(-3 * field.modulus, 3 * field.modulus)
     else:
         values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)) | st.integers(-6, 6)
+
+    def start(size, n):
+        if inside:
+            return draw(st.integers(0, max(size - n, 0)))
+        return draw(st.integers(-1, size) | st.just(size - n))
+
     ops = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["add", "run", "cancel", "block"]))
-        n = 1 if kind == "add" else draw(st.integers(-1, 5))
-        i = draw(st.integers(-1, rows) | st.just(rows - n))
-        j = draw(st.integers(-1, cols) | st.just(cols - n))
         if kind == "block":
+            h, w = (min(3, rows), min(3, cols)) if inside else (3, 3)
             lists = _sparse_lists(field, random.Random(draw(st.integers(0, 10**6))),
-                                  draw(st.integers(0, 3)), draw(st.integers(0, 3)))
-            ops.append(("block", i, j, lists))
-        else:
-            x = draw(values)
-            ops.append((kind, i, j, n, x))
-            if kind == "cancel":
-                ops.append(("run", i, j, n, -x))
+                                  draw(st.integers(0, h)), draw(st.integers(0, w)))
+            width = len(lists[0]) if lists else 0
+            ops.append(("block", start(rows, len(lists)), start(cols, width), lists))
+            continue
+        n = 1 if kind == "add" else draw(st.integers(-1, min(rows, cols) if inside else 5))
+        i, j, x = start(rows, n), start(cols, n), draw(values)
+        ops.append((kind, i, j, n, x))
+        if kind == "cancel":
+            ops.append(("run", i, j, n, -x))
     return field, rows, cols, ops
 
 
@@ -375,15 +382,19 @@ def _builder_script(draw):
 @seed(20260)
 @settings(max_examples=300, deadline=None)
 def test_builder_against_dense_reference(script):
+    # the builder is write-once: a script that writes no cell twice builds
+    # the dense reference, and a second write into any cell raises
     field, rows, cols, ops = script
     builder = MatrixBuilder(field, rows, cols)
     dense = [[0] * cols for _ in range(rows)]
+    writes = [[0] * cols for _ in range(rows)]
     outside = None
 
     def place(i, j, x):
         nonlocal outside
         if 0 <= i < rows and 0 <= j < cols:
             dense[i][j] += x
+            writes[i][j] += 1
         elif outside is None:
             outside = (i, j)
 
@@ -406,6 +417,10 @@ def test_builder_against_dense_reference(script):
     if outside is not None:
         message = f"entry ({outside[0]}, {outside[1]}) outside a {rows}x{cols} matrix"
         with pytest.raises(IndexError, match=re.escape(message)):
+            builder.build()
+        return
+    if any(n > 1 for row in writes for n in row):
+        with pytest.raises(CrossCheckError, match="written twice"):
             builder.build()
         return
     want = [[field.element(x) for x in row] for row in dense]
