@@ -17,11 +17,12 @@ ascending, then in the block order of e_i A_l restricted to tail j.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Tuple
 
 from .linalg import (CrossCheckError, ExactMatrix, MatrixBuilder, hstack, kron,
                      solve, vec_matrix)
-from .rep import TwistedRep, hom_space, hom_twists
+from .rep import TwistedRep, hom_space
 from .resolution import GradedBasis, path_actions
 
 
@@ -110,7 +111,7 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     d_out = n_dim * V.dims[i] * l_dim
 
     # vectorised coordinates of ⊕_j Hom(V_j, J_j)
-    _, _, voff, _ = hom_twists(V, J)
+    voff = list(accumulate((dv * dj for dv, dj in zip(V.dims, J.dims)), initial=0))
     total = voff[-1]
     hom_cols = ExactMatrix(field, h, total, [
         [x for block in f.blocks for x in vec_matrix(block)] for f in homs]).transpose()

@@ -35,6 +35,8 @@ from .resolution import (check_resolution_exactness, lift_beta, resolution_layou
 from .sheaf import ExtReport, cech_dims, cech_hyper, ext_quiver_sheaf, h0_dim, h1_dim
 
 log = logging.getLogger("quivhom")
+_log_handler = logging.StreamHandler()
+_log_handler.setFormatter(logging.Formatter("quivhom: %(levelname)s: %(message)s"))
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,8 +66,11 @@ def _configure_logging():
         sys.stderr.write(f"quivhom: warning: unknown QUIVHOM_LOG value {level!r}; "
                          f"accepted: {', '.join(levels)}; using quiet\n")
         level = "quiet"
-    logging.basicConfig(stream=sys.stderr, level=levels[level],
-                        format="quivhom: %(levelname)s: %(message)s")
+    # the package logger alone, set afresh on each call, on this call's stderr
+    _log_handler.stream = sys.stderr
+    log.handlers = [_log_handler]
+    log.setLevel(levels[level])
+    log.propagate = False
 
 
 def _load_file(path: str) -> tuple:
@@ -209,7 +214,7 @@ def cmd_ext(args) -> int:
             basis = hom_space(V, W)
             shape, r0 = (len(c1), len(c0)), len(c0) - len(basis)
         else:
-            delta = delta_matrix(V, W)
+            delta = delta_matrix(hom_complex(V, W))
             shape, r0 = delta.shape, rank(delta)
         # the long exact sequence with H^1 = 0 and delta as the only map
         result = _ext_result(ExtReport.of_sequence(shape, (0, 0), r0, 0), "vector")
@@ -223,7 +228,7 @@ def cmd_ext(args) -> int:
         V = _pick_module(instance, args.module_v, "p1")
         W = _pick_module(instance, args.module_w, "p1")
         _preflight_hom("ext", V, W, h0_dim, h1_dim)
-        result = _ext_result(ext_quiver_sheaf(V, W), "p1")
+        result = _ext_result(ext_quiver_sheaf(hom_complex(V, W)), "p1")
     _emit(args, [args.module_v, args.module_w], instance, digest, result)
     return EXIT_OK
 
@@ -261,11 +266,11 @@ def cmd_hyper(args) -> int:
     _preflight_hom("hyper", V, W)
     _preflight("hyper", *cech_dims(V, W))
     C = hom_complex(V, W)       # both routes read one complex
-    hh = cech_hyper(V, W, C=C)
+    hh = cech_hyper(C)
     result = {"hh0": hh[0], "hh1": hh[1], "hh2": hh[2]}
     verified: Optional[bool] = None
     if args.verify:
-        r = ext_quiver_sheaf(V, W, C=C)
+        r = ext_quiver_sheaf(C)
         verified = (r.ext0, r.ext1, r.ext2) == hh
         result["verify"] = "pass" if verified else "FAIL"
         result["ext_via_les"] = [r.ext0, r.ext1, r.ext2]

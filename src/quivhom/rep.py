@@ -292,27 +292,21 @@ def _scalar_times(d: int, cf) -> tuple:
     return ((0, 0, 1, cf),)
 
 
-def delta_matrix(V: TwistedRep, W: TwistedRep) -> ExactMatrix:
-    """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)).
+def delta_matrix(C: HomComplex) -> ExactMatrix:
+    """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)), for C = hom_complex(V, W).
 
     Domain: ⊕_i Hom(V_i, W_i); codomain: ⊕_a Hom(M_a⊗V_ta, W_ha); both in
-    column-major block coordinates.  Its kernel is Hom(V, W) and its
-    cokernel computes Ext^1 over a field.
+    column-major block coordinates, each block at C's block start.  Its
+    kernel is Hom(V, W) and its cokernel computes Ext^1 over a field.
     """
-    return _delta(V, W)[1]
-
-
-def _delta(V: TwistedRep, W: TwistedRep) -> Tuple[HomComplex, ExactMatrix]:
-    """hom_complex(V, W), whose block starts place each Hom block, and delta."""
-    C = hom_complex(V, W)
-    return C, connecting_matrix(C, one_coordinate, _scalar_times)
+    return connecting_matrix(C, one_coordinate, _scalar_times)
 
 
 def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
     """Basis of Hom(V, W) = ker(delta_matrix), as verified morphisms."""
-    C, delta = _delta(V, W)
+    C = hom_complex(V, W)
     morphisms = []
-    for vec in kernel_basis(delta):
+    for vec in kernel_basis(delta_matrix(C)):
         blocks = [
             unvec_matrix(V.field, vec, W.dims[i], V.dims[i], C.vertex_start[i])
             for i in range(V.quiver.n_vertices)
@@ -326,7 +320,7 @@ def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
 
 def ext1_dim(V: TwistedRep, W: TwistedRep) -> int:
     """dim Ext^1(V, W) = dim coker(delta_matrix); Ext^q vanishes for q >= 2."""
-    return cokernel_dimension(delta_matrix(V, W))
+    return cokernel_dimension(delta_matrix(hom_complex(V, W)))
 
 
 def identity_morphism(V: TwistedRep) -> RepMorphism:
@@ -396,7 +390,8 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
         if e != W.dims[i] + V.dims[i]:
             raise ValueError(f"E has dimension {e} at vertex {i}, not {W.dims[i]} + {V.dims[i]}")
     field = V.field
-    C, delta = _delta(V, E)
+    C = hom_complex(V, E)
+    delta = delta_matrix(C)
     section = MatrixBuilder(field, sum(d * d for d in V.dims), delta.ncols)
     rhs, r = [], 0
     for i, d in enumerate(V.dims):
@@ -412,9 +407,9 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
 
 def ext1_classes(V: TwistedRep, W: TwistedRep) -> List[List[ExactMatrix]]:
     """Representatives eta = (eta_a) of a basis of coker(delta) = Ext^1(V, W)."""
-    C, delta = _delta(V, W)
+    C = hom_complex(V, W)
     classes = []
-    for vec in cokernel_representatives(delta):
+    for vec in cokernel_representatives(delta_matrix(C)):
         etas = []
         for a, (t, h) in enumerate(V.quiver.arrows):
             m = V.twist[a]

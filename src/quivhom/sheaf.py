@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
@@ -313,19 +313,18 @@ class ExtReport:
         )
 
 
-def ext_quiver_sheaf(V: QSheafP1, W: QSheafP1, C: Optional[HomComplex] = None) -> ExtReport:
-    """Ext dimensions read off the long exact sequence.
+def ext_quiver_sheaf(C: HomComplex) -> ExtReport:
+    """Ext dimensions read off the long exact sequence of C = hom_complex(V, W).
 
     The sequence terminates after Ext^2 because Ext^2 between locally free sheaves
-    vanishes on a one-dimensional base.  C is hom_complex(V, W), if the caller has it.
+    vanishes on a one-dimensional base.
     """
-    C = hom_complex(V, W) if C is None else C
     d0, d1 = delta0_matrix(C), delta1_matrix(C)
     return ExtReport.of_sequence(d0.shape, d1.shape, rank(d0), rank(d1))
 
 
 def euler_characteristic(V: QSheafP1, W: QSheafP1) -> int:
-    r = ext_quiver_sheaf(V, W)
+    r = ext_quiver_sheaf(hom_complex(V, W))
     return r.ext0 - r.ext1 + r.ext2
 
 
@@ -424,17 +423,16 @@ def _cech_matrices(C: HomComplex, extra_window: int):
     return d0t.build(), d1.build()
 
 
-def cech_hyper(V: QSheafP1, W: QSheafP1, extra_window: int = 0,
-               C: Optional[HomComplex] = None) -> Tuple[int, int, int]:
-    """Hypercohomology dimensions of the two-term complex of sheaf Homs.
+def cech_hyper(C: HomComplex, extra_window: int = 0) -> Tuple[int, int, int]:
+    """Hypercohomology dimensions of the two-term complex C = hom_complex(V, W).
 
     Computed from the total complex of the Cech double complex on the
     two-chart cover, with Laurent exponents truncated to [-T, T] where
     T = max |twist| over all Hom-bundle summands + 2 + extra_window.
     Enlarging the window never changes the result; a negative extra_window
-    raises ValueError.  C is hom_complex(V, W), if the caller has it.
+    raises ValueError.
     """
-    d0t, d1 = _cech_matrices(hom_complex(V, W) if C is None else C, extra_window)
+    d0t, d1 = _cech_matrices(C, extra_window)
     (t0, t1), t2 = d0t.shape, d1.nrows
     r0, r1 = rank(d0t), rank(d1)
     return t0 - r0, (t1 - r1) - r0, t2 - r1

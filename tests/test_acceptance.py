@@ -27,6 +27,7 @@ from quivhom.rep import (
     build_extension,
     ext1_classes,
     ext1_dim,
+    hom_complex,
     hom_space,
     is_split_extension,
 )
@@ -169,9 +170,9 @@ def test_criterion_6_les_vs_hypercohomology():
     t0 = time.monotonic()
     ok = True
     for inst in p1_instances():
-        V, W = inst.modules["V"], inst.modules["W"]
-        r = ext_quiver_sheaf(V, W)
-        ok = ok and (r.ext0, r.ext1, r.ext2) == cech_hyper(V, W)
+        C = hom_complex(inst.modules["V"], inst.modules["W"])
+        r = ext_quiver_sheaf(C)
+        ok = ok and (r.ext0, r.ext1, r.ext2) == cech_hyper(C)
     elapsed = time.monotonic() - t0
     _report(6, f"Ext via LES = hypercohomology on {N_P1_INSTANCES} instances, "
                f"{elapsed:.1f}s < 60s", ok and elapsed < 60.0)
@@ -185,10 +186,10 @@ def test_criterion_7_euler_identity_sheaves():
 
 def test_criterion_8_higgs_fixture():
     inst = load_instance(json.loads((FIXTURES / "higgs_p1.json").read_text()))
-    V, W = inst.modules["V"], inst.modules["W"]
-    r = ext_quiver_sheaf(V, W)
+    C = hom_complex(inst.modules["V"], inst.modules["W"])
+    r = ext_quiver_sheaf(C)
     les = (r.ext0, r.ext1, r.ext2)
-    hyper = cech_hyper(V, W)
+    hyper = cech_hyper(C)
     _report(8, f"Higgs fixture gives (1, 3, 0) both ways; got {les} and {hyper}",
             les == (1, 3, 0) and hyper == (1, 3, 0))
 

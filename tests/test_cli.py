@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import logging
 import os
 import resource
 import subprocess
@@ -388,10 +389,21 @@ def test_ext_bases_eliminates_delta_once(capsys, monkeypatch):
 
 
 def test_log_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("QUIVHOM_LOG", "info")
-    # logging config is process-global; just ensure the command still works
-    code, out, _ = run(capsys, "ext", HIGGS, "V", "W", "--json")
-    assert code == 0
+    # each call sets the package logger afresh: info after quiet logs in one
+    # process, past a root logger at ERROR, which the calls leave as it was
+    root = logging.getLogger()
+    level, handlers = root.level, list(root.handlers)
+    root.setLevel(logging.ERROR)
+    try:
+        monkeypatch.setenv("QUIVHOM_LOG", "quiet")
+        quiet = run(capsys, "ext", HIGGS, "V", "W", "--json")
+        monkeypatch.setenv("QUIVHOM_LOG", "info")
+        code, out, err = run(capsys, "ext", HIGGS, "V", "W", "--json")
+        assert (root.level, root.handlers) == (logging.ERROR, handlers)
+    finally:
+        root.setLevel(level)
+    assert quiet == (code, out, "") and code == 0
+    assert err == f"quivhom: INFO: loaded {HIGGS} (p1 mode, 1 vertices, 1 arrows)\n"
 
 
 def test_unknown_log_level_warns_once(capsys, monkeypatch):
@@ -485,6 +497,13 @@ def _p1_loop_doc(w_twist):
                         "W": {"twists": [[w_twist]], "phi": [[[[1]]]]}}}
 
 
+def _p1_rank_100_doc():
+    # one loop, twist bundle O; V and W are O^100 with dense degree-0 forms
+    module = {"twists": [[0] * 100],
+              "phi": [[[[(r + s) % 100 + 1] for s in range(100)] for r in range(100)]]}
+    return {**_p1_loop_doc(0), "modules": {"V": module, "W": module}}
+
+
 def _vector_doc(dims, arrows, twists):
     phi = [[[1] * (m * dims[t]) for _ in range(dims[h])] for (t, h), m in zip(arrows, twists)]
     return {"field": {"fp": 101}, "quiver": {"vertices": len(dims), "arrows": arrows},
@@ -515,9 +534,12 @@ def _vector_doc(dims, arrows, twists):
     # the loader must not build M_a⊗V_ta of rank 2,000 · 2,000 from a small file
     ({**_p1_loop_doc(0), "twists": [[0] * 2000],
       "modules": {"V": {"twists": [[0] * 2000], "phi": [[]]}}}, ["ext", "V", "V"]),
+    # the Cech guard reads twists only and runs before the walk, which on this
+    # 120 KB file (20,401 Hom summands, under the limit) takes seconds
+    (_p1_rank_100_doc(), ["hyper", "V", "W"]),
 ], ids=["p1-ext", "p1-hyper", "p1-hyper-verify", "two-loops", "no-arrows",
         "dim-3000", "huge-twist-check", "huge-twist-ext", "huge-twist-facing-zero",
-        "huge-dim-facing-zero", "tensor-past-maxsize", "p1-tensor-rank"])
+        "huge-dim-facing-zero", "tensor-past-maxsize", "p1-tensor-rank", "p1-hyper-rank-100"])
 def test_oversized_input_exits_3_quickly(tmp_path, capsys, doc, argv):
     f = tmp_path / "big.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
@@ -550,27 +572,47 @@ def test_p1_loader_builds_each_tensor_bundle_once(monkeypatch):
     assert calls == []
 
 
-def test_p1_commands_build_the_hom_complex_once_per_route(tmp_path, capsys, monkeypatch):
-    # the complex is the only walk over the quiver's summands: hyper --verify
-    # builds one for both routes, ext one, and the size guard reads twists only
+def _count_hom_complex(monkeypatch) -> list:
+    """Record one entry per hom_complex call, through every binding of it."""
     from quivhom import rep, sheaf
     calls = []
     build = rep.hom_complex
-    for module in (rep, sheaf, cli):        # every binding of hom_complex
+    for module in (rep, sheaf, cli):
         if getattr(module, "hom_complex", None) is build:
             monkeypatch.setattr(module, "hom_complex",
                                 lambda V, W: calls.append(1) or build(V, W))
-    doc = generate_document(0, mode="p1")
-    f = tmp_path / "gen.json"
-    f.write_text(json.dumps(doc), encoding="utf-8")
-    for argv, walks in ((("hyper", "--verify"), 1), (("ext",), 1)):
+    return calls
+
+
+def _walks_per_request(tmp_path, capsys, calls, mode, argvs) -> list:
+    f = tmp_path / f"{mode}.json"
+    f.write_text(json.dumps(generate_document(0, mode=mode)), encoding="utf-8")
+    walks = []
+    for argv in argvs:
         calls.clear()
         code, _, _ = run(capsys, argv[0], str(f), "V", "W", *argv[1:])
-        assert (code, len(calls)) == (0, walks)
+        walks.append((code, len(calls)))
+    return walks
+
+
+def test_p1_commands_build_the_hom_complex_once_per_route(tmp_path, capsys, monkeypatch):
+    # the complex is the only walk over the quiver's summands: hyper --verify
+    # builds one for both routes, ext one, and the size guard reads twists only
+    from quivhom import sheaf
+    calls = _count_hom_complex(monkeypatch)
+    assert _walks_per_request(tmp_path, capsys, calls, "p1",
+                              [("hyper", "--verify"), ("ext",)]) == [(0, 1)] * 2
     calls.clear()
-    inst = load_instance(doc)
+    inst = load_instance(generate_document(0, mode="p1"))
     sheaf.cech_dims(inst.modules["V"], inst.modules["W"])
     assert calls == []
+
+
+def test_vector_ext_builds_the_hom_complex_once(tmp_path, capsys, monkeypatch):
+    # delta for ext, and the one hom_space builds for ext --bases
+    calls = _count_hom_complex(monkeypatch)
+    assert _walks_per_request(tmp_path, capsys, calls, "vector",
+                              [("ext",), ("ext", "--bases")]) == [(0, 1)] * 2
 
 
 def test_preflight_passes_a_large_check_under_the_limit(tmp_path, capsys):

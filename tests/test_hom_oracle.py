@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from quivhom.linalg import ExactMatrix, FieldSpec, rank
 from quivhom.quiver import Quiver
-from quivhom.rep import TwistData, TwistedRep, delta_matrix, ext1_dim
+from quivhom.rep import TwistData, TwistedRep, delta_matrix, ext1_dim, hom_complex
 
 # most Hom entries to enumerate, per prime
 BUDGET = {2: 12, 3: 8}
@@ -86,7 +86,7 @@ def test_hom_count_is_p_to_the_nullity_of_delta(pair):
     p, arrows, twist, dims, maps = pair
     field, quiver, m = FieldSpec.prime(p), Quiver(len(dims[0]), arrows), TwistData(twist)
     V, W = (_rep(field, quiver, m, d, x) for d, x in zip(dims, maps))
-    delta = delta_matrix(V, W)
+    delta = delta_matrix(hom_complex(V, W))
     hom = delta.ncols - rank(delta)
     assert _count_morphisms(p, arrows, twist, dims, maps) == p ** hom
     chi = (sum(v * w for v, w in zip(*dims))

@@ -16,6 +16,7 @@ from quivhom.rep import (
     delta_matrix,
     ext1_classes,
     ext1_dim,
+    hom_complex,
     hom_space,
     identity_morphism,
     is_split_extension,
@@ -102,12 +103,12 @@ def test_delta_zero_maps():
     tw = TwistData([1, 2])
     V = TwistedRep.zero_maps(q, tw, Q, [2, 1])
     W = TwistedRep.zero_maps(q, tw, Q, [1, 2])
-    assert delta_matrix(V, W).is_zero()
+    assert delta_matrix(hom_complex(V, W)).is_zero()
 
 
 def test_delta_scalar_commutator_vanishes():
     V = loop_rep(Q, [[Fraction(7, 3)]])
-    d = delta_matrix(V, V)
+    d = delta_matrix(hom_complex(V, V))
     assert d.shape == (1, 1) and d.is_zero()
 
 
@@ -115,7 +116,7 @@ def test_delta_incompatible():
     V = jordan(Q, 2)
     W = jordan(F101, 2)
     with pytest.raises(IncompatibleError):
-        delta_matrix(V, W)
+        delta_matrix(hom_complex(V, W))
 
 
 def test_hom_contains_identity():
@@ -123,7 +124,7 @@ def test_hom_contains_identity():
     for V in (jordan(Q, 3), jordan(F101, 2)):
         ident = identity_morphism(V)
         assert ident.is_morphism()
-        delta = delta_matrix(V, V)
+        delta = delta_matrix(hom_complex(V, V))
         zeros = [V.field.zero()] * delta.nrows
         assert delta.apply(vec_matrix(ident.blocks[0])) == zeros
         assert len(hom_space(V, V)) >= 1
@@ -255,7 +256,7 @@ def test_split_iff_eta_in_image_of_delta():
         q, tw = _random_instance(rng)
         V = _random_rep(rng, q, tw, F101, max_dim=2)
         W = _random_rep(rng, q, tw, F101, max_dim=2)
-        delta = delta_matrix(V, W)
+        delta = delta_matrix(hom_complex(V, W))
         # a class in the image splits
         f_vec = [rng.randrange(101) for _ in range(delta.ncols)]
         image = delta.apply(f_vec)

@@ -167,15 +167,15 @@ def test_delta1_commutator_by_hand():
     W = _scalar_loop_sheaf(SplitBundle([-2]), 5)
     d1 = delta1_matrix(hom_complex(V, W))
     assert d1.to_lists() == [[(2 - 5) % 101]]
-    r = ext_quiver_sheaf(V, W)
+    r = ext_quiver_sheaf(hom_complex(V, W))
     assert (r.ext0, r.ext1, r.ext2) == (0, 0, 0)
-    assert cech_hyper(V, W) == (0, 0, 0)
+    assert cech_hyper(hom_complex(V, W)) == (0, 0, 0)
     # equal scalars commute: the map vanishes and Ext^1, Ext^2 survive
     W_eq = _scalar_loop_sheaf(SplitBundle([-2]), 2)
     assert delta1_matrix(hom_complex(V, W_eq)).is_zero()
-    r = ext_quiver_sheaf(V, W_eq)
+    r = ext_quiver_sheaf(hom_complex(V, W_eq))
     assert (r.ext0, r.ext1, r.ext2) == (0, 1, 1)
-    assert cech_hyper(V, W_eq) == (0, 1, 1)
+    assert cech_hyper(hom_complex(V, W_eq)) == (0, 1, 1)
 
 
 def test_delta_maps_scale_linearly():
@@ -190,7 +190,7 @@ def test_delta_maps_scale_linearly():
 
 def test_ext_higgs_example():
     V = higgs_sheaf()
-    r = ext_quiver_sheaf(V, V)
+    r = ext_quiver_sheaf(hom_complex(V, V))
     assert (r.ext0, r.ext1, r.ext2) == (1, 3, 0)
     assert (r.h0_F, r.h0_G, r.h1_F, r.h1_G) == (1, 3, 0, 0)
     assert (r.rank_delta0, r.rank_delta1) == (0, 0)
@@ -199,9 +199,9 @@ def test_ext_higgs_example():
 def test_ext_zero_sheaf():
     q = Quiver(2, [(1, 0)])
     V = QSheafP1.zero_maps(q, F, [O], [SplitBundle([]), SplitBundle([])])
-    r = ext_quiver_sheaf(V, V)
+    r = ext_quiver_sheaf(hom_complex(V, V))
     assert (r.ext0, r.ext1, r.ext2) == (0, 0, 0)
-    assert cech_hyper(V, V) == (0, 0, 0)
+    assert cech_hyper(hom_complex(V, V)) == (0, 0, 0)
 
 
 def test_ext_triple_example():
@@ -209,7 +209,7 @@ def test_ext_triple_example():
     src = tensor_bundle(O, O).bundle
     phi = FormMatrix(F, src, O, [[(1,)]])
     V = QSheafP1(q, F, [O], [O, O], [phi])
-    r = ext_quiver_sheaf(V, V)
+    r = ext_quiver_sheaf(hom_complex(V, V))
     assert (r.ext0, r.ext1, r.ext2) == (1, 0, 0)
     assert euler_characteristic(V, V) == 1
     assert euler_check(V, V)
@@ -217,15 +217,15 @@ def test_ext_triple_example():
 
 def test_cech_higgs_example():
     V = higgs_sheaf()
-    assert cech_hyper(V, V) == (1, 3, 0)
+    assert cech_hyper(hom_complex(V, V)) == (1, 3, 0)
 
 
 def test_cech_single_bundle_no_arrows():
     q = Quiver(1, [])
     V = QSheafP1.zero_maps(q, F, [], [SplitBundle([-2])])
     # Hom(O(-2), O(-2)) = O, so (1, 0, 0)
-    assert cech_hyper(V, V) == (1, 0, 0)
-    r = ext_quiver_sheaf(V, V)
+    assert cech_hyper(hom_complex(V, V)) == (1, 0, 0)
+    r = ext_quiver_sheaf(hom_complex(V, V))
     assert (r.ext0, r.ext1, r.ext2) == (1, 0, 0)
 
 
@@ -239,7 +239,7 @@ def test_cech_matches_line_bundle_cohomology():
         V = QSheafP1.zero_maps(q, F, [], [e])
         W = QSheafP1.zero_maps(q, F, [], [f])
         hom, ext1 = sheaf_hom_ext_dims(e, f)
-        assert cech_hyper(V, W) == (hom, ext1, 0)
+        assert cech_hyper(hom_complex(V, W)) == (hom, ext1, 0)
 
 
 def test_euler_higgs_arithmetic():
@@ -290,8 +290,9 @@ def test_les_equals_hypercohomology_random():
     rng = random.Random(2)
     for _ in range(15):
         V, W = _random_pair(rng)
-        r = ext_quiver_sheaf(V, W)
-        assert (r.ext0, r.ext1, r.ext2) == cech_hyper(V, W)
+        C = hom_complex(V, W)
+        r = ext_quiver_sheaf(C)
+        assert (r.ext0, r.ext1, r.ext2) == cech_hyper(C)
         assert euler_check(V, W)
 
 
@@ -299,10 +300,13 @@ def test_window_stability():
     rng = random.Random(9)
     for _ in range(8):
         V, W = _random_pair(rng)
-        assert cech_hyper(V, W) == cech_hyper(V, W, extra_window=2)
+        C = hom_complex(V, W)
+        assert cech_hyper(C) == cech_hyper(C, extra_window=2)
 
 
-@pytest.mark.parametrize("entry", [cech_hyper, cech_dims])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda V, W, extra: cech_hyper(hom_complex(V, W), extra), id="cech_hyper"),
+    pytest.param(cech_dims, id="cech_dims")])
 def test_negative_window_rejected(entry):
     # below the window its truncation argument needs; cech_hyper raised
     # IndexError from assembly on some generated pairs
@@ -318,10 +322,10 @@ def test_global_twist_shift_invariance():
         V, W = _random_pair(rng)
         t = rng.randint(-2, 2)
         v2, w2 = V.shift_vertex_twists(t), W.shift_vertex_twists(t)
-        r1 = ext_quiver_sheaf(V, W)
-        r2 = ext_quiver_sheaf(v2, w2)
+        r1 = ext_quiver_sheaf(hom_complex(V, W))
+        r2 = ext_quiver_sheaf(hom_complex(v2, w2))
         assert r1 == r2
-        assert cech_hyper(v2, w2) == cech_hyper(V, W)
+        assert cech_hyper(hom_complex(v2, w2)) == cech_hyper(hom_complex(V, W))
 
 
 def test_hom_dimension_consistency_with_kernel():
@@ -329,8 +333,9 @@ def test_hom_dimension_consistency_with_kernel():
     rng = random.Random(25)
     for _ in range(8):
         V, W = _random_pair(rng)
-        d0 = delta0_matrix(hom_complex(V, W))
-        assert ext_quiver_sheaf(V, W).ext0 == d0.ncols - rank(d0)
+        C = hom_complex(V, W)
+        d0 = delta0_matrix(C)
+        assert ext_quiver_sheaf(C).ext0 == d0.ncols - rank(d0)
 
 
 def test_incompatible_sheaves_rejected():
@@ -362,7 +367,7 @@ def test_cech_d0_lists_its_unit_pivot_rows_first(seed):
         swapped = vstack([d0t.submatrix(t0 // 2, t0, 0, t1), d0t.submatrix(0, t0 // 2, 0, t1)])
         r0 = rank(d0t)
         assert rank(swapped) == r0
-        assert cech_hyper(X, Y)[0] + r0 == t0
+        assert cech_hyper(C)[0] + r0 == t0
 
 
 def test_cech_rank_work_stays_bounded(monkeypatch):
