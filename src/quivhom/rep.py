@@ -260,9 +260,9 @@ def one_coordinate(d: int) -> int:
     return 1
 
 
-def summand_offsets(twists: list, dim_of) -> list:
-    """First coordinate of each summand of twist d, dim_of(d) each, then the total."""
-    return list(accumulate(map(dim_of, twists), initial=0))
+def summand_offsets(twists: list, dim_of, *per_summand: list) -> list:
+    """First coordinate of each summand, dim_of(d, *its per_summand items) each, then the total."""
+    return list(accumulate(map(dim_of, twists, *per_summand), initial=0))
 
 
 def connecting_matrix(C: HomComplex, dim_of, times) -> ExactMatrix:
@@ -274,17 +274,18 @@ def connecting_matrix(C: HomComplex, dim_of, times) -> ExactMatrix:
     """
     rows, cols = summand_offsets(C.c1, dim_of), summand_offsets(C.c0, dim_of)
     out = MatrixBuilder(C.field, rows[-1], cols[-1])
-    _connecting_runs(C, rows, cols, times, out.add_run)
+    c0 = C.c0
+    _connecting_runs(C, rows, cols, lambda i, j, cf: times(c0[j], cf), out.add_run)
     return out.build()
 
 
 def _connecting_runs(C: HomComplex, rows: list, cols: list, times, place) -> None:
-    """place(i, j, n, x) for each run of each entry; rows, cols: C1, C0 summand starts."""
+    """place(i, j, n, x) for each run of times(i, j, cf); rows, cols: C1, C0 summand starts."""
     for i, j, cf, sign in C.entries:
         row, col = rows[i], cols[j]
         if row == rows[i + 1] or col == cols[j + 1]:
             continue        # the block has no rows or no columns
-        for k, k2, n, x in times(C.c0[j], cf):
+        for k, k2, n, x in times(i, j, cf):
             place(row + k2, col + k, n, sign * x)
 
 

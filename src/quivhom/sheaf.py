@@ -17,11 +17,12 @@ Two routes compute Ext between twisted sheaves: the long exact sequence
 assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
 hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
-(cech_hyper).  They must agree.  Both read one rep.HomComplex, the output
-of the one summand walk rep.hom_complex: delta0, delta1 and the horizontal
-Cech maps are placed from its entries, the vertical Cech differences from
-its twists.  So their agreement cross-checks the cohomology models but not
-the shared complex; tests/test_connecting_map.py checks that.
+per summand (cech_hyper).  They must agree.  Both read one rep.HomComplex,
+the output of the one summand walk rep.hom_complex: delta0, delta1 and the
+horizontal Cech maps are placed from its entries, the vertical Cech
+differences from its twists and windows.  So their agreement cross-checks
+the cohomology models but not the shared complex; tests/test_connecting_map.py
+checks that.
 """
 
 from __future__ import annotations
@@ -343,11 +344,19 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 
 # -- hypercohomology via the two-chart Cech total complex ---------------------
 #
-# Sections are Laurent polynomials in t = x/y, truncated to a window (lo, hi)
-# of exponents.  On O(d), |d| <= T − 2, a Cech 0-cochain is a chart-0
-# section, (0, T), then a chart-1 section, (-T, d): 2T+2+d chart
-# coordinates.  A Cech 1-cochain is an overlap section, (-T, T): 2T+1
-# overlap coordinates.  The total complex is
+# Sections are Laurent polynomials in t = x/y.  A Hom summand of twist d keeps
+# the exponents of its own window [-L, U]: a Cech 0-cochain is a chart-0
+# section t^0..t^U, then a chart-1 section t^-L..t^d, U+L+2+d chart
+# coordinates; a Cech 1-cochain an overlap section t^-L..t^U, U+L+1 overlap
+# coordinates.  On C1, U = max(d, 0); on C0, L = max(-d-1, 0); a C0 summand's
+# U and a C1 summand's L reach those of every summand an entry links it to;
+# extra_window is added to all.  The window keeps the hypercohomology: the
+# horizontal maps only raise exponents, and along every entry U falls and L
+# rises, so {e >= -L} is a subcomplex of the untruncated double complex and
+# {e > U} a subcomplex of it.  Above U >= d chart 1 is empty and s0 − s1
+# identifies chart 0 with the overlap; below -L <= min(0, d + 1) chart 0 is
+# empty and s0 − s1 identifies chart 1 with it.  So both pieces cut away have
+# an isomorphism as vertical map, and are acyclic.  The total complex is
 #
 #   T0 = Cech0(C0)  -d0->  T1 = Cech1(C0) ⊕ Cech0(C1)  -d1->  T2 = Cech1(C1),
 #
@@ -365,59 +374,66 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 # row of d1, an overlap coordinate t^e, leads with a vertical entry in a
 # column of its own, except at d < e < 0: those rows are the H1 classes.
 
-def _horizontal(window: int):
-    """(dim_of, times) of the connecting map on the charts, then on the overlap
-    with the sign of d1.  The monomial t^k2 of a form sends t^e to t^(e+k2);
-    chart 0 and the overlap keep e + k2 <= T, chart 1 takes every e <= d."""
-    def charts(d: int, form: tuple):
-        return [run for k2, cf in enumerate(reversed(form)) if cf != 0
-                for run in ((0, k2, window + 1 - k2, cf),
-                            (window + 1, window + 1 + k2, window + 1 + d, cf))]
-
-    def overlap(d: int, form: tuple):
-        return [(0, k2, 2 * window + 1 - k2, -cf)
-                for k2, cf in enumerate(reversed(form)) if cf != 0]
-    return ((lambda d: 2 * window + 2 + d), charts), ((lambda d: 2 * window + 1), overlap)
-
-
-def _window(c0: list, c1: list, extra_window: int) -> int:
-    """T: the largest |twist| of a Hom summand, plus 2 and extra_window."""
+def _extra(extra_window: int) -> int:
     if extra_window < 0:
         raise ValueError(f"extra_window must be non-negative, got {extra_window}")
-    return max(map(abs, chain(c0, c1)), default=0) + 2 + extra_window
+    return extra_window
 
 
 def cech_dims(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
-    """Dimensions T0, T1, T2 of the Cech total complex cech_hyper builds."""
+    """Twist-only upper bound on the dimensions T0, T1, T2 of cech_hyper's total complex: those
+    at the uniform window [-T, T] around every summand's, T = max |twist| + 2 + extra_window."""
     c0, c1, _, _ = hom_twists(V, W)
-    (chart, _), (overlap, _) = _horizontal(_window(c0, c1, extra_window))
-    return sum(map(chart, c0)), sum(map(overlap, c0)) + sum(map(chart, c1)), sum(map(overlap, c1))
+    overlap = 2 * (max(map(abs, chain(c0, c1)), default=0) + 2 + _extra(extra_window)) + 1
+    charts0, charts1 = (sum(overlap + 1 + d for d in twists) for twists in (c0, c1))
+    return charts0, len(c0) * overlap + charts1, len(c1) * overlap
 
 
-def _vertical(window: int, twists: list, charts: list, overlaps: list, place) -> None:
+def _cech_windows(C: HomComplex, extra_window: int):
+    """(U, L), two lists, for the summands of C0, then for those of C1."""
+    extra = _extra(extra_window)
+    u0, l0 = [max(d, 0) + extra for d in C.c0], [max(-d - 1, 0) + extra for d in C.c0]
+    u1, l1 = [max(d, 0) + extra for d in C.c1], [max(-d - 1, 0) + extra for d in C.c1]
+    for i, j, _, _ in C.entries:
+        u0[j], l1[i] = max(u0[j], u1[i]), max(l1[i], l0[j])
+    return (u0, l0), (u1, l1)
+
+
+def _vertical(twists: list, windows, charts: list, overlaps: list, place) -> None:
     """(s0, s1) -> s0 − s1 on the summands of one side of the complex:
     place(i, j, n, x) for each run, i an overlap and j a chart coordinate."""
-    for d, col, row in zip(twists, charts, overlaps):
-        # t^e of chart 0, 0 <= e <= T; then t^(e-T) of chart 1, up to t^d
-        place(row + window, col, window + 1, 1)
-        place(row, col + window + 1, window + 1 + d, -1)
+    for d, u, l, col, row in zip(twists, *windows, charts, overlaps):
+        place(row + l, col, u + 1, 1)               # t^0..t^U of chart 0
+        place(row, col + u + 1, l + d + 1, -1)      # t^-L..t^d of chart 1
 
 
 def _cech_matrices(C: HomComplex, extra_window: int):
     """d0ᵀ and d1, in the column orders above, each placed by one builder."""
-    window = _window(C.c0, C.c1, extra_window)
-    (chart_dim, on_charts), (overlap_dim, on_overlap) = _horizontal(window)
-    charts0, charts1 = (summand_offsets(twists, chart_dim) for twists in (C.c0, C.c1))
-    overlaps0, overlaps1 = (summand_offsets(twists, overlap_dim) for twists in (C.c0, C.c1))
+    (u0, l0), (u1, l1) = windows0, windows1 = _cech_windows(C, extra_window)
+    charts0, overlaps0, charts1, overlaps1 = (
+        summand_offsets(twists, dim_of, *ws) for twists, ws in ((C.c0, windows0), (C.c1, windows1))
+        for dim_of in (lambda d, u, l: u + l + 2 + d, lambda d, u, l: u + l + 1))
+
+    # the monomial t^k2 of a form sends t^e of summand j to t^(e+k2) of
+    # summand i: chart 0 and the overlap keep e + k2 <= U_i, chart 1 every e
+    def on_charts(i: int, j: int, form: tuple):
+        shift, n = u1[i] + 1 + l1[i] - l0[j], l0[j] + C.c0[j] + 1
+        return [run for k2, cf in enumerate(reversed(form)) if cf != 0
+                for run in ((0, k2, u1[i] + 1 - k2, cf), (u0[j] + 1, shift + k2, n, cf))]
+
+    def on_overlap(i: int, j: int, form: tuple):      # with the sign of d1
+        n, shift = u1[i] + l0[j] + 1, l1[i] - l0[j]
+        return [(0, shift + k2, n - k2, -cf) for k2, cf in enumerate(reversed(form)) if cf != 0]
+
     c0_overlap, c1_charts = overlaps0[-1], charts1[-1]
     d0t = MatrixBuilder(C.field, charts0[-1], c0_overlap + c1_charts)
     put0 = d0t.add_run
-    _vertical(window, C.c0, charts0, overlaps0, lambda i, j, n, x: put0(j, i, n, x))
+    _vertical(C.c0, windows0, charts0, overlaps0, lambda i, j, n, x: put0(j, i, n, x))
     _connecting_runs(C, charts1, charts0, on_charts,
                      lambda i, j, n, x: put0(j, c0_overlap + i, n, x))
     d1 = MatrixBuilder(C.field, overlaps1[-1], c1_charts + c0_overlap)
     put1 = d1.add_run
-    _vertical(window, C.c1, charts1, overlaps1, put1)
+    _vertical(C.c1, windows1, charts1, overlaps1, put1)
     _connecting_runs(C, overlaps1, overlaps0, on_overlap,
                      lambda i, j, n, x: put1(i, c1_charts + j, n, x))
     return d0t.build(), d1.build()
@@ -427,8 +443,8 @@ def cech_hyper(C: HomComplex, extra_window: int = 0) -> Tuple[int, int, int]:
     """Hypercohomology dimensions of the two-term complex C = hom_complex(V, W).
 
     Computed from the total complex of the Cech double complex on the
-    two-chart cover, with Laurent exponents truncated to [-T, T] where
-    T = max |twist| over all Hom-bundle summands + 2 + extra_window.
+    two-chart cover, each Hom summand's Laurent exponents truncated to its
+    own window [-L, U] (see above), widened on both sides by extra_window.
     Enlarging the window never changes the result; a negative extra_window
     raises ValueError.
     """

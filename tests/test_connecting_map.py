@@ -2,14 +2,14 @@
 
 delta, delta0, delta1 and the Cech horizontal maps are all placed from one
 two-term complex (rep.hom_complex, the only walk over the summands), at
-coordinates that are prefix sums over its twist lists; only the vertical
-Cech differences are built apart, from the twists alone.  So agreement of
+coordinates that are prefix sums of per-summand sizes; only the vertical
+Cech differences are built apart, from each summand's twist and window.  So agreement of
 the long exact sequence with Cech hypercohomology tests neither the walk
 nor the coordinates.  Here delta and delta0 are rebuilt column by column
 from whole-matrix products, the assembled matrices and both Cech
 differentials are pinned by content digests, and the coordinates are
 checked against the vectorisation, the cohomology of each Hom bundle and
-the Cech windows.  Serre duality runs both library p1 routes a second
+the Cech size bound.  Serre duality runs both library p1 routes a second
 time, on the dual complex, where the H1 model carries the load the H0 model carries on
 the complex itself.
 """
@@ -36,8 +36,8 @@ from quivhom.sheaf import (
 )
 
 
-def _modules(seed, mode, field=None):
-    doc = generate_document(seed, mode=mode)
+def _modules(seed, mode, field=None, **bounds):
+    doc = generate_document(seed, mode=mode, **bounds)
     if field is not None:
         doc["field"] = field
     inst = load_instance(doc)
@@ -156,11 +156,12 @@ def test_pinned_content_digests():
 
 
 # Digests over gen seeds 0..49, both orders, of the shape and the sorted
-# nonzero entries of the Cech differentials; recorded while the Cech
-# complex still had an assembly of its own.
+# nonzero entries of the Cech differentials; recorded when each Hom summand
+# got its own Laurent window, once Cech agreed with the long exact sequence
+# and the Serre dual on every tier-1 draw.
 CECH_PINNED = {
-    "d0": "2d09c093b09218aee04818f58866b60847b0e5f864faccddca03963f8d69a61a",
-    "d1": "031fb45b70cbee808ee0dfd9925dbedf9998299f77fdd50fc9dfeff0b101bf43",
+    "d0": "49e05b7cf47a14b93d1bad77b6ff03a16e5788b2256c05c232bd14335579d294",
+    "d1": "9baaf869add685826123a26ce91a2c32a9a6a9ff529e151764badea7d4c828ec",
 }
 
 
@@ -245,6 +246,17 @@ def test_cech_dims_match_the_two_chart_windows(seed):
             assert cech_dims(X, Y, extra) == _cech_dims_by_hand(X, Y, extra)
 
 
+@pytest.mark.parametrize("seed", range(100))
+def test_cech_dims_bound_the_built_complex(seed):
+    # the size guard reads cech_dims before anything is built
+    V, W = _modules(seed, "p1")
+    for X, Y in ((V, W), (W, V)):
+        for extra in (0, 3):
+            t0, t1, t2 = cech_dims(X, Y, extra)
+            d0t, d1 = _cech_matrices(hom_complex(X, Y), extra)
+            assert d0t.nrows <= t0 and d1.nrows <= t2 and d0t.ncols == d1.ncols <= t1
+
+
 # -- Serre duality: a third route over the same complex ----------------------
 #
 # On the projective line, h^i(C) = h^(2-i)(D) for D = C^∨ ⊗ O(−2), the
@@ -267,6 +279,23 @@ def test_serre_dual_complex_gives_the_same_ext(seed):
         D = _serre_dual(C)
         les = [(r.ext0, r.ext1, r.ext2) for r in map(ext_quiver_sheaf, (C, D))]
         assert les[0] == les[1][::-1] == cech_hyper(C) == cech_hyper(D)[::-1], (seed, X is V)
+
+
+# Draws that stress the Cech windows: loops only, where every entry links
+# summands of one vertex, and twists up to 6 on ranks up to 4; each order and
+# V -> V, the windows at their least and one wider.
+@pytest.mark.parametrize("field", [None, "q"])
+@pytest.mark.parametrize("bounds", [{"max_vertices": 1}, {"max_twist": 6, "max_dim": 4}],
+                         ids=["loops", "wide"])
+def test_summand_windows_keep_the_hypercohomology(bounds, field):
+    for seed in range(20):
+        V, W = _modules(seed, "p1", field, **bounds)
+        for X, Y in ((V, W), (W, V), (V, V)):
+            C = hom_complex(X, Y)
+            r, D = ext_quiver_sheaf(C), _serre_dual(C)
+            for extra in (0, 1):
+                assert ((r.ext0, r.ext1, r.ext2) == cech_hyper(C, extra)
+                        == cech_hyper(D, extra)[::-1]), (seed, X is V, Y is W, extra)
 
 
 def test_cech_assembly_places_canonical_rows(monkeypatch):
