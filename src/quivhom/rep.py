@@ -274,19 +274,14 @@ def connecting_matrix(C: HomComplex, dim_of, times) -> ExactMatrix:
     """
     rows, cols = summand_offsets(C.c1, dim_of), summand_offsets(C.c0, dim_of)
     out = MatrixBuilder(C.field, rows[-1], cols[-1])
-    c0 = C.c0
-    _connecting_runs(C, rows, cols, lambda i, j, cf: times(c0[j], cf), out.add_run)
-    return out.build()
-
-
-def _connecting_runs(C: HomComplex, rows: list, cols: list, times, place) -> None:
-    """place(i, j, n, x) for each run of times(i, j, cf); rows, cols: C1, C0 summand starts."""
+    c0, put = C.c0, out.add_run
     for i, j, cf, sign in C.entries:
         row, col = rows[i], cols[j]
         if row == rows[i + 1] or col == cols[j + 1]:
             continue        # the block has no rows or no columns
-        for k, k2, n, x in times(i, j, cf):
-            place(row + k2, col + k, n, sign * x)
+        for k, k2, n, x in times(c0[j], cf):
+            put(row + k2, col + k, n, sign * x)
+    return out.build()
 
 
 def _scalar_times(d: int, cf) -> tuple:

@@ -18,8 +18,9 @@ assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
 hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
 per summand (cech_hyper).  They must agree.  Both read one rep.HomComplex,
-the output of the one summand walk rep.hom_complex: delta0, delta1 and the
-horizontal Cech maps are placed from its entries, the vertical Cech
+the output of the one summand walk rep.hom_complex: delta0 and delta1 are
+placed from its entries by rep.connecting_matrix, the Cech differentials by
+a loop of their own, the horizontal maps from its entries and the vertical
 differences from its twists and windows.  So their agreement cross-checks
 the cohomology models but not the shared complex; tests/test_connecting_map.py
 checks that.
@@ -34,8 +35,7 @@ from typing import List, Sequence, Tuple
 
 from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
-from .rep import (HomComplex, _connecting_runs, connecting_matrix, hom_complex, hom_twists,
-                  summand_offsets)
+from .rep import HomComplex, connecting_matrix, hom_complex, hom_twists, summand_offsets
 
 
 def h0_dim(d: int) -> int:
@@ -361,18 +361,24 @@ def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
 #   T0 = Cech0(C0)  -d0->  T1 = Cech1(C0) ⊕ Cech0(C1)  -d1->  T2 = Cech1(C1),
 #
 # for the Hom complex C0 -> C1.  Its horizontal maps are the connecting map
-# on the charts and on the overlap, placed from the entries of the complex
-# by rep._connecting_runs; only the vertical differences s0 − s1, one pair
-# of runs per summand, are placed here.
+# on the charts and on the overlap: each nonzero monomial of an entry's form
+# is three runs, on chart 0 and chart 1 of d0ᵀ and on the overlap of d1,
+# placed by _cech_matrices with the vertical differences s0 − s1, one pair
+# of runs per summand.
 #
 # Both differentials are ranked with T1 as their column space: d0 as its
 # transpose d0ᵀ, T0 × T1 with columns Cech1(C0) then Cech0(C1), and d1 with
 # columns Cech0(C1) then Cech1(C0).  Each row of d0ᵀ, a chart coordinate
 # t^e, holds one ±1 of s0 − s1, at overlap exponent e, and leads with it.
 # Only the chart-0 and chart-1 rows at one exponent 0 <= e <= d share a
-# lead, and one subtraction leaves the second with H0 columns only.  Each
-# row of d1, an overlap coordinate t^e, leads with a vertical entry in a
-# column of its own, except at d < e < 0: those rows are the H1 classes.
+# lead, and one subtraction leaves the second in Cech0(C1) columns only.
+# So those columns go by C1 summand twist, ascending, ties by index, each
+# summand's block whole: the smallest blocks come first (at the least
+# window, one coordinate at d < 0 and 2d + 2 at d >= 0), and eliminating
+# the rows left over touches a third of the entries it touched in summand
+# order.  Each row of d1, an overlap coordinate t^e, leads with a vertical
+# entry in a column of its own, except at d < e < 0: those rows are the H1
+# classes.
 
 def _extra(extra_window: int) -> int:
     if extra_window < 0:
@@ -399,43 +405,39 @@ def _cech_windows(C: HomComplex, extra_window: int):
     return (u0, l0), (u1, l1)
 
 
-def _vertical(twists: list, windows, charts: list, overlaps: list, place) -> None:
-    """(s0, s1) -> s0 − s1 on the summands of one side of the complex:
-    place(i, j, n, x) for each run, i an overlap and j a chart coordinate."""
-    for d, u, l, col, row in zip(twists, *windows, charts, overlaps):
-        place(row + l, col, u + 1, 1)               # t^0..t^U of chart 0
-        place(row, col + u + 1, l + d + 1, -1)      # t^-L..t^d of chart 1
-
-
 def _cech_matrices(C: HomComplex, extra_window: int):
     """d0ᵀ and d1, in the column orders above, each placed by one builder."""
-    (u0, l0), (u1, l1) = windows0, windows1 = _cech_windows(C, extra_window)
-    charts0, overlaps0, charts1, overlaps1 = (
-        summand_offsets(twists, dim_of, *ws) for twists, ws in ((C.c0, windows0), (C.c1, windows1))
-        for dim_of in (lambda d, u, l: u + l + 2 + d, lambda d, u, l: u + l + 1))
-
+    (u0, l0), (u1, l1) = _cech_windows(C, extra_window)
+    charts0 = summand_offsets(C.c0, lambda d, u, l: u + l + 2 + d, u0, l0)
+    overlaps0, overlaps1 = (summand_offsets(twists, lambda d, u, l: u + l + 1, us, ls)
+                            for twists, us, ls in ((C.c0, u0, l0), (C.c1, u1, l1)))
+    charts1, c1_charts = [0] * len(C.c1), 0        # by twist, ties by index
+    for i in sorted(range(len(C.c1)), key=C.c1.__getitem__):
+        charts1[i], c1_charts = c1_charts, c1_charts + u1[i] + l1[i] + 2 + C.c1[i]
+    c0_overlap = overlaps0[-1]
+    d0t = MatrixBuilder(C.field, charts0[-1], c0_overlap + c1_charts)
+    d1 = MatrixBuilder(C.field, overlaps1[-1], c1_charts + c0_overlap)
+    put0, put1 = d0t.add_run, d1.add_run
+    # s0 − s1: t^0..t^U of chart 0 and t^-L..t^d of chart 1 to t^-L..t^U
+    for d, u, l, chart, over in zip(C.c0, u0, l0, charts0, overlaps0):
+        put0(chart, over + l, u + 1, 1)
+        put0(chart + u + 1, over, l + d + 1, -1)
+    for d, u, l, chart, over in zip(C.c1, u1, l1, charts1, overlaps1):
+        put1(over + l, chart, u + 1, 1)
+        put1(over, chart + u + 1, l + d + 1, -1)
     # the monomial t^k2 of a form sends t^e of summand j to t^(e+k2) of
     # summand i: chart 0 and the overlap keep e + k2 <= U_i, chart 1 every e
-    def on_charts(i: int, j: int, form: tuple):
-        shift, n = u1[i] + 1 + l1[i] - l0[j], l0[j] + C.c0[j] + 1
-        return [run for k2, cf in enumerate(reversed(form)) if cf != 0
-                for run in ((0, k2, u1[i] + 1 - k2, cf), (u0[j] + 1, shift + k2, n, cf))]
-
-    def on_overlap(i: int, j: int, form: tuple):      # with the sign of d1
-        n, shift = u1[i] + l0[j] + 1, l1[i] - l0[j]
-        return [(0, shift + k2, n - k2, -cf) for k2, cf in enumerate(reversed(form)) if cf != 0]
-
-    c0_overlap, c1_charts = overlaps0[-1], charts1[-1]
-    d0t = MatrixBuilder(C.field, charts0[-1], c0_overlap + c1_charts)
-    put0 = d0t.add_run
-    _vertical(C.c0, windows0, charts0, overlaps0, lambda i, j, n, x: put0(j, i, n, x))
-    _connecting_runs(C, charts1, charts0, on_charts,
-                     lambda i, j, n, x: put0(j, c0_overlap + i, n, x))
-    d1 = MatrixBuilder(C.field, overlaps1[-1], c1_charts + c0_overlap)
-    put1 = d1.add_run
-    _vertical(C.c1, windows1, charts1, overlaps1, put1)
-    _connecting_runs(C, overlaps1, overlaps0, on_overlap,
-                     lambda i, j, n, x: put1(i, c1_charts + j, n, x))
+    for i, j, form, sign in C.entries:
+        u, l = u1[i], l0[j]
+        row0, col0 = charts0[j], c0_overlap + charts1[i]
+        row1, col1, n1 = row0 + u0[j] + 1, col0 + u + 1 + l1[i] - l, l + C.c0[j] + 1
+        row2, col2 = overlaps1[i] + l1[i] - l, c1_charts + overlaps0[j]
+        for k2, cf in enumerate(reversed(form)):
+            if cf != 0:
+                x = sign * cf
+                put0(row0, col0 + k2, u + 1 - k2, x)        # chart 0
+                put0(row1, col1 + k2, n1, x)                # chart 1
+                put1(row2 + k2, col2, u + l + 1 - k2, -x)   # overlap, with the sign of d1
     return d0t.build(), d1.build()
 
 

@@ -160,8 +160,8 @@ def test_pinned_content_digests():
 # got its own Laurent window, once Cech agreed with the long exact sequence
 # and the Serre dual on every tier-1 draw.
 CECH_PINNED = {
-    "d0": "49e05b7cf47a14b93d1bad77b6ff03a16e5788b2256c05c232bd14335579d294",
-    "d1": "9baaf869add685826123a26ce91a2c32a9a6a9ff529e151764badea7d4c828ec",
+    "d0": "5bb1be192425bdc81ef23411c1804926bf20837ef5236b5fb67665452072f881",
+    "d1": "cd47b19508bcad416c6f561eed0d7c5b2775587bc6154a28acf443c0a50fbf4e",
 }
 
 
