@@ -1,10 +1,8 @@
 """Hom and Ext of twisted quiver representations and quiver sheaves on P1."""
 
-from .adjunction import adjunction_iso
 from .linalg import (
     ExactMatrix,
     FieldSpec,
-    cokernel_dimension,
     kernel_basis,
     rank,
     solve,
@@ -17,7 +15,6 @@ from .rep import (
     build_extension,
     delta_matrix,
     ext1_classes,
-    ext1_dim,
     hom_complex,
     hom_space,
     is_split_extension,
@@ -37,26 +34,20 @@ from .sheaf import (
     cech_hyper,
     delta0_matrix,
     delta1_matrix,
-    euler_characteristic,
-    euler_check,
     ext_quiver_sheaf,
-    sheaf_hom_ext_dims,
     tensor_bundle,
 )
 
 __all__ = [
     "ExactMatrix", "FieldSpec", "rank", "kernel_basis", "solve",
-    "cokernel_dimension",
     "Quiver",
     "TwistData", "TwistedRep", "RepMorphism",
-    "delta_matrix", "hom_space", "ext1_dim", "build_extension",
+    "delta_matrix", "hom_space", "build_extension",
     "is_split_extension", "ext1_classes", "hom_complex",
     "GradedBasis", "ExactnessReport",
     "resolution_matrices", "check_resolution_exactness", "lift_beta",
-    "adjunction_iso",
     "SplitBundle", "FormMatrix", "QSheafP1", "ExtReport",
-    "sheaf_hom_ext_dims", "delta0_matrix", "delta1_matrix",
-    "ext_quiver_sheaf", "cech_hyper", "euler_characteristic", "euler_check",
+    "delta0_matrix", "delta1_matrix", "ext_quiver_sheaf", "cech_hyper",
     "tensor_bundle",
 ]
 

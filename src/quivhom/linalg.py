@@ -247,13 +247,6 @@ class ExactMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def transpose(self) -> "ExactMatrix":
-        cols = tuple({} for _ in range(self.ncols))
-        for i, row in enumerate(self._rows):
-            for j, x in row.items():
-                cols[j][i] = x
-        return ExactMatrix._wrap(self.field, cols, self.nrows)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._combine(other, 1)
 
@@ -270,15 +263,6 @@ class ExactMatrix:
                 acc[j] = acc.get(j, 0) + sign * y
             rows.append(_canonical(self.field, acc))
         return ExactMatrix._wrap(self.field, tuple(rows), self.ncols)
-
-    def __neg__(self) -> "ExactMatrix":
-        return self.scale(-1)
-
-    def scale(self, c) -> "ExactMatrix":
-        c = self.field.element(c)
-        rows = tuple(_canonical(self.field, {j: c * x for j, x in r.items()})
-                     for r in self._rows)
-        return ExactMatrix._wrap(self.field, rows, self.ncols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field != other.field:
@@ -495,10 +479,6 @@ def _echelon(m: ExactMatrix, reduced: bool) -> list:
 
 def rank(m: ExactMatrix) -> int:
     return len(_echelon(m, reduced=False))
-
-
-def cokernel_dimension(m: ExactMatrix) -> int:
-    return m.nrows - rank(m)
 
 
 def kernel_basis(m: ExactMatrix) -> list:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -42,26 +42,3 @@ class Quiver:
 
     def head(self, a: int) -> int:
         return self.arrows[a][1]
-
-    def arrows_into(self, i: int) -> List[int]:
-        return [a for a, (_, h) in enumerate(self.arrows) if h == i]
-
-    def arrows_out_of(self, i: int) -> List[int]:
-        return [a for a, (t, _) in enumerate(self.arrows) if t == i]
-
-    def is_acyclic(self) -> bool:
-        # Kahn's algorithm on the vertex set.
-        indeg = [0] * self.n_vertices
-        for _, h in self.arrows:
-            indeg[h] += 1
-        queue = [i for i in range(self.n_vertices) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            i = queue.pop()
-            seen += 1
-            for a in self.arrows_out_of(i):
-                h = self.head(a)
-                indeg[h] -= 1
-                if indeg[h] == 0:
-                    queue.append(h)
-        return seen == self.n_vertices

@@ -24,7 +24,6 @@ from .linalg import (
     ExactMatrix,
     FieldSpec,
     MatrixBuilder,
-    cokernel_dimension,
     cokernel_representatives,
     kernel_basis,
     kron,
@@ -120,15 +119,6 @@ class TwistedRep:
             raise IncompatibleError(
                 "representations live over different quivers, twists or fields"
             )
-
-    @staticmethod
-    def zero_maps(quiver: Quiver, twist: TwistData, field: FieldSpec,
-                  dims: Sequence[int]) -> "TwistedRep":
-        phi = [
-            ExactMatrix.zeros(field, dims[h], twist[a] * dims[t])
-            for a, (t, h) in enumerate(quiver.arrows)
-        ]
-        return TwistedRep(quiver, twist, field, dims, phi)
 
 
 class RepMorphism:
@@ -312,16 +302,6 @@ def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
             raise CrossCheckError("a kernel vector of delta is not a morphism")
         morphisms.append(f)
     return morphisms
-
-
-def ext1_dim(V: TwistedRep, W: TwistedRep) -> int:
-    """dim Ext^1(V, W) = dim coker(delta_matrix); Ext^q vanishes for q >= 2."""
-    return cokernel_dimension(delta_matrix(hom_complex(V, W)))
-
-
-def identity_morphism(V: TwistedRep) -> RepMorphism:
-    blocks = [ExactMatrix.identity(V.field, d) for d in V.dims]
-    return RepMorphism(V, V, blocks)
 
 
 # -- extensions --------------------------------------------------------------

@@ -45,7 +45,7 @@ class GradedBasis:
 
     block_offset[(a, l)] is where the block M_a ⊗ e_ta A_l starts inside
     e_ha A_{l+1}.  The elements themselves, with their tails, are walked in
-    this block order by adjunction._elements.
+    this block order by path_elements in tests/oracles.py.
     """
 
     def __init__(self, quiver: Quiver, twist: TwistData, max_degree: int):
@@ -185,9 +185,6 @@ class ExactnessReport:
     eps_injective: bool
     ker_d_eq_im_eps: bool
     d_surjective: bool
-
-    def all_ok(self) -> bool:
-        return self.eps_injective and self.ker_d_eq_im_eps and self.d_surjective
 
 
 def check_resolution_exactness(layout: ResolutionLayout, eps: ExactMatrix,

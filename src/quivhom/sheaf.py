@@ -35,7 +35,7 @@ from typing import List, Sequence, Tuple
 
 from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
-from .rep import HomComplex, connecting_matrix, hom_complex, hom_twists, summand_offsets
+from .rep import HomComplex, connecting_matrix, hom_twists, summand_offsets
 
 
 def h0_dim(d: int) -> int:
@@ -57,10 +57,6 @@ class SplitBundle:
         if any(twists[k] < twists[k + 1] for k in range(len(twists) - 1)):
             raise ValueError("twists must be sorted non-increasing")
         object.__setattr__(self, "twists", twists)
-
-    @staticmethod
-    def of(twists) -> "SplitBundle":
-        return SplitBundle(sorted(twists, reverse=True))
 
     @property
     def rank(self) -> int:
@@ -148,11 +144,6 @@ class FormMatrix:
         """The entries as a list of rows, () where nothing is stored."""
         return [[row.get(s, ()) for s in range(self.source.rank)] for row in self.rows]
 
-    def scale(self, c) -> "FormMatrix":
-        c = self.field.element(c)
-        rows = [[tuple(c * x for x in f) for f in row] for row in self.dense()]
-        return FormMatrix(self.field, self.source, self.target, rows)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormMatrix):
             return NotImplemented
@@ -220,31 +211,6 @@ class QSheafP1:
             raise ValueError(
                 "sheaves live over different quivers, fields or twist bundles"
             )
-
-    def scale_forms(self, c) -> "QSheafP1":
-        return QSheafP1(self.quiver, self.field, self.twist_bundles, self.vertex_bundles,
-                        [f.scale(c) for f in self.phi], _tensors=self.tensors)
-
-    def shift_vertex_twists(self, t: int) -> "QSheafP1":
-        """Twist every vertex bundle by O(t); the form data is unchanged."""
-        shifted = [SplitBundle(tuple(d + t for d in b.twists))
-                   for b in self.vertex_bundles]
-        tensors = tensor_bundles(self.quiver, self.twist_bundles, shifted)
-        phi = [FormMatrix(self.field, tb.bundle, shifted[h], f.dense())
-               for tb, (_, h), f in zip(tensors, self.quiver.arrows, self.phi)]
-        return QSheafP1(self.quiver, self.field, self.twist_bundles, shifted, phi,
-                        _tensors=tensors)
-
-
-def sheaf_hom_ext_dims(e: SplitBundle, f: SplitBundle) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) between split bundles on the projective line."""
-    hom = sum(h0_dim(df - de) for de in e.twists for df in f.twists)
-    ext = sum(h1_dim(df - de) for de in e.twists for df in f.twists)
-    return hom, ext
-
-
-def _euler_pair(e: SplitBundle, f: SplitBundle) -> int:
-    return sum(df - de + 1 for de in e.twists for df in f.twists)
 
 
 # -- the connecting maps on H0 and H1 ----------------------------------------
@@ -322,24 +288,6 @@ def ext_quiver_sheaf(C: HomComplex) -> ExtReport:
     """
     d0, d1 = delta0_matrix(C), delta1_matrix(C)
     return ExtReport.of_sequence(d0.shape, d1.shape, rank(d0), rank(d1))
-
-
-def euler_characteristic(V: QSheafP1, W: QSheafP1) -> int:
-    r = ext_quiver_sheaf(hom_complex(V, W))
-    return r.ext0 - r.ext1 + r.ext2
-
-
-def euler_check(V: QSheafP1, W: QSheafP1) -> bool:
-    """Alternating Ext sum against the vertexwise/arrowwise Euler pairings."""
-    lhs = euler_characteristic(V, W)
-    rhs = sum(
-        _euler_pair(V.vertex_bundles[i], W.vertex_bundles[i])
-        for i in range(V.quiver.n_vertices)
-    ) - sum(
-        _euler_pair(V.tensors[a].bundle, W.vertex_bundles[h])
-        for a, (_, h) in enumerate(V.quiver.arrows)
-    )
-    return lhs == rhs
 
 
 # -- hypercohomology via the two-chart Cech total complex ---------------------

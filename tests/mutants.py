@@ -1,0 +1,100 @@
+"""A ledger of source mutants and the tests that must catch them.
+
+Each entry names a file under `src/`, an exact text in it, the text that
+replaces it, and the pytest node ids expected to fail once it is replaced.
+tests/test_mutants.py checks in every run that each old text still occurs
+exactly once, so an entry goes stale loudly when its code is rewritten.
+
+    python tests/mutants.py
+
+copies `src/` to a temporary directory once per mutant, applies the mutant
+there, runs only its named tests with `-x` against the copy, and prints a
+kill table.  It first runs every named test against an unmutated copy, since
+a kill means nothing if the test fails anyway.  The exit code is 0 when
+every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str               # relative to the repository root
+    old: str                # occurs exactly once in file
+    new: str
+    killed_by: tuple        # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("psi sign in hom_complex", "src/quivhom/rep.py",
+           "entries.append((*pair, cf, -1))", "entries.append((*pair, cf, 1))",
+           ("tests/test_hom_oracle.py::test_hom_count_is_p_to_the_nullity_of_delta",)),
+    Mutant("Cech overlap sign", "src/quivhom/sheaf.py",
+           "put1(row2 + k2, col2, u + l + 1 - k2, -x)",
+           "put1(row2 + k2, col2, u + l + 1 - k2, x)",
+           ("tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[gen]",)),
+    Mutant("Cech chart-1 sign", "src/quivhom/sheaf.py",
+           "put0(row1, col1 + k2, n1, x)", "put0(row1, col1 + k2, n1, -x)",
+           ("tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[gen]",)),
+)
+
+
+def _copy_src(into: Path, mutant: Optional[Mutant] = None) -> Path:
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = into / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"stale mutant {mutant.name!r}: its old text is not in "
+                             f"{mutant.file} exactly once")
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def _run_tests(src: Path, node_ids) -> tuple:
+    """(passed, seconds) of the named tests, stopping at the first failure, on the package in src."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *node_ids],
+        cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode == 0, time.perf_counter() - t0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = _copy_src(Path(tmp) / "clean")
+        node_ids = sorted({t for m in MUTANTS for t in m.killed_by})
+        passed, seconds = _run_tests(clean, node_ids)
+        print(f"unmutated copy: the {len(node_ids)} named tests "
+              f"{'pass' if passed else 'FAIL'} ({seconds:.1f} s)")
+        if not passed:
+            return 1
+        rows = []
+        for k, mutant in enumerate(MUTANTS):
+            src = _copy_src(Path(tmp) / f"mutant-{k}", mutant)
+            passed, seconds = _run_tests(src, mutant.killed_by)
+            rows.append((mutant.name, mutant.file, "survived" if passed else "killed",
+                         f"{seconds:.1f} s", ", ".join(mutant.killed_by)))
+    header = ("mutant", "file", "verdict", "time", "tests")
+    widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
+    for row in [header] + rows:
+        print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return 0 if all(r[2] == "killed" for r in rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

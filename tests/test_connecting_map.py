@@ -7,7 +7,8 @@ Cech differences are built apart, from each summand's twist and window.  So agre
 the long exact sequence with Cech hypercohomology tests neither the walk
 nor the coordinates.  Here delta and delta0 are rebuilt column by column
 from whole-matrix products, the assembled matrices and both Cech
-differentials are pinned by content digests, and the coordinates are
+differentials are pinned by content digests, d1 ∘ d0 = 0 is checked on the
+Cech total complex, and the coordinates are
 checked against the vectorisation, the cohomology of each Hom bundle and
 the Cech size bound.  Serre duality runs both library p1 routes a second
 time, on the dual complex, where the H1 model carries the load the H0 model carries on
@@ -25,6 +26,7 @@ from quivhom.linalg import ExactMatrix, kron, unvec_matrix, vec_matrix
 from quivhom.rep import delta_matrix, hom_complex, hom_summands, one_coordinate, summand_offsets
 from quivhom.sheaf import (
     _cech_matrices,
+    _cech_windows,
     cech_dims,
     cech_hyper,
     delta0_matrix,
@@ -32,8 +34,9 @@ from quivhom.sheaf import (
     ext_quiver_sheaf,
     h0_dim,
     h1_dim,
-    sheaf_hom_ext_dims,
 )
+
+from oracles import sheaf_hom_ext_dims, transpose
 
 
 def _modules(seed, mode, field=None, **bounds):
@@ -156,9 +159,12 @@ def test_pinned_content_digests():
 
 
 # Digests over gen seeds 0..49, both orders, of the shape and the sorted
-# nonzero entries of the Cech differentials; recorded when each Hom summand
-# got its own Laurent window, once Cech agreed with the long exact sequence
-# and the Serre dual on every tier-1 draw.
+# nonzero entries of the Cech differentials d0 and d1, in the layout
+# _cech_matrices builds: each Hom summand with its own Laurent window, and
+# T1's Cech0(C1) coordinates ordered by C1 summand twist, ties by index.
+# Recorded once Cech agreed with the long exact sequence and the Serre dual
+# on every tier-1 draw.  A digest pins the layout, not the meaning: the signs
+# are checked by test_cech_differentials_compose_to_zero.
 CECH_PINNED = {
     "d0": "5bb1be192425bdc81ef23411c1804926bf20837ef5236b5fb67665452072f881",
     "d1": "cd47b19508bcad416c6f561eed0d7c5b2775587bc6154a28acf443c0a50fbf4e",
@@ -171,7 +177,7 @@ def test_pinned_cech_digests():
         V, W = _modules(seed, "p1")
         for X, Y in ((V, W), (W, V)):
             d0t, d1 = _cech_matrices(hom_complex(X, Y), 0)
-            for name, m in zip(CECH_PINNED, (d0t.transpose(), d1)):
+            for name, m in zip(CECH_PINNED, (transpose(d0t), d1)):
                 got[name].update(repr((m.shape, sorted(m.nonzeros()))).encode())
     assert {name: h.hexdigest() for name, h in got.items()} == CECH_PINNED
 
@@ -296,6 +302,41 @@ def test_summand_windows_keep_the_hypercohomology(bounds, field):
             for extra in (0, 1):
                 assert ((r.ext0, r.ext1, r.ext2) == cech_hyper(C, extra)
                         == cech_hyper(D, extra)[::-1]), (seed, X is V, Y is W, extra)
+
+
+# -- the Cech total complex is a complex -------------------------------------
+#
+# Equal ranks on both routes do not see a wrong sign in one Cech map: the
+# ranks of d0 and d1 alone can survive it.  d1 ∘ d0 = 0 does not.
+
+def _d1_after_d0(C, extra):
+    """d1·d0 of the Cech total complex of C, computed blockwise.
+
+    d0ᵀ has columns Cech1(C0) then Cech0(C1) and d1 has Cech0(C1) then
+    Cech1(C0), so with d0 = [X; Y] and d1 = [A | B], d1·d0 = B·X + A·Y.
+    """
+    d0t, d1 = _cech_matrices(C, extra)
+    (u0, l0), _ = _cech_windows(C, extra)
+    n = sum(u + l + 1 for u, l in zip(u0, l0))      # the Cech1(C0) coordinates
+    (t0, t1), t2 = d0t.shape, d1.nrows
+    X, Y = transpose(d0t.submatrix(0, t0, 0, n)), transpose(d0t.submatrix(0, t0, n, t1))
+    A, B = d1.submatrix(0, t2, 0, t1 - n), d1.submatrix(0, t2, t1 - n, t1)
+    return B @ X + A @ Y
+
+
+# gen seeds 0..49, then the F_101 draws of
+# test_summand_windows_keep_the_hypercohomology; a sign is a sign in any
+# field of characteristic other than 2, and over Q this took 3 s more
+@pytest.mark.parametrize("bounds", [{}, {"max_vertices": 1}, {"max_twist": 6, "max_dim": 4}],
+                         ids=["gen", "loops", "wide"])
+def test_cech_differentials_compose_to_zero(bounds):
+    for seed in range(50) if not bounds else range(20):
+        V, W = _modules(seed, "p1", **bounds)
+        for X, Y in ((V, W), (W, V)) if not bounds else ((V, W), (W, V), (V, V)):
+            C = hom_complex(X, Y)
+            for K in (C, _serre_dual(C)):
+                for extra in (0, 1):
+                    assert _d1_after_d0(K, extra).is_zero(), (seed, X is V, K is C, extra)
 
 
 def test_cech_assembly_places_canonical_rows(monkeypatch):

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from quivhom.linalg import ExactMatrix, FieldSpec, rank
 from quivhom.quiver import Quiver
-from quivhom.rep import TwistData, TwistedRep, delta_matrix, ext1_dim, hom_complex
+from quivhom.rep import TwistData, TwistedRep, delta_matrix, hom_complex
+
+from oracles import ext1_dim
 
 # most Hom entries to enumerate, per prime
 BUDGET = {2: 12, 3: 8}
