@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from typing import List
 
-from .instances import Instance, document_of_instance
-from .linalg import ExactMatrix, FieldSpec
+from .instances import Instance, InstanceError, load_instance
+from .linalg import CrossCheckError, FieldSpec
 from .quiver import Quiver
-from .rep import TwistData, TwistedRep
+from .rep import TwistedRep
 from .resolution import resolution_layout
-from .sheaf import FormMatrix, QSheafP1, SplitBundle, cech_dims
+from .sheaf import QSheafP1, SplitBundle, cech_dims
 
 GEN_FIELD = FieldSpec.prime(101)
 
@@ -30,6 +30,19 @@ _MAX_CECH_DIM = 2000
 MAX_BOUND = 8
 
 
+def _document(mode: str, n: int, arrows: list, twists: list, modules: dict) -> dict:
+    return {"field": {"fp": GEN_FIELD.modulus}, "quiver": {"vertices": n, "arrows": arrows},
+            "mode": mode, "twists": twists, "modules": modules}
+
+
+def _checked(document: dict) -> Instance:
+    """The instance load_instance builds from a drawn document; a rejection is a bug."""
+    try:
+        return load_instance(document)
+    except InstanceError as e:
+        raise CrossCheckError(f"gen drew a document that does not load: {e}") from None
+
+
 def _vector_size_ok(V: TwistedRep) -> bool:
     layout = resolution_layout(V, _RESOLUTION_DEGREE)
     return max(layout.f_total, layout.g_total) <= _MAX_RESOLUTION_DIM
@@ -37,24 +50,23 @@ def _vector_size_ok(V: TwistedRep) -> bool:
 
 def generate_vector_document(rng: random.Random, max_vertices: int, max_arrows: int,
                              max_dim: int, max_twist: int) -> dict:
-    field, p = GEN_FIELD, GEN_FIELD.modulus
+    p = GEN_FIELD.modulus
     while True:
         n = rng.randint(1, max_vertices)
         n_arrows = rng.randint(1, max_arrows)
-        quiver = Quiver(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(n_arrows)])
-        twist = TwistData([rng.randint(1, max_twist) for _ in range(n_arrows)])
+        arrows = [[rng.randrange(n), rng.randrange(n)] for _ in range(n_arrows)]
+        twist = [rng.randint(1, max_twist) for _ in range(n_arrows)]
         modules = {}
         for name in ("V", "W"):
             dims = [rng.randint(0, max_dim) for _ in range(n)]
             if all(d == 0 for d in dims):
                 dims[rng.randrange(n)] = rng.randint(1, max_dim)
-            phi = [ExactMatrix(field, dims[h], twist[a] * dims[t],
-                               [[rng.randrange(p) for _ in range(twist[a] * dims[t])]
-                                for _ in range(dims[h])])
-                   for a, (t, h) in enumerate(quiver.arrows)]
-            modules[name] = TwistedRep(quiver, twist, field, dims, phi)
-        if all(map(_vector_size_ok, modules.values())):
-            return document_of_instance(Instance(field, quiver, "vector", twist, modules))
+            phi = [[[rng.randrange(p) for _ in range(m * dims[t])] for _ in range(dims[h])]
+                   for m, (t, h) in zip(twist, arrows)]
+            modules[name] = {"dims": dims, "phi": phi}
+        document = _document("vector", n, arrows, twist, modules)
+        if all(map(_vector_size_ok, _checked(document).modules.values())):
+            return document
 
 
 def _sorted_twists(rng: random.Random, rank: int, max_twist: int) -> List[int]:
@@ -73,9 +85,11 @@ def generate_p1_document(rng: random.Random, max_vertices: int, max_arrows: int,
     while True:
         n = rng.randint(1, max_vertices)
         n_arrows = rng.randint(1, max_arrows)
-        quiver = Quiver(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(n_arrows)])
-        m_bundles = [SplitBundle(_sorted_twists(rng, rng.randint(1, max_dim), max_twist))
-                     for _ in range(n_arrows)]
+        arrows = [[rng.randrange(n), rng.randrange(n)] for _ in range(n_arrows)]
+        m_twists = [_sorted_twists(rng, rng.randint(1, max_dim), max_twist)
+                    for _ in range(n_arrows)]
+        quiver = Quiver(n, arrows)
+        m_bundles = [SplitBundle(tw) for tw in m_twists]
         sheaves = []
         for _ in ("V", "W"):
             v_twists = [_sorted_twists(rng, rng.randint(0, max_dim), max_twist)
@@ -90,23 +104,22 @@ def generate_p1_document(rng: random.Random, max_vertices: int, max_arrows: int,
             continue
         modules = {}
         for name, sheaf in zip(("V", "W"), sheaves):
-            # entry (r, c) of phi_a: a form of degree dst[r] − src[c], or zero
-            phi = []
-            for tb, (_, h) in zip(sheaf.tensors, quiver.arrows):
-                src, dst = tb.bundle, sheaf.vertex_bundles[h]
-                phi.append(FormMatrix(field, src, dst, [
-                    [() if dr < dc else [rng.randrange(p) for _ in range(dr - dc + 1)]
-                     for dc in src.twists] for dr in dst.twists]))
-            modules[name] = QSheafP1(quiver, field, m_bundles, sheaf.vertex_bundles, phi,
-                                     _tensors=sheaf.tensors)
-        return document_of_instance(Instance(field, quiver, "p1", tuple(m_bundles), modules))
+            # entry (r, c) of phi_a: a form of degree dst[r] − src[c], or null
+            phi = [[[None if dr < dc else [rng.randrange(p) for _ in range(dr - dc + 1)]
+                     for dc in tb.bundle.twists] for dr in sheaf.vertex_bundles[h].twists]
+                   for tb, (_, h) in zip(sheaf.tensors, arrows)]
+            modules[name] = {"twists": [list(b.twists) for b in sheaf.vertex_bundles],
+                             "phi": phi}
+        document = _document("p1", n, arrows, m_twists, modules)
+        _checked(document)
+        return document
 
 
 def generate_document(seed: int, mode: str = "vector", max_vertices: int = 4,
                       max_arrows: int = 5, max_dim: int = 3,
                       max_twist: int = 2) -> dict:
-    """Deterministic function of the seed; the output is the document of a
-    built instance, so it always validates."""
+    """Deterministic function of the seed; the output has passed load_instance,
+    so it always validates."""
     bounds = (max_vertices, max_arrows, max_dim, max_twist)
     if not all(1 <= b <= MAX_BOUND for b in bounds):
         raise ValueError(f"generation bounds must lie in 1..{MAX_BOUND}, got {bounds}")

@@ -57,7 +57,6 @@ class Instance:
     field: FieldSpec
     quiver: Quiver
     mode: str
-    twists: Union[TwistData, Tuple[SplitBundle, ...]]
     modules: Dict[str, Union[TwistedRep, QSheafP1]]
 
 
@@ -263,7 +262,7 @@ def load_instance(document) -> Instance:
             if d < 1:
                 raise InstanceError("twist dimensions must be >= 1", f"$.twists[{k}]")
             dims.append(d)
-        twists: Union[TwistData, Tuple[SplitBundle, ...]] = TwistData(dims)
+        twists = TwistData(dims)
         for name, value in modules_raw.items():
             modules[name] = _parse_vector_module(field, quiver, twists, value,
                                                  f"$.modules.{name}")
@@ -272,56 +271,8 @@ def load_instance(document) -> Instance:
             _parse_twist_list(twists_raw[a], f"$.twists[{a}]")
             for a in range(quiver.n_arrows)
         )
-        twists = bundles
         for name, value in modules_raw.items():
             modules[name] = _parse_p1_module(field, quiver, bundles, value,
                                              f"$.modules.{name}")
-    return Instance(field, quiver, mode, twists, modules)
+    return Instance(field, quiver, mode, modules)
 
-
-# -- serialisation ------------------------------------------------------------
-
-def _entry_value(field: FieldSpec, x):
-    return int(x) if field.is_prime_field else str(x)
-
-
-def _matrix_value(field: FieldSpec, m: ExactMatrix) -> list:
-    return [[_entry_value(field, m[r, c]) for c in range(m.ncols)]
-            for r in range(m.nrows)]
-
-
-def _form_value(field: FieldSpec, f: tuple):
-    return [_entry_value(field, c) for c in f] if f else None
-
-
-def document_of_instance(inst: Instance) -> dict:
-    """The canonical JSON document of a loaded instance (round-trip inverse)."""
-    field = inst.field
-    doc: dict = {
-        "field": "q" if not field.is_prime_field else {"fp": field.modulus},
-        "quiver": {
-            "vertices": inst.quiver.n_vertices,
-            "arrows": [[t, h] for (t, h) in inst.quiver.arrows],
-        },
-        "mode": inst.mode,
-    }
-    if inst.mode == "vector":
-        doc["twists"] = list(inst.twists.dims)
-        doc["modules"] = {
-            name: {
-                "dims": list(rep.dims),
-                "phi": [_matrix_value(field, m) for m in rep.phi],
-            }
-            for name, rep in inst.modules.items()
-        }
-    else:
-        doc["twists"] = [list(b.twists) for b in inst.twists]
-        doc["modules"] = {
-            name: {
-                "twists": [list(b.twists) for b in sheaf.vertex_bundles],
-                "phi": [[[_form_value(field, f) for f in row] for row in m.dense()]
-                        for m in sheaf.phi],
-            }
-            for name, sheaf in inst.modules.items()
-        }
-    return doc

@@ -102,7 +102,7 @@ class FormMatrix:
     is dropped.  Every coefficient is brought into the field, as in an
     ExactMatrix.  The matrix is stored once, as rows: one {s: form} dict per
     row holding every entry that is not ().  All-zero tuples such as (0, 0)
-    are kept, so that an instance document can be written back as it was.
+    are kept as read.
     """
 
     def __init__(self, field: FieldSpec, source: SplitBundle, target: SplitBundle,
@@ -139,10 +139,6 @@ class FormMatrix:
     @staticmethod
     def zero(field: FieldSpec, source: SplitBundle, target: SplitBundle) -> "FormMatrix":
         return FormMatrix(field, source, target, [[()] * source.rank] * target.rank)
-
-    def dense(self) -> list:
-        """The entries as a list of rows, () where nothing is stored."""
-        return [[row.get(s, ()) for s in range(self.source.rank)] for row in self.rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormMatrix):

@@ -48,6 +48,27 @@ MUTANTS = (
     Mutant("Cech chart-1 sign", "src/quivhom/sheaf.py",
            "put0(row1, col1 + k2, n1, x)", "put0(row1, col1 + k2, n1, -x)",
            ("tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[gen]",)),
+    Mutant("Hom coordinate split", "src/quivhom/rep.py",
+           "m, s = divmod(pos, v_sizes[t])", "m, s = 0, pos % v_sizes[t]",
+           ("tests/test_hom_oracle.py::test_hom_count_is_p_to_the_nullity_of_delta",)),
+    Mutant("Cech window propagation", "src/quivhom/sheaf.py",
+           "u0[j], l1[i] = max(u0[j], u1[i]), max(l1[i], l0[j])",
+           "u0[j], l1[i] = u0[j], l1[i]",
+           ("tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[gen]",)),
+    Mutant("echelon copy-on-write", "src/quivhom/linalg.py",
+           "            if row is src:\n                row = dict(src)\n"
+           "            if reduced:\n",
+           "            if reduced:\n",
+           ("tests/test_linalg.py::test_full_column_rank_stop_matches_list_reference",)),
+    Mutant("delta1 form degree", "src/quivhom/sheaf.py",
+           "h1_dim(d + len(form) - 1)", "h1_dim(d + len(form))",
+           ("tests/test_sheaf.py::test_delta1_commutator_by_hand",)),
+    Mutant("loop merge sign", "src/quivhom/rep.py",
+           "_minus(p, entries[k][2], cf)", "_minus(p, cf, entries[k][2])",
+           ("tests/test_connecting_map.py::test_delta_column_by_column",)),
+    Mutant("gen form length", "src/quivhom/generate.py",
+           "range(dr - dc + 1)", "range(dr - dc + 2)",
+           ("tests/test_cli.py::test_gen_hyper_verify_pipeline",)),
 )
 
 

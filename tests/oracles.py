@@ -111,6 +111,11 @@ def all_ok(report) -> bool:
 
 # -- sheaves on the projective line ----------------------------------------------
 
+def dense(f) -> list:
+    """The entries of a FormMatrix as a list of rows, () where nothing is stored."""
+    return [[row.get(s, ()) for s in range(f.source.rank)] for row in f.rows]
+
+
 def sheaf_hom_ext_dims(e, f) -> tuple:
     """(dim Hom, dim Ext^1) between split bundles on the projective line."""
     hom = sum(h0_dim(df - de) for de in e.twists for df in f.twists)

@@ -36,7 +36,7 @@ from quivhom.sheaf import (
     h1_dim,
 )
 
-from oracles import sheaf_hom_ext_dims, transpose
+from oracles import dense, sheaf_hom_ext_dims, transpose
 
 
 def _modules(seed, mode, field=None, **bounds):
@@ -101,8 +101,8 @@ def _delta0_image(V, W, f):
         def degree(r2, c):
             return wh.twists[r2] - tv.bundle.twists[c]
 
-        phi = [[_coeffs(g) for g in row] for row in V.phi[a].dense()]
-        psi = [[_coeffs(g) for g in row] for row in W.phi[a].dense()]
+        phi = [[_coeffs(g) for g in row] for row in dense(V.phi[a])]
+        psi = [[_coeffs(g) for g in row] for row in dense(W.phi[a])]
         left = _form_matmul(f[h], phi, degree, wh.rank, tv.bundle.rank)
         right = _form_matmul(psi, one_f, degree, wh.rank, tv.bundle.rank)
         for c in range(tv.bundle.rank):

@@ -25,6 +25,7 @@ JORDAN = str(FIXTURES / "jordan_vector.json")
 
 # Dunder protocol methods kept beside their siblings, though no request calls them.
 ALLOWED_UNCALLED = {
+    "linalg.py:ExactMatrix.__getitem__": "bounds-checked m[i, j], which tests and oracles read",
     "linalg.py:ExactMatrix.__hash__": "an immutable value with __eq__ stays hashable",
     "linalg.py:ExactMatrix.__repr__": "names the shape when a matrix is printed in a failure",
     "linalg.py:ExactMatrix.__sub__": "the inverse of __add__, both one call of _combine",

@@ -25,7 +25,7 @@ from quivhom.sheaf import (
     tensor_bundles,
 )
 
-from oracles import euler_characteristic, euler_check, scale, sheaf_hom_ext_dims
+from oracles import dense, euler_characteristic, euler_check, scale, sheaf_hom_ext_dims
 
 F = FieldSpec.prime(101)
 LOOP = Quiver(1, [(0, 0)])
@@ -48,7 +48,7 @@ def split_bundle(twists) -> SplitBundle:
 
 def scale_form_matrix(f: FormMatrix, c) -> FormMatrix:
     c = f.field.element(c)
-    rows = [[tuple(c * x for x in form) for form in row] for row in f.dense()]
+    rows = [[tuple(c * x for x in form) for form in row] for row in dense(f)]
     return FormMatrix(f.field, f.source, f.target, rows)
 
 
@@ -61,7 +61,7 @@ def shift_vertex_twists(V: QSheafP1, t: int) -> QSheafP1:
     """Twist every vertex bundle by O(t); the form data is unchanged."""
     shifted = [SplitBundle(tuple(d + t for d in b.twists)) for b in V.vertex_bundles]
     tensors = tensor_bundles(V.quiver, V.twist_bundles, shifted)
-    phi = [FormMatrix(V.field, tb.bundle, shifted[h], f.dense())
+    phi = [FormMatrix(V.field, tb.bundle, shifted[h], dense(f))
            for tb, (_, h), f in zip(tensors, V.quiver.arrows, V.phi)]
     return QSheafP1(V.quiver, V.field, V.twist_bundles, shifted, phi, _tensors=tensors)
 
