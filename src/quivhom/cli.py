@@ -132,7 +132,7 @@ def _preflight_resolution(V: TwistedRep, n: int):
         degree *= 2
 
 
-def _pick_module(instance: Instance, name: str, mode: str):
+def _pick_module(instance: Instance, name: str, mode: str, command: str = "this command"):
     if name not in instance.modules:
         raise CliError(
             f"module {name!r} not present (have: {sorted(instance.modules)})",
@@ -140,7 +140,7 @@ def _pick_module(instance: Instance, name: str, mode: str):
         )
     if instance.mode != mode:
         raise CliError(
-            f"module {name!r} is {instance.mode}-mode, this command needs {mode}-mode",
+            f"module {name!r} is {instance.mode}-mode, {command} needs {mode}-mode",
             EXIT_INCOMPATIBLE,
         )
     return instance.modules[name]
@@ -225,6 +225,8 @@ def cmd_ext(args) -> int:
                 for f in basis
             ]
     else:
+        if args.bases:      # a Hom basis is listed in vector mode only
+            _pick_module(instance, args.module_v, "vector", "ext --bases")
         V = _pick_module(instance, args.module_v, "p1")
         W = _pick_module(instance, args.module_w, "p1")
         _preflight_hom("ext", V, W, h0_dim, h1_dim)

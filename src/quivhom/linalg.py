@@ -13,21 +13,22 @@ sparse rather than dense.  MatrixBuilder keeps its rows in this form as it
 places each diagonal run whole, so building a matrix takes no second pass;
 it writes each cell once, without reading it, and checks that on build().
 
-One routine, `_echelon`, does all elimination.  It reduces each row in
-turn against the pivot rows found so far, leftmost column first, and adds
-what is left as a new pivot row; with reduced=True it scales each pivot row
-to 1 and back-substitutes to the reduced row echelon form.  It never
-writes to an input row: it copies one when a subtraction first changes it,
-or when reduced=True takes it as a pivot row.  So with reduced=False a
-pivot row that needed no subtraction is the input row itself, unscaled.
-The pivot columns of any echelon form of a matrix are the columns where
-the rank of the leading columns grows, and the reduced row echelon form is
+Elimination is two passes.  `_echelon`, the forward pass, reduces each
+row in turn against the pivot rows found so far, leftmost column first,
+and adds what is left, unscaled, as a new pivot row; once every column
+holds a pivot it takes no more rows, since they lie in the span of the
+pivot rows.  It never writes to an input row: it copies one when a
+subtraction first changes it, so a pivot row that needed none is the input
+row itself.  `_reduce`, the second pass, scales a copy of each pivot row to
+1 and back-substitutes to the reduced row echelon form.  Rank, consistency
+and cokernel representatives read only the pivot columns, so they run the
+forward pass alone; kernel bases and solutions read the reduced form.  The
+pivot columns of any echelon form of a matrix are the columns where the
+rank of the leading columns grows, and the reduced row echelon form is
 unique, so neither depends on the order in which rows are taken or pivots
-are found.  Ranks, kernel bases,
-solutions and cokernel representatives are therefore the same as those of
-textbook Gaussian elimination, and reproducible byte for byte.  Once every
-column holds a pivot, `_echelon` takes no more rows: they lie in the span of
-the pivot rows, so they change neither the pivot set nor the reduced form.
+are found.  Ranks, kernel bases, solutions and cokernel representatives
+are therefore the same as those of textbook Gaussian elimination, and
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -428,16 +429,12 @@ def _subtract_multiple(row: dict, f: Element, prow: dict, p: Optional[int]):
             del row[j]
 
 
-def _echelon(m: ExactMatrix, reduced: bool) -> list:
+def _echelon(m: ExactMatrix) -> list:
     """Pivot rows [(pivot column, row)] of an echelon form of m, by column.
 
-    No pivot row has an entry left of its pivot column.  With reduced=True
-    each is scaled to 1 there and the rows form the reduced row echelon
-    form: no pivot row has an entry in another row's pivot column.  With
-    reduced=False the rows are not scaled, and a row of m that needed no
-    subtraction is returned as it is, the same dict.  No row of m is written
-    to: a row is copied when a subtraction first changes it, or when
-    reduced=True takes it as a pivot row.
+    No pivot row has an entry left of its pivot column.  The rows are not
+    scaled, and a row of m that needed no subtraction is returned as it is,
+    the same dict; a row is copied when a subtraction first changes it.
     """
     field, p = m.field, m.field.modulus
     pivots, invs = {}, {}
@@ -449,46 +446,45 @@ def _echelon(m: ExactMatrix, reduced: bool) -> list:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                if reduced:
-                    inv = field.inv(row[c])
-                    if inv != 1:    # the entries are field elements already: only scale
-                        row = {j: x * inv % p if p else x * inv for j, x in row.items()}
-                    elif row is src:
-                        row = dict(src)     # back-substitution writes to it
                 pivots[c] = row
                 break
             if row is src:
                 row = dict(src)
-            if reduced:
-                f = row[c]
-            else:
-                inv = invs.get(c)
-                if inv is None:
-                    inv = invs[c] = field.inv(prow[c])
-                f = row[c] * inv % p if p else row[c] * inv
-            _subtract_multiple(row, f, prow, p)
-    order = sorted(pivots)
-    if reduced:
-        # right to left: rows at later pivots are already fully reduced
-        for c in reversed(order):
-            row = pivots[c]
-            for c2 in [j for j in row if j != c and j in pivots]:
-                _subtract_multiple(row, row[c2], pivots[c2], p)
-    return [(c, pivots[c]) for c in order]
+            inv = invs.get(c)
+            if inv is None:
+                inv = invs[c] = field.inv(prow[c])
+            _subtract_multiple(row, row[c] * inv % p if p else row[c] * inv, prow, p)
+    return [(c, pivots[c]) for c in sorted(pivots)]
+
+
+def _reduce(field: FieldSpec, echelon: list) -> list:
+    """The reduced row echelon form of _echelon's pivot rows: copies scaled to 1
+    there, and none with an entry in another row's pivot column."""
+    p = field.modulus
+    pivots = {}
+    for c, row in echelon:
+        inv = field.inv(row[c])
+        pivots[c] = {j: x * inv % p if p else x * inv for j, x in row.items()}
+    # right to left: rows at later pivots are already fully reduced
+    for c, _ in reversed(echelon):
+        row = pivots[c]
+        for c2 in [j for j in row if j != c and j in pivots]:
+            _subtract_multiple(row, row[c2], pivots[c2], p)
+    return [(c, pivots[c]) for c, _ in echelon]
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(_echelon(m, reduced=False))
+    return len(_echelon(m))
 
 
 def kernel_basis(m: ExactMatrix) -> list:
     """Deterministic kernel basis (reduced-echelon convention).
 
-    One vector per free column j: entry 1 at j, minus the echelon entry at
-    each pivot column.  Vectors are returned as lists of field elements.
+    One vector per free column j: entry 1 at j, minus the reduced echelon
+    entry at each pivot column.  Vectors are returned as lists of field elements.
     """
     field = m.field
-    echelon = _echelon(m, reduced=True)
+    echelon = _reduce(field, _echelon(m))
     pivot_set = {c for c, _ in echelon}
     free = [j for j in range(m.ncols) if j not in pivot_set]
     basis = {j: [field.zero()] * m.ncols for j in free}
@@ -506,16 +502,19 @@ def kernel_basis(m: ExactMatrix) -> list:
 def solve(m: ExactMatrix, b: Union[Sequence, ExactMatrix]) -> Optional[Union[list, ExactMatrix]]:
     """One solution x of m·x = b, or None when the system is inconsistent.
 
-    A matrix b holds one right-hand side per column, all solved by one elimination.
+    A matrix b holds one right-hand side per column, all solved by one
+    elimination of [m | b].  The forward pass decides consistency: the
+    system is inconsistent iff a pivot lies in b's columns.  Only a
+    consistent system is reduced, and x is read off the reduced form.
     """
     rhs = b if isinstance(b, ExactMatrix) else ExactMatrix.column(m.field, b)
     if rhs.nrows != m.nrows:
         raise ValueError(f"right-hand side length {rhs.nrows} != {m.nrows} rows")
-    echelon = _echelon(hstack([m, rhs]), reduced=True)
+    echelon = _echelon(hstack([m, rhs]))
     if echelon and echelon[-1][0] >= m.ncols:
         return None
     x = [{}] * m.ncols
-    for c, row in echelon:
+    for c, row in _reduce(m.field, echelon):
         x[c] = {j - m.ncols: v for j, v in row.items() if j >= m.ncols}
     x = ExactMatrix._wrap(m.field, tuple(x), rhs.ncols)
     return x if isinstance(b, ExactMatrix) else x.column_list(0)
@@ -529,7 +528,7 @@ def cokernel_representatives(m: ExactMatrix) -> list:
     coker(m).
     """
     aug = hstack([m, ExactMatrix.identity(m.field, m.nrows)])
-    pivots = [c for c, _ in _echelon(aug, reduced=False)]
+    pivots = [c for c, _ in _echelon(aug)]
     picked = [c - m.ncols for c in pivots if c >= m.ncols]
     # the pivots inside m's columns are exactly the pivots of m
     if len(picked) != m.nrows - (len(pivots) - len(picked)):

@@ -36,9 +36,3 @@ class Quiver:
     @property
     def n_arrows(self) -> int:
         return len(self.arrows)
-
-    def tail(self, a: int) -> int:
-        return self.arrows[a][0]
-
-    def head(self, a: int) -> int:
-        return self.arrows[a][1]

@@ -29,7 +29,6 @@ from .linalg import (
     kron,
     solve,
     unvec_matrix,
-    vec_matrix,
     vstack,
 )
 from .quiver import Quiver
@@ -88,13 +87,6 @@ class TwistedRep:
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def arrow_block(self, a: int, m_index: int) -> ExactMatrix:
-        """Column block of phi_a for one basis vector of M_a."""
-        t = self.quiver.tail(a)
-        d = self.dims[t]
-        return self.phi[a].submatrix(0, self.dims[self.quiver.head(a)],
-                                     m_index * d, (m_index + 1) * d)
 
     def summand_data(self):
         """Input of hom_complex: summands are the basis vectors.
@@ -321,37 +313,34 @@ def build_extension(V: TwistedRep, W: TwistedRep,
     dims = [W.dims[i] + V.dims[i] for i in range(V.quiver.n_vertices)]
     phi = []
     for a, (t, h) in enumerate(V.quiver.arrows):
-        m = V.twist[a]
-        if eta[a].shape != (W.dims[h], m * V.dims[t]):
-            raise ValueError(
-                f"eta[{a}] has shape {eta[a].shape}, expected "
-                f"{(W.dims[h], m * V.dims[t])}"
-            )
+        m, wt, vt, wh = V.twist[a], W.dims[t], V.dims[t], W.dims[h]
+        if eta[a].shape != (wh, m * vt):
+            raise ValueError(f"eta[{a}] has shape {eta[a].shape}, expected {(wh, m * vt)}")
+        if eta[a].field != field:
+            raise ValueError(f"eta[{a}] is over the wrong field")
         out = MatrixBuilder(field, dims[h], m * dims[t])
-        dwt, dvt = W.dims[t], V.dims[t]
-        for j in range(m):
-            c0 = j * (dwt + dvt)
-            out.add_block(0, c0, W.arrow_block(a, j))
-            out.add_block(0, c0 + dwt,
-                          eta[a].submatrix(0, W.dims[h], j * dvt, (j + 1) * dvt))
-            out.add_block(W.dims[h], c0 + dwt, V.arrow_block(a, j))
+        # column j·d + s of a block (copy j of M_a, summand s of its d-dimensional
+        # W_t or V_t) goes to column j·(wt + vt) + offset + s of M_a ⊗ E_t:
+        # psi_a at offset 0, eta_a and phi_a at wt; phi_a's rows start at wh
+        for block, d, row0, offset in ((W.phi[a], wt, 0, 0), (eta[a], vt, 0, wt),
+                                       (V.phi[a], vt, wh, wt)):
+            for i, col, x in block.nonzeros():
+                j, s = divmod(col, d)
+                out.add(row0 + i, j * (wt + vt) + offset + s, x)
         phi.append(out.build())
     E = TwistedRep(V.quiver, V.twist, field, dims, phi)
-    n = V.quiver.n_vertices
-    if not (RepMorphism(W, E, [_inclusion_block(field, W.dims[i], V.dims[i])
-                               for i in range(n)]).is_morphism()
-            and RepMorphism(E, V, [_projection_block(field, W.dims[i], V.dims[i])
-                                   for i in range(n)]).is_morphism()):
+    inclusion = [_unit_block(field, e, w, 0) for e, w in zip(dims, W.dims)]
+    projection = [_unit_block(field, v, e, w) for e, w, v in zip(dims, W.dims, V.dims)]
+    if not (RepMorphism(W, E, inclusion).is_morphism()
+            and RepMorphism(E, V, projection).is_morphism()):
         raise CrossCheckError("the extension's inclusion or projection is not a morphism")
     return E
 
 
-def _inclusion_block(field: FieldSpec, dw: int, dv: int) -> ExactMatrix:
-    return ExactMatrix.identity(field, dw + dv).submatrix(0, dw + dv, 0, dw)
-
-
-def _projection_block(field: FieldSpec, dw: int, dv: int) -> ExactMatrix:
-    return ExactMatrix.identity(field, dw + dv).submatrix(dw, dw + dv, 0, dw + dv)
+def _unit_block(field: FieldSpec, rows: int, cols: int, shift: int) -> ExactMatrix:
+    """The rows x cols matrix with a 1 at each (r, r + shift): W_i -> E_i, E_i -> V_i."""
+    return ExactMatrix(field, rows, cols, [[int(c == r + shift) for c in range(cols)]
+                                           for r in range(rows)])
 
 
 def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
@@ -365,19 +354,18 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
     for i, e in enumerate(E.dims):
         if e != W.dims[i] + V.dims[i]:
             raise ValueError(f"E has dimension {e} at vertex {i}, not {W.dims[i]} + {V.dims[i]}")
-    field = V.field
     C = hom_complex(V, E)
     delta = delta_matrix(C)
-    section = MatrixBuilder(field, sum(d * d for d in V.dims), delta.ncols)
-    rhs, r = [], 0
-    for i, d in enumerate(V.dims):
-        if d > 0:
-            proj = _projection_block(field, W.dims[i], d)
-            section.add_block(r, C.vertex_start[i], kron(ExactMatrix.identity(field, d), proj))
-            rhs += vec_matrix(ExactMatrix.identity(field, d))
-        r += d * d
+    section = MatrixBuilder(V.field, sum(d * d for d in V.dims), delta.ncols)
+    rhs = []
+    for i, (dw, dv) in enumerate(zip(W.dims, V.dims)):
+        # entry (r, c) of proj_i ∘ s_i is entry (dw + r, c) of s_i
+        for c in range(dv):
+            for r in range(dv):
+                section.add(len(rhs), C.vertex_start[i] + c * (dw + dv) + dw + r, 1)
+                rhs.append(int(r == c))
     # the section rows first: each holds a single 1, so each is a pivot at once
-    rhs += [field.zero()] * delta.nrows
+    rhs += [0] * delta.nrows
     return solve(vstack([section.build(), delta]), rhs) is not None
 
 

@@ -57,8 +57,8 @@ MUTANTS = (
            ("tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[gen]",)),
     Mutant("echelon copy-on-write", "src/quivhom/linalg.py",
            "            if row is src:\n                row = dict(src)\n"
-           "            if reduced:\n",
-           "            if reduced:\n",
+           "            inv = invs.get(c)\n",
+           "            inv = invs.get(c)\n",
            ("tests/test_linalg.py::test_full_column_rank_stop_matches_list_reference",)),
     Mutant("delta1 form degree", "src/quivhom/sheaf.py",
            "h1_dim(d + len(form) - 1)", "h1_dim(d + len(form))",
@@ -69,6 +69,15 @@ MUTANTS = (
     Mutant("gen form length", "src/quivhom/generate.py",
            "range(dr - dc + 1)", "range(dr - dc + 2)",
            ("tests/test_cli.py::test_gen_hyper_verify_pipeline",)),
+    Mutant("reduce pass left to right", "src/quivhom/linalg.py",
+           "for c, _ in reversed(echelon):", "for c, _ in echelon:",
+           ("tests/test_linalg.py::test_full_column_rank_stop_matches_list_reference",)),
+    Mutant("extension eta offset", "src/quivhom/rep.py",
+           "(eta[a], vt, 0, wt)", "(eta[a], vt, 0, 0)",
+           ("tests/test_rep.py::test_build_extension_jordan_block",)),
+    Mutant("split section row", "src/quivhom/rep.py",
+           "+ dw + r, 1)", "+ r, 1)",
+           ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta",)),
 )
 
 

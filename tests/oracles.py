@@ -31,7 +31,7 @@ def is_acyclic(quiver) -> bool:
         i = queue.pop()
         seen += 1
         for a in arrows_out_of(quiver, i):
-            h = quiver.head(a)
+            h = quiver.arrows[a][1]
             indeg[h] -= 1
             if indeg[h] == 0:
                 queue.append(h)
@@ -53,7 +53,7 @@ def path_elements(basis):
         for k in range(q.n_vertices):
             level = []
             for b in arrows_into(q, k):
-                t = q.tail(b)
+                t = q.arrows[b][0]
                 for m_b in range(twist[b]):
                     for j, sub in elems[(t, l)]:
                         if sub is None:         # x_b ⊗ e_t = e_k·x_b

@@ -35,7 +35,7 @@ def enumerate_paths(quiver, max_len: int) -> Dict[Tuple[int, int], List[Path]]:
             groups[(length, i)] = [
                 Path(shorter.tail, i, shorter.arrows + (a,))
                 for a in arrows_into(quiver, i)
-                for shorter in groups[(length - 1, quiver.tail(a))]]
+                for shorter in groups[(length - 1, quiver.arrows[a][0])]]
     return groups
 
 
@@ -54,5 +54,6 @@ def path_matrix(rep, path: Path, m_index: int) -> ExactMatrix:
     for a in path.arrows:
         # the first arrow applied holds the least significant digit
         m_index, digit = divmod(m_index, rep.twist[a])
-        m = rep.arrow_block(a, digit) @ m
+        d = rep.dims[rep.quiver.arrows[a][0]]
+        m = rep.phi[a].submatrix(0, rep.phi[a].nrows, digit * d, (digit + 1) * d) @ m
     return m

@@ -150,6 +150,13 @@ def test_mode_mismatch_exit_4(capsys):
     assert "p1" in err
 
 
+def test_ext_bases_on_p1_exit_4(capsys):
+    # a p1 instance has no Hom basis to list: the flag is refused, not ignored
+    code, out, err = run(capsys, "ext", HIGGS, "V", "W", "--bases")
+    assert (code, out) == (4, "")
+    assert err == "quivhom: module 'V' is p1-mode, ext --bases needs vector-mode\n"
+
+
 def test_check_passes_on_jordan(capsys):
     code, out, _ = run(capsys, "check", JORDAN, "J2", "--max-degree", "3", "--json")
     assert code == 0
@@ -394,7 +401,7 @@ def test_ext_bases_eliminates_delta_once(capsys, monkeypatch):
     calls = []
     echelon = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon",
-                        lambda m, reduced: calls.append(m.shape) or echelon(m, reduced))
+                        lambda m: calls.append(m.shape) or echelon(m))
     code, out, _ = run(capsys, "ext", JORDAN, "J2", "J2", "--json", "--bases")
     assert code == 0 and json.loads(out)["result"]["hom"] == 2
     assert len(calls) == 1

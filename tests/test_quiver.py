@@ -29,7 +29,7 @@ def test_quiver_validation():
         Quiver(2, [(0, 2)])
     q = Quiver(2, [(0, 1), (1, 0)])
     assert q.n_arrows == 2
-    assert q.tail(0) == 0 and q.head(0) == 1
+    assert q.arrows == ((0, 1), (1, 0))
     assert arrows_into(q, 0) == [1]
 
 

@@ -229,7 +229,7 @@ def _block_basis(quiver, twist, max_degree):
             for a in arrows_into(quiver, h):
                 starts[(a, l)] = len(listing[(h, l + 1)])
                 for m in range(twist[a]):
-                    for q, k in listing[(quiver.tail(a), l)]:
+                    for q, k in listing[(quiver.arrows[a][0], l)]:
                         p = Path(q.tail, h, q.arrows + (a,))
                         # PathBasis: the last arrow applied is most significant
                         listing[(h, l + 1)].append(
@@ -297,6 +297,6 @@ def test_rank_of_d_adopts_every_row_as_its_pivot():
             V = instance.modules[name]
             _, d = resolution_matrices(V, resolution_layout(V, 4))
             own = {id(row) for row in d.sparse_rows()}
-            pivots = _echelon(d, reduced=False)
+            pivots = _echelon(d)
             assert len(pivots) == d.nrows
             assert all(id(row) in own for _, row in pivots)
