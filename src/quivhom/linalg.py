@@ -180,10 +180,6 @@ class ExactMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        return cls(field, rows, cols)
-
-    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
         one = field.one()
         return cls._wrap(field, tuple({i: one} for i in range(n)), n)
@@ -210,12 +206,6 @@ class ExactMatrix:
         row = self._rows[i]
         zero = self.field.zero()
         return [row.get(j, zero) for j in range(self.ncols)]
-
-    def column_list(self, j: int) -> list:
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} outside a {self.nrows}x{self.ncols} matrix")
-        zero = self.field.zero()
-        return [r.get(j, zero) for r in self._rows]
 
     def to_lists(self) -> list:
         return [self.row_list(i) for i in range(self.nrows)]
@@ -248,23 +238,6 @@ class ExactMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        if self.field != other.field or self.shape != other.shape:
-            raise ValueError("matrices live in different spaces")
-        rows = []
-        for r1, r2 in zip(self._rows, other._rows):
-            acc = dict(r1)
-            for j, y in r2.items():
-                acc[j] = acc.get(j, 0) + sign * y
-            rows.append(_canonical(self.field, acc))
-        return ExactMatrix._wrap(self.field, tuple(rows), self.ncols)
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field != other.field:
             raise ValueError("matrix product over different fields")
@@ -290,14 +263,6 @@ class ExactMatrix:
         zero, p = self.field.zero(), self.field.modulus
         out = [sum((x * v[j] for j, x in r.items()), zero) for r in self._rows]
         return out if p is None else [x % p for x in out]
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
-        if not (0 <= r0 <= r1 <= self.nrows and 0 <= c0 <= c1 <= self.ncols):
-            raise IndexError(f"rows {r0}:{r1}, columns {c0}:{c1} outside a "
-                             f"{self.nrows}x{self.ncols} matrix")
-        rows = tuple({j - c0: x for j, x in r.items() if c0 <= j < c1}
-                     for r in self._rows[r0:r1])
-        return ExactMatrix._wrap(self.field, rows, c1 - c0)
 
 
 class MatrixBuilder:
@@ -344,19 +309,6 @@ class MatrixBuilder:
         for row in rows[i:i + n]:
             row[j] = x
             j += 1
-
-    def add_block(self, r0: int, c0: int, block: ExactMatrix):
-        """Write a matrix over the same field with its (0, 0) entry at (r0, c0)."""
-        if block.field != self.field:
-            raise ValueError("block over a different field")
-        rows = self._live_rows()
-        if not (0 <= r0 <= self.nrows - block.nrows and 0 <= c0 <= self.ncols - block.ncols):
-            for i, j, x in block.nonzeros():
-                self.add_run(r0 + i, c0 + j, 1, x)
-            return
-        for row, src in zip(rows[r0:r0 + block.nrows], block._rows):
-            self._written += len(src)
-            row.update({c0 + j: x for j, x in src.items()})
 
     def build(self) -> ExactMatrix:
         rows = self._live_rows()
@@ -516,8 +468,10 @@ def solve(m: ExactMatrix, b: Union[Sequence, ExactMatrix]) -> Optional[Union[lis
     x = [{}] * m.ncols
     for c, row in _reduce(m.field, echelon):
         x[c] = {j - m.ncols: v for j, v in row.items() if j >= m.ncols}
-    x = ExactMatrix._wrap(m.field, tuple(x), rhs.ncols)
-    return x if isinstance(b, ExactMatrix) else x.column_list(0)
+    if isinstance(b, ExactMatrix):
+        return ExactMatrix._wrap(m.field, tuple(x), rhs.ncols)
+    zero = m.field.zero()
+    return [r.get(0, zero) for r in x]
 
 
 def cokernel_representatives(m: ExactMatrix) -> list:
@@ -546,17 +500,9 @@ def cokernel_representatives(m: ExactMatrix) -> list:
 # Hom blocks are vectorised column-major throughout the package: the matrix
 # entry X[r, c] sits at coordinate c*nrows + r.
 
-def vec_matrix(x: ExactMatrix) -> list:
-    """Column-major vectorisation of a matrix as a list."""
-    out = []
-    for c in range(x.ncols):
-        out.extend(x.column_list(c))
-    return out
-
-
 def unvec_matrix(field: FieldSpec, vec: Sequence, rows: int, cols: int,
                  offset: int = 0) -> ExactMatrix:
-    """Inverse of vec_matrix on a slice of a coordinate vector."""
+    """The rows x cols matrix whose column-major vectorisation starts at vec[offset]."""
     return ExactMatrix(field, rows, cols, [[vec[offset + c * rows + r] for c in range(cols)]
                                            for r in range(rows)])
 

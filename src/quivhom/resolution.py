@@ -15,8 +15,13 @@ basis of e_h A_{l+1} is this sum, one block per arrow in quiver order, the
 M_a index most significant (for untwisted arrows, paths ordered by their
 last arrow, then by the rest of the path).  A map alpha is fixed by its
 degree-0 part and by beta = d(alpha): on the block of a, alpha_ha = beta_a +
-phi_a·(I_m ⊗ alpha_ta) (_extend).  eps(v) extends v with beta = 0 (path_actions);
-lift_beta extends 0.
+phi_a·(I_m ⊗ alpha_ta).  _recursion walks this once, in the coordinates of
+d: each coordinate of alpha in degree >= 1 is a coordinate of beta plus a
+combination of coordinates of alpha one degree lower.  eps runs the walk
+over its rows with beta = 0, seeded in degree 0 by the projections V -> V_i,
+so that row x holds the action x·v; lift_beta runs it over field elements,
+seeded by 0.  _d_matrix writes phi_a on its own, so d·eps = 0 checks one
+coding of phi against the other.
 
 Hom blocks are vectorised column-major.  ⊕ Hom(e_i A_l, V_i) is ordered by
 degree, highest first, then by vertex; the codomain by arrow, then degree.
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix, MatrixBuilder, kron, rank, unvec_matrix, vec_matrix
+from .linalg import ExactMatrix, MatrixBuilder, _canonical, rank
 from .quiver import Quiver
 from .rep import TwistData, TwistedRep
 
@@ -105,58 +110,48 @@ def resolution_matrices(V: TwistedRep, layout: ResolutionLayout
     return _eps_matrix(V, layout), _d_matrix(V, layout)
 
 
-def _extend(V: TwistedRep, basis: GradedBasis,
-            alpha: Dict[Tuple[int, int], ExactMatrix],
-            beta: Optional[Dict[Tuple[int, int], ExactMatrix]] = None) -> None:
-    """Fill alpha[(i, l)] for l >= 1 from the seed alpha[(i, 0)], in place.
+def _recursion(V: TwistedRep, layout: ResolutionLayout):
+    """Yield (k, g, terms) for each coordinate k of alpha in degree >= 1, by degree.
 
-    Each basis element of e_i A_l owns w consecutive columns of alpha[(i, l)],
-    w being the column count of the seed.  On the block of arrow a,
-    alpha_ha := beta_a + phi_a·(I_m ⊗ alpha_ta); beta is zero when omitted.
+    alpha_ha = beta_a + phi_a·(I_m ⊗ alpha_ta) on the block of arrow a:
+    coordinate k of alpha is beta's coordinate g plus cf times coordinate k2
+    of alpha for each (cf, k2) in terms, all k2 one degree lower.
     """
-    field = V.field
-    w = alpha[(0, 0)].ncols
+    basis = layout.basis
+    # phi_a's entry (r, j·dt + s) takes alpha_ta's entry (s, x) to the entry
+    # (r, j·src + x) of the block of arrow a: cells[a][j][r] lists (cf, s)
+    cells = [[[[] for _ in range(V.dims[h])] for _ in range(V.twist[a])]
+             for a, (_, h) in enumerate(V.quiver.arrows)]
+    for a, (t, _) in enumerate(V.quiver.arrows):
+        for r, c, cf in V.phi[a].nonzeros():
+            j, s = divmod(c, V.dims[t])
+            cells[a][j][r].append((cf, s))
     for l in range(basis.max_degree):
-        out = [MatrixBuilder(field, d, basis.dim[(i, l + 1)] * w)
-               for i, d in enumerate(V.dims)]
         for a, (t, h) in enumerate(V.quiver.arrows):
-            col = basis.block_offset[(a, l)] * w
-            eye = ExactMatrix.identity(field, V.twist[a])
-            block = V.phi[a] @ kron(eye, alpha[(t, l)])
-            out[h].add_block(0, col, block if beta is None else block + beta[(a, l)])
-        for i, built in enumerate(out):
-            alpha[(i, l + 1)] = built.build()
-
-
-def path_actions(V: TwistedRep, basis: GradedBasis) -> Dict[Tuple[int, int], ExactMatrix]:
-    """The action x·v on V of each basis element x of e_i A_l, l <= max_degree.
-
-    Column element·dim V + v of the returned [(i, l)] holds x·v for the
-    element x and the v-th basis vector of V = ⊕_j V_j; it is zero unless v
-    lies in V_tail(x).  This is _extend seeded with the projections V -> V_i.
-    """
-    total = V.total_dim()
-    eye = ExactMatrix.identity(V.field, total)
-    alpha, pos = {}, 0
-    for i, d in enumerate(V.dims):
-        alpha[(i, 0)] = eye.submatrix(pos, pos + d, 0, total)
-        pos += d
-    _extend(V, basis, alpha)
-    return alpha
+            dt, dh, m = V.dims[t], V.dims[h], V.twist[a]
+            src, col = basis.dim[(t, l)], layout.f_offsets[(t, l)]
+            k0 = layout.f_offsets[(h, l + 1)] + basis.block_offset[(a, l)] * dh
+            g0 = layout.g_offsets[(a, l)]
+            for j in range(m):
+                for x in range(src):
+                    e = (j * src + x) * dh
+                    for r in range(dh):
+                        yield k0 + e + r, g0 + e + r, [(cf, col + x * dt + s)
+                                                       for cf, s in cells[a][j][r]]
 
 
 def _eps_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
-    # eps(v)(x) = x·v.  Each nonzero of a path action fills a cell of its
-    # own, so the rows are canonical as written and eps adopts them.
-    total = V.total_dim()
-    rows = [{} for _ in range(layout.f_total)]
-    for (i, l), mat in path_actions(V, layout.basis).items():
-        base = layout.f_offsets[(i, l)]
-        for r, src in enumerate(mat.sparse_rows()):
-            for c, x in src.items():
-                element, v = divmod(c, total)
-                rows[base + element * V.dims[i] + r][v] = x
-    return ExactMatrix._wrap(V.field, tuple(rows), total)
+    # eps(v)(x) = x·v.  Degree 0 comes last, vertex by vertex: there eps
+    # projects V onto each V_i.  Higher rows follow the walk with beta = 0.
+    field, total = V.field, V.total_dim()
+    rows = [{}] * (layout.f_total - total) + [{v: field.one()} for v in range(total)]
+    for k, _, terms in _recursion(V, layout):
+        acc = {}
+        for cf, k2 in terms:
+            for v, y in rows[k2].items():
+                acc[v] = acc.get(v, 0) + cf * y
+        rows[k] = _canonical(field, acc)
+    return ExactMatrix._wrap(field, tuple(rows), total)
 
 
 def _d_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
@@ -213,15 +208,14 @@ def lift_beta(V: TwistedRep, layout: ResolutionLayout, beta: Sequence,
     """
     if len(beta) != layout.g_total:
         raise ValueError(f"beta has {len(beta)} coordinates, expected {layout.g_total}")
-    basis = layout.basis
-    field = V.field
-    blocks = {(a, l): unvec_matrix(field, beta, V.dims[h], V.twist[a] * basis.dim[(t, l)],
-                                   layout.g_offsets[(a, l)])
-              for a, (t, h) in enumerate(V.quiver.arrows) for l in range(basis.max_degree)}
-    alpha = {(i, 0): ExactMatrix.zeros(field, di, 1) for i, di in enumerate(V.dims)}
-    _extend(V, basis, alpha, blocks)
-    # f_offsets lists the blocks in the order they tile d's columns
-    avec = [x for key in layout.f_offsets for x in vec_matrix(alpha[key])]
-    if d.apply(avec) != [field.element(x) for x in beta]:
+    field, p = V.field, V.field.modulus
+    beta = [field.element(x) for x in beta]
+    alpha = [field.zero()] * layout.f_total
+    for k, g, terms in _recursion(V, layout):
+        x = beta[g]
+        for cf, k2 in terms:
+            x += cf * alpha[k2]
+        alpha[k] = x % p if p else x
+    if d.apply(alpha) != beta:
         return None
-    return avec
+    return alpha

@@ -78,6 +78,17 @@ MUTANTS = (
     Mutant("split section row", "src/quivhom/rep.py",
            "+ dw + r, 1)", "+ r, 1)",
            ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta",)),
+    Mutant("resolution walk copy index", "src/quivhom/resolution.py",
+           "e = (j * src + x) * dh", "e = (x * m + j) * dh",
+           ("tests/test_resolution.py::test_composite_d_eps_vanishes",
+            "tests/test_resolution.py::test_eps_blocks_match_path_actions_on_generated_instances")),
+    Mutant("lift without beta", "src/quivhom/resolution.py",
+           "x = beta[g]", "x = field.zero()",
+           ("tests/test_resolution.py::test_lift_random_round_trip",
+            "tests/test_resolution.py::test_lift_monomial_dual_example")),
+    Mutant("class times form one class short", "src/quivhom/sheaf.py",
+           "n = h1_dim(d + len(form) - 1)", "n = max(h1_dim(d + len(form) - 1) - 1, 0)",
+           ("tests/test_sheaf.py::test_delta1_commutator_by_hand",)),
 )
 
 

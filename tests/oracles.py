@@ -7,6 +7,7 @@ with a single test caller lives in that test file instead.
 
 from quivhom.linalg import ExactMatrix, _canonical, rank
 from quivhom.rep import TwistedRep, delta_matrix, hom_complex
+from quivhom.resolution import ResolutionLayout, resolution_matrices
 from quivhom.sheaf import ext_quiver_sheaf, h0_dim, h1_dim
 
 
@@ -84,6 +85,43 @@ def scale(m: ExactMatrix, c) -> ExactMatrix:
     return ExactMatrix._wrap(m.field, rows, m.ncols)
 
 
+def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.field != b.field or a.shape != b.shape:
+        raise ValueError("matrices live in different spaces")
+    rows = []
+    for r1, r2 in zip(a.sparse_rows(), b.sparse_rows()):
+        acc = dict(r1)
+        for j, y in r2.items():
+            acc[j] = acc.get(j, 0) + y
+        rows.append(_canonical(a.field, acc))
+    return ExactMatrix._wrap(a.field, tuple(rows), a.ncols)
+
+
+def sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return add(a, scale(b, -1))
+
+
+def submatrix(m: ExactMatrix, r0: int, r1: int, c0: int, c1: int) -> ExactMatrix:
+    if not (0 <= r0 <= r1 <= m.nrows and 0 <= c0 <= c1 <= m.ncols):
+        raise IndexError(f"rows {r0}:{r1}, columns {c0}:{c1} outside a "
+                         f"{m.nrows}x{m.ncols} matrix")
+    rows = tuple({j - c0: x for j, x in r.items() if c0 <= j < c1}
+                 for r in m.sparse_rows()[r0:r1])
+    return ExactMatrix._wrap(m.field, rows, c1 - c0)
+
+
+def column_list(m: ExactMatrix, j: int) -> list:
+    if not 0 <= j < m.ncols:
+        raise IndexError(f"column {j} outside a {m.nrows}x{m.ncols} matrix")
+    zero = m.field.zero()
+    return [r.get(j, zero) for r in m.sparse_rows()]
+
+
+def vec_matrix(m: ExactMatrix) -> list:
+    """Column-major vectorisation, the inverse of linalg.unvec_matrix."""
+    return [x for j in range(m.ncols) for x in column_list(m, j)]
+
+
 def cokernel_dimension(m: ExactMatrix) -> int:
     return m.nrows - rank(m)
 
@@ -93,10 +131,29 @@ def cokernel_dimension(m: ExactMatrix) -> int:
 def zero_maps(quiver, twist, field, dims) -> TwistedRep:
     """The TwistedRep with the given vertex dimensions and every arrow map zero."""
     phi = [
-        ExactMatrix.zeros(field, dims[h], twist[a] * dims[t])
+        ExactMatrix(field, dims[h], twist[a] * dims[t])
         for a, (t, h) in enumerate(quiver.arrows)
     ]
     return TwistedRep(quiver, twist, field, dims, phi)
+
+
+def path_actions(V, basis) -> dict:
+    """The action x·v on V of each basis element x of e_i A_l of a GradedBasis.
+
+    Column element·dim V + v of the returned [(i, l)] holds x·v for the
+    element x and the v-th basis vector of V = ⊕_j V_j; it is zero unless v
+    lies in V_tail(x).  eps(v)(x) = x·v, so these are the rows of eps, regrouped.
+    """
+    layout = ResolutionLayout(basis, V.dims)
+    rows = resolution_matrices(V, layout)[0].sparse_rows()
+    total = V.total_dim()
+    actions = {}
+    for (i, l), start in layout.f_offsets.items():
+        di, n = V.dims[i], basis.dim[(i, l)]
+        actions[(i, l)] = ExactMatrix._wrap(V.field, tuple(
+            {x * total + v: y for x in range(n) for v, y in rows[start + x * di + r].items()}
+            for r in range(di)), n * total)
+    return actions
 
 
 def ext1_dim(V, W) -> int:

@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 from quivhom.linalg import ExactMatrix
 
-from oracles import arrows_into
+from oracles import arrows_into, submatrix
 
 
 @dataclass(frozen=True)
@@ -55,5 +55,5 @@ def path_matrix(rep, path: Path, m_index: int) -> ExactMatrix:
         # the first arrow applied holds the least significant digit
         m_index, digit = divmod(m_index, rep.twist[a])
         d = rep.dims[rep.quiver.arrows[a][0]]
-        m = rep.phi[a].submatrix(0, rep.phi[a].nrows, digit * d, (digit + 1) * d) @ m
+        m = submatrix(rep.phi[a], 0, rep.phi[a].nrows, digit * d, (digit + 1) * d) @ m
     return m

@@ -123,7 +123,7 @@ def test_criterion_4_extension_realization():
     ok = True
     for inst in vector_instances():
         V, W = inst.modules["V"], inst.modules["W"]
-        zero_eta = [ExactMatrix.zeros(V.field, W.dims[h], V.twist[a] * V.dims[t])
+        zero_eta = [ExactMatrix(V.field, W.dims[h], V.twist[a] * V.dims[t])
                     for a, (t, h) in enumerate(V.quiver.arrows)]
         ok = ok and is_split_extension(build_extension(V, W, zero_eta), V, W)
         for etas in ext1_classes(V, W):

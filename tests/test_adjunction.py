@@ -16,6 +16,7 @@ The path spaces follow the recursion of resolution.py, e_h A_{l+1} =
 ascending, then in the block order of e_i A_l restricted to tail j.
 """
 
+import functools
 import hashlib
 import random
 import sys
@@ -25,12 +26,13 @@ from typing import Tuple
 import pytest
 
 from quivhom.linalg import (CrossCheckError, ExactMatrix, FieldSpec, MatrixBuilder, hstack,
-                            kron, solve, vec_matrix)
+                            kron, solve)
 from quivhom.quiver import Quiver
 from quivhom.rep import TwistData, TwistedRep, hom_space
-from quivhom.resolution import GradedBasis, path_actions
+from quivhom.resolution import GradedBasis
 
-from oracles import is_acyclic, path_elements, scale, transpose, zero_maps
+from oracles import (add, is_acyclic, path_actions, path_elements, scale, submatrix, transpose,
+                     vec_matrix, zero_maps)
 from path_oracle import enumerate_paths, path_matrix, path_tensor_dim
 
 Q = FieldSpec.rationals()
@@ -102,7 +104,7 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     # l_dim x (n_dim · dim V_i) matrix whose column n·dim V_i + v is f_i(v)(n ⊗ e_i)
     stride = t_dims[i] * l_dim
     forward = transpose(ExactMatrix(field, h, d_out, [
-        vec_matrix(hstack(f.blocks[i].submatrix(n * stride, n * stride + l_dim, 0, V.dims[i])
+        vec_matrix(hstack(submatrix(f.blocks[i], n * stride, n * stride + l_dim, 0, V.dims[i])
                           for n in range(n_dim)))
         for f in homs]))
 
@@ -292,8 +294,9 @@ def _check_backward_against_path_actions(V, i, n_dim, l_dim):
     for col in range(backward.ncols):
         g_n, rest = divmod(col, di * l_dim)
         g_w, g_lam = divmod(rest, l_dim)        # g = the matrix unit at (n, w, lam)
-        f = [sum((scale(homs[r].blocks[j], backward[r, col]) for r in range(len(homs))),
-                 ExactMatrix.zeros(V.field, J.dims[j], V.dims[j]))
+        f = [functools.reduce(add, (scale(homs[r].blocks[j], backward[r, col])
+                                    for r in range(len(homs))),
+                              ExactMatrix(V.field, J.dims[j], V.dims[j]))
              for j in range(q.n_vertices)]
         for (p, k, n, lam), coord in read.items():
             x_on_v = path_matrix(V, p, k)

@@ -321,6 +321,7 @@ def test_gen_drawing_a_document_the_loader_rejects_exits_5(monkeypatch, capsys, 
 
 
 def test_gen_document_round_trip():
+    """generate_document's vector and p1 documents for seeds 0-2 load."""
     for seed in (0, 1, 2):
         for mode in ("vector", "p1"):
             load_instance(generate_document(seed, mode=mode))
@@ -354,6 +355,7 @@ ZERO_FORMS_HYPER = {
 
 
 def test_explicit_zero_forms_round_trip(tmp_path, capsys):
+    """hyper --verify passes on a hand-written document of zero forms, with pinned output."""
     f = tmp_path / "zero_forms.json"
     f.write_text(json.dumps(ZERO_FORMS), encoding="utf-8")
     for (v, w), want in ZERO_FORMS_HYPER.items():

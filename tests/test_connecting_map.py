@@ -22,7 +22,7 @@ import pytest
 from quivhom import linalg
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
-from quivhom.linalg import ExactMatrix, kron, unvec_matrix, vec_matrix
+from quivhom.linalg import ExactMatrix, kron, unvec_matrix
 from quivhom.rep import delta_matrix, hom_complex, hom_summands, one_coordinate, summand_offsets
 from quivhom.sheaf import (
     _cech_matrices,
@@ -36,7 +36,8 @@ from quivhom.sheaf import (
     h1_dim,
 )
 
-from oracles import dense, sheaf_hom_ext_dims, transpose
+from oracles import (add, column_list, dense, sheaf_hom_ext_dims, sub, submatrix, transpose,
+                     vec_matrix)
 
 
 def _modules(seed, mode, field=None, **bounds):
@@ -62,8 +63,8 @@ def test_delta_column_by_column(seed, field):
         image = []
         for a, (t, h) in enumerate(V.quiver.arrows):
             eye = ExactMatrix.identity(V.field, V.twist[a])
-            image += vec_matrix(blocks[h] @ V.phi[a] - W.phi[a] @ kron(eye, blocks[t]))
-        assert image == delta.column_list(col), (seed, col)
+            image += vec_matrix(sub(blocks[h] @ V.phi[a], W.phi[a] @ kron(eye, blocks[t])))
+        assert image == column_list(delta, col), (seed, col)
 
 
 # -- p1 mode: matrices of binary forms as coefficient lists by x-exponent -----
@@ -129,7 +130,7 @@ def test_delta0_column_by_column(seed):
                            for r2 in range(W.vertex_bundles[j].rank)]
                           for j in range(V.quiver.n_vertices)]
                     f[i][r][s][k] = 1
-                    assert _delta0_image(V, W, f) == delta0.column_list(col), (seed, col)
+                    assert _delta0_image(V, W, f) == column_list(delta0, col), (seed, col)
                     col += 1
     assert col == delta0.ncols
 
@@ -319,9 +320,9 @@ def _d1_after_d0(C, extra):
     (u0, l0), _ = _cech_windows(C, extra)
     n = sum(u + l + 1 for u, l in zip(u0, l0))      # the Cech1(C0) coordinates
     (t0, t1), t2 = d0t.shape, d1.nrows
-    X, Y = transpose(d0t.submatrix(0, t0, 0, n)), transpose(d0t.submatrix(0, t0, n, t1))
-    A, B = d1.submatrix(0, t2, 0, t1 - n), d1.submatrix(0, t2, t1 - n, t1)
-    return B @ X + A @ Y
+    X, Y = transpose(submatrix(d0t, 0, t0, 0, n)), transpose(submatrix(d0t, 0, t0, n, t1))
+    A, B = submatrix(d1, 0, t2, 0, t1 - n), submatrix(d1, 0, t2, t1 - n, t1)
+    return add(B @ X, A @ Y)
 
 
 # gen seeds 0..49, then the F_101 draws of

@@ -26,7 +26,7 @@ from quivhom.linalg import (
     vstack,
 )
 
-from oracles import cokernel_dimension, scale, transpose
+from oracles import add, cokernel_dimension, column_list, scale, sub, submatrix, transpose
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -58,7 +58,7 @@ def test_floats_are_not_truncated_into_the_field():
 
 
 def test_rank_empty_matrix():
-    assert rank(ExactMatrix.zeros(Q, 0, 0)) == 0
+    assert rank(ExactMatrix(Q, 0, 0)) == 0
 
 
 def test_rank_identity_f5():
@@ -77,7 +77,7 @@ def test_kernel_identity_is_empty():
 
 
 def test_kernel_zero_matrix_standard_basis():
-    basis = kernel_basis(ExactMatrix.zeros(Q, 2, 3))
+    basis = kernel_basis(ExactMatrix(Q, 2, 3))
     assert basis == [
         [Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(1), Fraction(0)],
@@ -267,8 +267,8 @@ def test_operations_match_list_reference(seed, field):
     assert a.to_lists() == la
     assert list(a.nonzeros()) == [(i, j, x) for i, p in enumerate(la)
                                   for j, x in enumerate(p) if x != 0]
-    assert (a + b).to_lists() == [[red(x + y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
-    assert (a - b).to_lists() == [[red(x - y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
+    assert add(a, b).to_lists() == [[red(x + y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
+    assert sub(a, b).to_lists() == [[red(x - y) for x, y in zip(p, q)] for p, q in zip(la, lb)]
     s = rng.randint(-3, 3)
     assert scale(a, s).to_lists() == [[red(field.element(s) * x) for x in p] for p in la]
     assert scale(a, -1).to_lists() == [[red(-x) for x in p] for p in la]
@@ -277,7 +277,7 @@ def test_operations_match_list_reference(seed, field):
     assert kron(a, cm).to_lists() == _ref_kron(field, la, lc)
     r0, r1 = sorted(rng.randint(0, r) for _ in range(2))
     c0, c1 = sorted(rng.randint(0, c) for _ in range(2))
-    assert a.submatrix(r0, r1, c0, c1).to_lists() == [p[c0:c1] for p in la[r0:r1]]
+    assert submatrix(a, r0, r1, c0, c1).to_lists() == [p[c0:c1] for p in la[r0:r1]]
     assert hstack([a, b]).to_lists() == [p + q for p, q in zip(la, lb)]
     assert vstack([a, b]).to_lists() == la + lb
     v = [rng.randint(-9, 9) for _ in range(c)]
@@ -295,12 +295,12 @@ def test_no_zero_is_stored(seed, field):
     r, c = rng.randint(0, 4), rng.randint(0, 4)
     la, lb = _sparse_lists(field, rng, r, c), _sparse_lists(field, rng, r, c)
     a, b = ExactMatrix(field, r, c, la), ExactMatrix(field, r, c, lb)
-    zeros = ExactMatrix.zeros(field, r, c)
-    assert a - a == zeros and (a - a).is_zero()
-    assert hash(a - a) == hash(zeros)
+    zeros = ExactMatrix(field, r, c)
+    assert sub(a, a) == zeros and sub(a, a).is_zero()
+    assert hash(sub(a, a)) == hash(zeros)
     # the same matrix along three routes: entries, a sum, a builder that
     # writes each cell once, given the entry plus a multiple of the modulus
-    via_sum = (a + b) - b
+    via_sum = sub(add(a, b), b)
     builder = MatrixBuilder(field, r, c)
     for i in range(r):
         for j in range(c):
@@ -320,7 +320,7 @@ def test_builder_rejects_entries_outside_the_shape(i, j):
         with pytest.raises(IndexError, match="outside a 2x3 matrix"):
             builder.build()
     builder = MatrixBuilder(F5, 2, 3)
-    builder.add_block(1, 2, ExactMatrix.identity(F5, 2))
+    builder.add_run(1, 2, 2, 1)
     with pytest.raises(IndexError):
         builder.build()
 
@@ -331,7 +331,7 @@ def test_builder_builds_once():
     built = builder.build()
     # build() hands its rows to the matrix, so further use must not reach them
     for use in (lambda: builder.add(0, 0, 1), lambda: builder.add_run(0, 1, 2, 1),
-                lambda: builder.add_block(0, 0, ExactMatrix.identity(F5, 2)),
+                lambda: builder.add_run(0, 0, 0, 1),
                 builder.build):
         with pytest.raises(RuntimeError):
             use()
@@ -340,13 +340,13 @@ def test_builder_builds_once():
 
 @st.composite
 def _builder_script(draw):
-    """A field, a small shape and a sequence of add, add_run and add_block calls.
+    """A field, a small shape and a sequence of add and add_run calls and blocks.
 
     In half the scripts every call fits inside the shape, save an add into
     a shape with no cells; in the others, starts reach one past each edge
     on either side or end a run exactly at the last row or column.  Runs
     may be empty or be followed by their negation, which writes their cells
-    a second time.
+    a second time.  A block is written one add per nonzero.
     """
     field = draw(st.sampled_from([F5, F101, Q]))
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -403,8 +403,8 @@ def test_builder_against_dense_reference(script):
         if op[0] == "block":
             _, i, j, lists = op
             block = ExactMatrix(field, len(lists), len(lists[0]) if lists else 0, lists)
-            builder.add_block(i, j, block)
             for r, c, x in block.nonzeros():
+                builder.add(i + r, j + c, x)
                 place(i + r, j + c, x)
         else:
             kind, i, j, n, x = op
@@ -441,10 +441,10 @@ def test_entry_outside_the_shape_raises(i, j):
 
 
 @pytest.mark.parametrize("read", [
-    lambda m: m.submatrix(0, 5, 0, 9),
-    lambda m: m.submatrix(-1, 2, 0, 3),
+    lambda m: submatrix(m, 0, 5, 0, 9),
+    lambda m: submatrix(m, -1, 2, 0, 3),
     lambda m: m.row_list(-1),
-    lambda m: m.column_list(-1),
+    lambda m: column_list(m, -1),
 ], ids=["submatrix past the end", "submatrix from row -1", "row -1", "column -1"])
 def test_slice_outside_the_shape_raises(read):
     # slicing would otherwise pad the columns, drop rows or wrap around
@@ -460,7 +460,7 @@ def test_cross_checks_raise_cross_check_error(monkeypatch):
                         lambda m: [(0, {0: 1})] * (m.nrows + 1))
     m = ExactMatrix.identity(F5, 2)
     with pytest.raises(CrossCheckError):
-        kernel_basis(ExactMatrix.zeros(F5, 2, 0))
+        kernel_basis(ExactMatrix(F5, 2, 0))
     with pytest.raises(CrossCheckError):
         cokernel_representatives(m)
 
@@ -587,7 +587,7 @@ def _shared_row_matrices(field, rng):
     u = lead.build()
     e = ExactMatrix.identity(field, 7)
     return [b, u, e, vstack([b, b]), vstack([u, b, u]), vstack([b, e, b]),
-            vstack([e.submatrix(0, 4, 0, 7), u, e])]
+            vstack([submatrix(e, 0, 4, 0, 7), u, e])]
 
 
 @pytest.mark.parametrize("field", [F5, P61, Q], ids=str)
@@ -601,6 +601,6 @@ def test_elimination_never_writes_to_its_input(field):
             kernel_basis(m)
             cokernel_representatives(m)
             solve(m, m.apply([field.element(rng.randint(-3, 3)) for _ in range(m.ncols)]))
-            solve(m, rhs.column_list(0))
+            solve(m, column_list(rhs, 0))
             solve(m, rhs)
             assert all(row == copy for row, copy in inputs)

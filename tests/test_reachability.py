@@ -28,7 +28,6 @@ ALLOWED_UNCALLED = {
     "linalg.py:ExactMatrix.__getitem__": "bounds-checked m[i, j], which tests and oracles read",
     "linalg.py:ExactMatrix.__hash__": "an immutable value with __eq__ stays hashable",
     "linalg.py:ExactMatrix.__repr__": "names the shape when a matrix is printed in a failure",
-    "linalg.py:ExactMatrix.__sub__": "the inverse of __add__, both one call of _combine",
     "linalg.py:FieldSpec.__str__": "the field's short name, used by ExactMatrix.__repr__",
     "sheaf.py:FormMatrix.__eq__": "value equality, as ExactMatrix has",
 }

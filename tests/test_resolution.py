@@ -1,12 +1,15 @@
 """The standard resolution: assembly, exactness, lifting."""
 
+import collections
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from quivhom.generate import generate_document
+from quivhom import linalg
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, _echelon, rank
 from quivhom.quiver import Quiver
@@ -19,7 +22,7 @@ from quivhom.resolution import (
     resolution_matrices,
 )
 
-from oracles import all_ok, arrows_into, path_elements, scale, zero_maps
+from oracles import all_ok, arrows_into, column_list, path_elements, scale, submatrix, zero_maps
 from path_oracle import Path, enumerate_paths, path_matrix, path_tensor_dim
 
 Q = FieldSpec.rationals()
@@ -64,7 +67,7 @@ def test_polynomial_example_matrices():
     eps, d = resolution_matrices(V, layout)
     duals = [layout.f_offsets[(0, l)] for l in range(3)]    # of 1, x, x^2
     assert eps.shape == (3, 1)
-    assert [eps.column_list(0)[c] for c in duals] == [Fraction(1), Fraction(0),
+    assert [column_list(eps, 0)[c] for c in duals] == [Fraction(1), Fraction(0),
                                                        Fraction(0)]
     assert d.shape == (2, 3)
     assert d.ncols - rank(d) == 1
@@ -194,6 +197,33 @@ def test_composite_d_eps_vanishes():
         assert (d @ eps).is_zero()
 
 
+def test_only_the_exactness_check_multiplies_matrices():
+    # eps and the lift walk the recursion in d's coordinates, cell by cell:
+    # neither makes a Kronecker or a matrix product.  The exactness check
+    # makes one, d @ eps, which compares eps's coding of phi with d's.
+    names = {linalg.kron.__code__: "kron", ExactMatrix.__matmul__.__code__: "matmul"}
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for seed in range(50):
+            for V in load_instance(generate_document(seed)).modules.values():
+                layout = resolution_layout(V, 4)
+                eps, d = resolution_matrices(V, layout)
+                assert lift_beta(V, layout, [1] * layout.g_total, d) is not None
+                assert calls == {}, seed
+                check_resolution_exactness(layout, eps, d)
+                assert calls == {"matmul": 1}, seed
+                calls.clear()
+    finally:
+        sys.setprofile(previous)
+
+
 # sha256 over the shape and sorted entries of eps and d at degree 4, for V and
 # W of gen vector seeds 0-49.  eps and d code phi independently, which the
 # d∘eps = 0 check relies on; this pins each of them on its own.
@@ -259,9 +289,10 @@ def _check_blocks_against_path_actions(V, n):
         for x, (p, k) in enumerate(elems):
             # eps(v) on the basis element (p, k) is (p, k)·v
             want = MatrixBuilder(V.field, di, total)
-            want.add_block(0, v_offsets[p.tail], path_matrix(V, p, k))
+            for r, c, y in path_matrix(V, p, k).nonzeros():
+                want.add(r, v_offsets[p.tail] + c, y)
             r0 = layout.f_offsets[(i, l)] + x * di
-            assert eps.submatrix(r0, r0 + di, 0, total) == want.build()
+            assert submatrix(eps, r0, r0 + di, 0, total) == want.build()
 
     # every row of d leads with 1, in a column no other row leads in, so
     # elimination takes each row as a pivot as it stands

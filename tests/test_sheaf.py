@@ -25,7 +25,8 @@ from quivhom.sheaf import (
     tensor_bundles,
 )
 
-from oracles import dense, euler_characteristic, euler_check, scale, sheaf_hom_ext_dims
+from oracles import (dense, euler_characteristic, euler_check, scale, sheaf_hom_ext_dims,
+                     submatrix)
 
 F = FieldSpec.prime(101)
 LOOP = Quiver(1, [(0, 0)])
@@ -390,7 +391,7 @@ def test_cech_d0_lists_its_unit_pivot_rows_first(seed):
             assert vertical[0][0] == min(row)
         # the second half of the rows first is a row permutation: the same rank
         t0, t1 = d0t.shape
-        swapped = vstack([d0t.submatrix(t0 // 2, t0, 0, t1), d0t.submatrix(0, t0 // 2, 0, t1)])
+        swapped = vstack([submatrix(d0t, t0 // 2, t0, 0, t1), submatrix(d0t, 0, t0 // 2, 0, t1)])
         r0 = rank(d0t)
         assert rank(swapped) == r0
         assert cech_hyper(C)[0] + r0 == t0
