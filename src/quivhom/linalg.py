@@ -22,9 +22,11 @@ subtraction first changes it, so a pivot row that needed none is the input
 row itself.  `_reduce`, the second pass, scales a copy of each pivot row to
 1 and back-substitutes to the reduced row echelon form.  Rank, consistency
 and cokernel representatives read only the pivot columns, so they run the
-forward pass alone; kernel bases and solutions read the reduced form.  The
-pivot columns of any echelon form of a matrix are the columns where the
-rank of the leading columns grows, and the reduced row echelon form is
+forward pass alone; kernel bases and solutions read the reduced form.
+`solve` and `cokernel_representatives` build the rows of [m | b] and
+[m | I] themselves; a row with nothing appended is m's own row, shared.
+The pivot columns of any echelon form of a matrix are the columns where
+the rank of the leading columns grows, and the reduced row echelon form is
 unique, so neither depends on the order in which rows are taken or pivots
 are found.  Ranks, kernel bases, solutions and cokernel representatives
 are therefore the same as those of textbook Gaussian elimination, and
@@ -184,10 +186,6 @@ class ExactMatrix:
         one = field.one()
         return cls._wrap(field, tuple({i: one} for i in range(n)), n)
 
-    @classmethod
-    def column(cls, field: FieldSpec, vec: Sequence) -> "ExactMatrix":
-        return cls(field, len(vec), 1, [[x] for x in vec])
-
     # -- basic accessors --------------------------------------------------
 
     @property
@@ -259,8 +257,8 @@ class ExactMatrix:
         """Matrix-vector product, returning a plain list of field elements."""
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
-        v = [self.field.element(x) for x in vec]
         zero, p = self.field.zero(), self.field.modulus
+        v = [x % p if p is not None and type(x) is int else self.field.element(x) for x in vec]
         out = [sum((x * v[j] for j, x in r.items()), zero) for r in self._rows]
         return out if p is None else [x % p for x in out]
 
@@ -323,24 +321,6 @@ class MatrixBuilder:
 
 
 # -- stacking and tensoring -----------------------------------------------
-
-def hstack(blocks: Iterable[ExactMatrix]) -> ExactMatrix:
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("hstack of no blocks")
-    rows = [dict(r) for r in blocks[0]._rows]
-    c = blocks[0].ncols
-    for b in blocks[1:]:
-        if b.nrows != len(rows):
-            raise ValueError("hstack blocks disagree on row count")
-        if b.field != blocks[0].field:
-            raise ValueError("hstack blocks over different fields")
-        for dst, src in zip(rows, b._rows):
-            for j, x in src.items():
-                dst[c + j] = x
-        c += b.ncols
-    return ExactMatrix._wrap(blocks[0].field, tuple(rows), c)
-
 
 def vstack(blocks: Iterable[ExactMatrix]) -> ExactMatrix:
     blocks = list(blocks)
@@ -451,27 +431,27 @@ def kernel_basis(m: ExactMatrix) -> list:
     return list(basis.values())
 
 
-def solve(m: ExactMatrix, b: Union[Sequence, ExactMatrix]) -> Optional[Union[list, ExactMatrix]]:
+def solve(m: ExactMatrix, b: Sequence) -> Optional[list]:
     """One solution x of m·x = b, or None when the system is inconsistent.
 
-    A matrix b holds one right-hand side per column, all solved by one
-    elimination of [m | b].  The forward pass decides consistency: the
-    system is inconsistent iff a pivot lies in b's columns.  Only a
-    consistent system is reduced, and x is read off the reduced form.
+    The forward pass runs on [m | b], whose row i is m's own row where b[i]
+    is zero and a copy with b[i] appended at column n = m.ncols otherwise.
+    The system is inconsistent iff the last pivot lies in column n.  Only a
+    consistent system is reduced, and x is read off its column n.
     """
-    rhs = b if isinstance(b, ExactMatrix) else ExactMatrix.column(m.field, b)
-    if rhs.nrows != m.nrows:
-        raise ValueError(f"right-hand side length {rhs.nrows} != {m.nrows} rows")
-    echelon = _echelon(hstack([m, rhs]))
-    if echelon and echelon[-1][0] >= m.ncols:
+    if len(b) != m.nrows:
+        raise ValueError(f"right-hand side length {len(b)} != {m.nrows} rows")
+    field, n = m.field, m.ncols
+    rhs = _canonical(field, dict(enumerate(b)))
+    aug = tuple({**r, n: rhs[i]} if i in rhs else r for i, r in enumerate(m._rows))
+    echelon = _echelon(ExactMatrix._wrap(field, aug, n + 1))
+    if echelon and echelon[-1][0] == n:
         return None
-    x = [{}] * m.ncols
-    for c, row in _reduce(m.field, echelon):
-        x[c] = {j - m.ncols: v for j, v in row.items() if j >= m.ncols}
-    if isinstance(b, ExactMatrix):
-        return ExactMatrix._wrap(m.field, tuple(x), rhs.ncols)
-    zero = m.field.zero()
-    return [r.get(0, zero) for r in x]
+    zero = field.zero()
+    x = [zero] * n
+    for c, row in _reduce(field, echelon):
+        x[c] = row.get(n, zero)
+    return x
 
 
 def cokernel_representatives(m: ExactMatrix) -> list:
@@ -481,16 +461,17 @@ def cokernel_representatives(m: ExactMatrix) -> list:
     columns that become pivots.  The returned vectors represent a basis of
     coker(m).
     """
-    aug = hstack([m, ExactMatrix.identity(m.field, m.nrows)])
-    pivots = [c for c, _ in _echelon(aug)]
-    picked = [c - m.ncols for c in pivots if c >= m.ncols]
+    field, n, one = m.field, m.ncols, m.field.one()
+    aug = tuple({**r, n + i: one} for i, r in enumerate(m._rows))
+    pivots = [c for c, _ in _echelon(ExactMatrix._wrap(field, aug, n + m.nrows))]
+    picked = [c - n for c in pivots if c >= n]
     # the pivots inside m's columns are exactly the pivots of m
     if len(picked) != m.nrows - (len(pivots) - len(picked)):
         raise CrossCheckError("cokernel representatives miscounted")
     reps = []
     for k in picked:
-        v = [m.field.zero()] * m.nrows
-        v[k] = m.field.one()
+        v = [field.zero()] * m.nrows
+        v[k] = one
         reps.append(v)
     return reps
 

@@ -329,18 +329,19 @@ def build_extension(V: TwistedRep, W: TwistedRep,
                 out.add(row0 + i, j * (wt + vt) + offset + s, x)
         phi.append(out.build())
     E = TwistedRep(V.quiver, V.twist, field, dims, phi)
-    inclusion = [_unit_block(field, e, w, 0) for e, w in zip(dims, W.dims)]
-    projection = [_unit_block(field, v, e, w) for e, w, v in zip(dims, W.dims, V.dims)]
+    inclusion = [_unit_block(field, e, w, 0, w) for e, w in zip(dims, W.dims)]
+    projection = [_unit_block(field, v, e, w, v) for e, w, v in zip(dims, W.dims, V.dims)]
     if not (RepMorphism(W, E, inclusion).is_morphism()
             and RepMorphism(E, V, projection).is_morphism()):
         raise CrossCheckError("the extension's inclusion or projection is not a morphism")
     return E
 
 
-def _unit_block(field: FieldSpec, rows: int, cols: int, shift: int) -> ExactMatrix:
-    """The rows x cols matrix with a 1 at each (r, r + shift): W_i -> E_i, E_i -> V_i."""
-    return ExactMatrix(field, rows, cols, [[int(c == r + shift) for c in range(cols)]
-                                           for r in range(rows)])
+def _unit_block(field: FieldSpec, rows: int, cols: int, shift: int, n: int) -> ExactMatrix:
+    """The rows x cols matrix with a 1 at each (r, r + shift), r < n: W_i -> E_i, E_i -> V_i."""
+    out = MatrixBuilder(field, rows, cols)
+    out.add_run(0, shift, n, 1)
+    return out.build()
 
 
 def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:

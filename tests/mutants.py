@@ -37,6 +37,9 @@ class Mutant:
     killed_by: tuple        # pytest node ids, relative to the repository root
 
 
+CECH_COMPOSE = tuple(f"tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[{k}]"
+                     for k in ("gen", "loops", "wide"))
+
 MUTANTS = (
     Mutant("psi sign in hom_complex", "src/quivhom/rep.py",
            "entries.append((*pair, cf, -1))", "entries.append((*pair, cf, 1))",
@@ -89,6 +92,36 @@ MUTANTS = (
     Mutant("class times form one class short", "src/quivhom/sheaf.py",
            "n = h1_dim(d + len(form) - 1)", "n = max(h1_dim(d + len(form) - 1) - 1, 0)",
            ("tests/test_sheaf.py::test_delta1_commutator_by_hand",)),
+    Mutant("tensor copy m ignored", "src/quivhom/rep.py",
+           "j = w_order[a][m * wt + r]", "j = w_order[a][r]",
+           ("tests/test_hom_oracle.py::test_hom_count_is_p_to_the_nullity_of_delta",)),
+    Mutant("Cech windows U only", "src/quivhom/sheaf.py",
+           "u0[j], l1[i] = max(u0[j], u1[i]), max(l1[i], l0[j])",
+           "u0[j], l1[i] = max(u0[j], u1[i]), l1[i]",
+           CECH_COMPOSE),
+    Mutant("Cech windows L only", "src/quivhom/sheaf.py",
+           "u0[j], l1[i] = max(u0[j], u1[i]), max(l1[i], l0[j])",
+           "u0[j], l1[i] = u0[j], max(l1[i], l0[j])",
+           CECH_COMPOSE),
+    Mutant("Cech chart-1 run shifted", "src/quivhom/sheaf.py",
+           "put0(row1, col1 + k2, n1, x)", "put0(row1, col1 + k2 + 1, n1, x)",
+           CECH_COMPOSE),
+    Mutant("reduce scales in place", "src/quivhom/linalg.py",
+           "pivots[c] = {j: x * inv % p if p else x * inv for j, x in row.items()}",
+           "row.update({j: x * inv % p if p else x * inv for j, x in row.items()}); "
+           "pivots[c] = row",
+           tuple(f"tests/test_linalg.py::test_elimination_never_writes_to_its_input[{f}]"
+                 for f in ("F5", "F2305843009213693951", "Q"))),
+    Mutant("solve drops its right-hand side", "src/quivhom/linalg.py",
+           "{**r, n: rhs[i]} if i in rhs else r", "r",
+           ("tests/test_linalg.py::test_solve_examples",
+            "tests/test_rep.py::test_split_iff_eta_in_image_of_delta")),
+    Mutant("cokernel identity column offset", "src/quivhom/linalg.py",
+           "{**r, n + i: one}", "{**r, n + i - 1: one}",
+           ("tests/test_linalg.py::test_cokernel_representatives_complete_column_space",)),
+    Mutant("unit block at column 0", "src/quivhom/rep.py",
+           "out.add_run(0, shift, n, 1)", "out.add_run(0, 0, n, 1)",
+           ("tests/test_rep.py::test_build_extension_jordan_block",)),
 )
 
 

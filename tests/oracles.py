@@ -5,7 +5,7 @@ tests/test_reachability.py keeps the package to what requests run.  A helper
 with a single test caller lives in that test file instead.
 """
 
-from quivhom.linalg import ExactMatrix, _canonical, rank
+from quivhom.linalg import ExactMatrix, _canonical, _echelon, _reduce, rank
 from quivhom.rep import TwistedRep, delta_matrix, hom_complex
 from quivhom.resolution import ResolutionLayout, resolution_matrices
 from quivhom.sheaf import ext_quiver_sheaf, h0_dim, h1_dim
@@ -108,6 +108,42 @@ def submatrix(m: ExactMatrix, r0: int, r1: int, c0: int, c1: int) -> ExactMatrix
     rows = tuple({j - c0: x for j, x in r.items() if c0 <= j < c1}
                  for r in m.sparse_rows()[r0:r1])
     return ExactMatrix._wrap(m.field, rows, c1 - c0)
+
+
+def hstack(blocks) -> ExactMatrix:
+    blocks = list(blocks)
+    if not blocks:
+        raise ValueError("hstack of no blocks")
+    rows = [dict(r) for r in blocks[0].sparse_rows()]
+    c = blocks[0].ncols
+    for b in blocks[1:]:
+        if b.nrows != len(rows):
+            raise ValueError("hstack blocks disagree on row count")
+        if b.field != blocks[0].field:
+            raise ValueError("hstack blocks over different fields")
+        for dst, src in zip(rows, b.sparse_rows()):
+            for j, x in src.items():
+                dst[c + j] = x
+        c += b.ncols
+    return ExactMatrix._wrap(blocks[0].field, tuple(rows), c)
+
+
+def solve_columns(m: ExactMatrix, b: ExactMatrix):
+    """X with m·X = b, or None when some column of b is not in m's image.
+
+    Every column is solved by one elimination of [m | b]: the system is
+    inconsistent iff a pivot lies in b's columns, and X is read off the
+    reduced form.
+    """
+    if b.nrows != m.nrows:
+        raise ValueError(f"right-hand side has {b.nrows} rows, not {m.nrows}")
+    echelon = _echelon(hstack([m, b]))
+    if echelon and echelon[-1][0] >= m.ncols:
+        return None
+    x = [{}] * m.ncols
+    for c, row in _reduce(m.field, echelon):
+        x[c] = {j - m.ncols: v for j, v in row.items() if j >= m.ncols}
+    return ExactMatrix._wrap(m.field, tuple(x), b.ncols)
 
 
 def column_list(m: ExactMatrix, j: int) -> list:

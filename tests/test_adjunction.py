@@ -25,14 +25,13 @@ from typing import Tuple
 
 import pytest
 
-from quivhom.linalg import (CrossCheckError, ExactMatrix, FieldSpec, MatrixBuilder, hstack,
-                            kron, solve)
+from quivhom.linalg import CrossCheckError, ExactMatrix, FieldSpec, MatrixBuilder, kron
 from quivhom.quiver import Quiver
 from quivhom.rep import TwistData, TwistedRep, hom_space
 from quivhom.resolution import GradedBasis
 
-from oracles import (add, is_acyclic, path_actions, path_elements, scale, submatrix, transpose,
-                     vec_matrix, zero_maps)
+from oracles import (add, hstack, is_acyclic, path_actions, path_elements, scale, solve_columns,
+                     submatrix, transpose, vec_matrix, zero_maps)
 from path_oracle import enumerate_paths, path_matrix, path_tensor_dim
 
 Q = FieldSpec.rationals()
@@ -124,7 +123,7 @@ def adjunction_iso(V: TwistedRep, i: int, n_dim: int, l_dim: int
     back = back.build()
 
     # express the backward map in the hom_space basis, every column at once
-    backward = solve(hom_cols, back)
+    backward = solve_columns(hom_cols, back)
     if backward is None:
         raise CrossCheckError("backward image is not a morphism")
 
@@ -157,7 +156,7 @@ def test_failed_cross_check_raises_cross_check_error(monkeypatch):
     # a backward image outside Hom_A(V, J) is a bug, reported as such
     q = Quiver(2, [(1, 0)])
     V = TwistedRep(q, TwistData([1]), Q, [1, 1], [ExactMatrix(Q, 1, 1, [[1]])])
-    monkeypatch.setattr(sys.modules[__name__], "solve", lambda m, b: None)
+    monkeypatch.setattr(sys.modules[__name__], "solve_columns", lambda m, b: None)
     with pytest.raises(CrossCheckError, match="not a morphism"):
         adjunction_iso(V, 0, 1, 1)
 
@@ -167,8 +166,8 @@ def test_backward_map_takes_one_elimination(monkeypatch):
     q = Quiver(2, [(1, 0)])
     V = TwistedRep(q, TwistData([1]), Q, [2, 1], [ExactMatrix(Q, 2, 1, [[1], [2]])])
     calls = []
-    original = solve
-    monkeypatch.setattr(sys.modules[__name__], "solve",
+    original = solve_columns
+    monkeypatch.setattr(sys.modules[__name__], "solve_columns",
                         lambda m, b: calls.append(b) or original(m, b))
     _, backward = adjunction_iso(V, 0, 2, 1)
     assert backward.shape == (4, 4)

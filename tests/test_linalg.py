@@ -18,7 +18,6 @@ from quivhom.linalg import (
     MatrixBuilder,
     _is_prime,
     cokernel_representatives,
-    hstack,
     kernel_basis,
     kron,
     rank,
@@ -26,7 +25,8 @@ from quivhom.linalg import (
     vstack,
 )
 
-from oracles import add, cokernel_dimension, column_list, scale, sub, submatrix, transpose
+from oracles import (add, cokernel_dimension, column_list, hstack, scale, solve_columns, sub,
+                     submatrix, transpose)
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -53,6 +53,10 @@ def test_floats_are_not_truncated_into_the_field():
         ExactMatrix(F7, 1, 1, [[2.9]])
     with pytest.raises(TypeError):
         MatrixBuilder(F7, 1, 1).add(0, 0, 2.9)
+    with pytest.raises(TypeError):
+        ExactMatrix.identity(F7, 1).apply([2.9])
+    with pytest.raises(TypeError):
+        solve(ExactMatrix.identity(F7, 1), [2.9])
     with pytest.raises(TypeError):
         Q.element(0.1)
 
@@ -167,7 +171,7 @@ def test_solve_properties(seed):
     if x is not None:
         assert m.apply(x) == b
     else:
-        bcol = ExactMatrix.column(field, b)
+        bcol = ExactMatrix(field, len(b), 1, [[x] for x in b])
         assert rank(hstack([m, bcol])) == rank(m) + 1
 
 
@@ -178,7 +182,7 @@ def test_cokernel_representatives_complete_column_space():
         m = _random_matrix(field, rng, rng.randint(1, 5), rng.randint(0, 4))
         reps = cokernel_representatives(m)
         assert len(reps) == cokernel_dimension(m)
-        blocks = [m] + [ExactMatrix.column(field, v) for v in reps]
+        blocks = [m] + [ExactMatrix(field, len(v), 1, [[x] for x in v]) for v in reps]
         assert rank(hstack(blocks)) == m.nrows
 
 
@@ -543,9 +547,13 @@ def test_full_column_rank_stop_matches_list_reference(seed, field):
     assert solve(m, good) == _ref_solve(field, rows, n, good) == x0
     assert solve(m, bad) is None and _ref_solve(field, rows, n, bad) is None
     # several right-hand sides: one elimination, column by column the same answers
-    assert solve(m, ExactMatrix(field, n + extra, 2, [[y, y] for y in good])).to_lists() == \
-        [[x, x] for x in x0]
-    assert solve(m, ExactMatrix(field, n + extra, 2, [[y, z] for y, z in zip(good, bad)])) is None
+    both = ExactMatrix(field, n + extra, 2, [[y, y] for y in good])
+    assert solve_columns(m, both).to_lists() == [[x, x] for x in x0]
+    assert [column_list(solve_columns(m, both), j) for j in range(2)] == \
+        [solve(m, column_list(both, j)) for j in range(2)]
+    mixed = ExactMatrix(field, n + extra, 2, [[y, z] for y, z in zip(good, bad)])
+    assert solve_columns(m, mixed) is None
+    assert solve(m, column_list(mixed, 0)) == x0 and solve(m, column_list(mixed, 1)) is None
     # the same checks on a wide matrix, where the stop never fires
     wide = [r + s for r, s in zip(rows, _sparse_lists(field, rng, n + extra, 2))]
     w = ExactMatrix(field, n + extra, n + 2, wide)
@@ -601,6 +609,9 @@ def test_elimination_never_writes_to_its_input(field):
             kernel_basis(m)
             cokernel_representatives(m)
             solve(m, m.apply([field.element(rng.randint(-3, 3)) for _ in range(m.ncols)]))
-            solve(m, column_list(rhs, 0))
-            solve(m, rhs)
+            # one elimination of [m | rhs] agrees with the library solve column by column
+            columns = [solve(m, column_list(rhs, j)) for j in range(2)]
+            x = solve_columns(m, rhs)
+            assert (x is None) == (None in columns)
+            assert x is None or [column_list(x, j) for j in range(2)] == columns
             assert all(row == copy for row, copy in inputs)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -343,3 +344,44 @@ def test_only_a_read_reduced_form_is_reduced(monkeypatch):
     modules = load_instance(generate_document(0)).modules
     assert ext1_classes(modules["V"], modules["W"])
     assert reductions(split_sequence, modules["V"], modules["W"]) == 0
+
+
+def test_split_sequence_builds_no_dense_matrix(monkeypatch):
+    # build_extension and is_split_extension place their cells with
+    # MatrixBuilder, and solve appends its right-hand side to m's own rows:
+    # no class of the split sequence fills a dense list for ExactMatrix()
+    dense = ExactMatrix.__init__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is dense:
+            calls.append(frame.f_back.f_code.co_name)
+
+    classes = 0
+    for seed in range(50):
+        modules = load_instance(generate_document(seed)).modules
+        for V, W in ((modules["V"], modules["W"]), (modules["W"], modules["V"])):
+            for etas in ext1_classes(V, W):
+                previous = sys.getprofile()
+                sys.setprofile(profile)
+                try:
+                    is_split_extension(build_extension(V, W, etas), V, W)
+                finally:
+                    sys.setprofile(previous)
+                classes += 1
+    assert classes == 525 and calls == []
+
+    # a row of [m | b] with nothing appended is m's own row, not a copy
+    import quivhom.linalg as linalg
+    seen = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda m: seen.append(m.sparse_rows()) or echelon(m))
+    rng = random.Random(5)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = ExactMatrix(F101, rows, cols, [[rng.choice([0, 0, rng.randrange(101)])
+                                            for _ in range(cols)] for _ in range(rows)])
+        b = [rng.choice([0, 0, rng.randrange(101)]) for _ in range(rows)]
+        seen.clear()
+        solve(m, b)
+        assert [r is row for r, row in zip(seen[0], m.sparse_rows())] == [y == 0 for y in b]
