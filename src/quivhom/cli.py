@@ -244,7 +244,7 @@ def cmd_check(args) -> int:
     n = args.max_degree
     layout = _preflight_resolution(V, n)
     eps, d = resolution_matrices(V, layout)
-    exactness = check_resolution_exactness(layout, eps, d)
+    exactness = check_resolution_exactness(V, layout, eps, d)
     # lifting round trip on a digest-seeded random beta, entries in [-5, 5] over Q
     rng = random.Random(int(digest[:16], 16))
     p = V.field.modulus

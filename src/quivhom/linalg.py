@@ -218,9 +218,6 @@ class ExactMatrix:
             for j, x in row.items():
                 yield i, j, x
 
-    def is_zero(self) -> bool:
-        return not any(self._rows)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented

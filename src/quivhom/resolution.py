@@ -20,8 +20,8 @@ d: each coordinate of alpha in degree >= 1 is a coordinate of beta plus a
 combination of coordinates of alpha one degree lower.  eps runs the walk
 over its rows with beta = 0, seeded in degree 0 by the projections V -> V_i,
 so that row x holds the action x·v; lift_beta runs it over field elements,
-seeded by 0.  _d_matrix writes phi_a on its own, so d·eps = 0 checks one
-coding of phi against the other.
+seeded by 0.  _d_matrix writes phi_a on its own, so comparing d's rows with
+the walk, entry by entry, checks one coding of phi against the other.
 
 Hom blocks are vectorised column-major.  ⊕ Hom(e_i A_l, V_i) is ordered by
 degree, highest first, then by vertex; the codomain by arrow, then degree.
@@ -81,7 +81,6 @@ class ResolutionLayout:
 
     def __init__(self, basis: GradedBasis, dims: Tuple[int, ...]):
         self.basis = basis
-        self.dims = dims
         n = basis.max_degree
         self.f_offsets: Dict[Tuple[int, int], int] = {}
         pos = 0
@@ -182,18 +181,22 @@ class ExactnessReport:
     d_surjective: bool
 
 
-def check_resolution_exactness(layout: ResolutionLayout, eps: ExactMatrix,
+def check_resolution_exactness(V: TwistedRep, layout: ResolutionLayout, eps: ExactMatrix,
                                d: ExactMatrix) -> ExactnessReport:
-    """Rank checks that (eps, d) = resolution_matrices(V, layout) is exact, max_degree >= 1."""
+    """Checks that (eps, d) = resolution_matrices(V, layout) is exact, max_degree >= 1.
+
+    d·eps = 0 when row g of d is +1 at k and −cf at each k2 for each (k, g,
+    terms) of _recursion, which builds eps; eps is ranked from its identity rows up.
+    """
     if layout.basis.max_degree < 1:
         raise ValueError("exactness requires max_degree >= 1")
-    total = eps.ncols
-    eps_injective = rank(eps) == total
-    composite_zero = (d @ eps).is_zero()
+    field, rows, total = V.field, d.sparse_rows(), eps.ncols
+    eps_injective = rank(ExactMatrix._wrap(field, eps.sparse_rows()[::-1], total)) == total
+    codings_agree = all(rows[g] == _canonical(field, {k: 1, **{k2: -cf for cf, k2 in terms}})
+                        for k, g, terms in _recursion(V, layout))
     rank_d = rank(d)
-    ker_d_eq_im_eps = composite_zero and d.ncols - rank_d == total
-    d_surjective = rank_d == d.nrows
-    return ExactnessReport(eps_injective, ker_d_eq_im_eps, d_surjective)
+    ker_d_eq_im_eps = codings_agree and d.ncols - rank_d == total
+    return ExactnessReport(eps_injective, ker_d_eq_im_eps, rank_d == d.nrows)
 
 
 def lift_beta(V: TwistedRep, layout: ResolutionLayout, beta: Sequence,
@@ -209,7 +212,7 @@ def lift_beta(V: TwistedRep, layout: ResolutionLayout, beta: Sequence,
     if len(beta) != layout.g_total:
         raise ValueError(f"beta has {len(beta)} coordinates, expected {layout.g_total}")
     field, p = V.field, V.field.modulus
-    beta = [field.element(x) for x in beta]
+    beta = [x % p if p is not None and type(x) is int else field.element(x) for x in beta]
     alpha = [field.zero()] * layout.f_total
     for k, g, terms in _recursion(V, layout):
         x = beta[g]

@@ -122,6 +122,15 @@ MUTANTS = (
     Mutant("unit block at column 0", "src/quivhom/rep.py",
            "out.add_run(0, shift, n, 1)", "out.add_run(0, 0, n, 1)",
            ("tests/test_rep.py::test_build_extension_jordan_block",)),
+    Mutant("d's phi sign", "src/quivhom/resolution.py",
+           "col + x * dt + s, -cf)", "col + x * dt + s, cf)",
+           ("tests/test_resolution.py::test_exactness_jordan_block",
+            "tests/test_acceptance.py::test_criterion_1_resolution_exactness")),
+    # check passes on this one: it compares d with the walk, not with eps's rows
+    Mutant("eps row merge sign", "src/quivhom/resolution.py",
+           "acc[v] = acc.get(v, 0) + cf * y", "acc[v] = acc.get(v, 0) - cf * y",
+           ("tests/test_resolution.py::test_composite_d_eps_vanishes",
+            "tests/test_resolution.py::test_eps_blocks_match_path_actions_on_generated_instances")),
 )
 
 

@@ -78,6 +78,10 @@ def transpose(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._wrap(m.field, cols, m.nrows)
 
 
+def is_zero(m: ExactMatrix) -> bool:
+    return not any(m.sparse_rows())
+
+
 def scale(m: ExactMatrix, c) -> ExactMatrix:
     c = m.field.element(c)
     rows = tuple(_canonical(m.field, {j: c * x for j, x in r.items()})

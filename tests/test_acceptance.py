@@ -78,7 +78,7 @@ def test_criterion_1_resolution_exactness():
         for module in inst.modules.values():
             layout = resolution_layout(module, RESOLUTION_DEGREE)
             rep = check_resolution_exactness(
-                layout, *resolution_matrices(module, layout))
+                module, layout, *resolution_matrices(module, layout))
             all_ok = all_ok and all_checks_pass(rep)
     elapsed = time.monotonic() - t0
     _report(1, f"resolution exactness, {N_VECTOR_INSTANCES} instances, "

@@ -1,7 +1,10 @@
 """The standard resolution: assembly, exactness, lifting."""
 
 import collections
+import contextlib
 import hashlib
+import io
+import json
 import random
 import sys
 from fractions import Fraction
@@ -9,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from quivhom.generate import generate_document
-from quivhom import linalg
+from quivhom import cli, linalg
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, _echelon, rank
 from quivhom.quiver import Quiver
@@ -22,7 +25,8 @@ from quivhom.resolution import (
     resolution_matrices,
 )
 
-from oracles import all_ok, arrows_into, column_list, path_elements, scale, submatrix, zero_maps
+from oracles import (all_ok, arrows_into, column_list, is_zero, path_elements, scale, submatrix,
+                     zero_maps)
 from path_oracle import Path, enumerate_paths, path_matrix, path_tensor_dim
 
 Q = FieldSpec.rationals()
@@ -85,20 +89,21 @@ def test_acyclic_triple_resolution():
 
 
 def test_exactness_requires_positive_degree():
+    V = simple_loop_module()
     with pytest.raises(ValueError):
-        check_resolution_exactness(*resolve(simple_loop_module(), 0))
+        check_resolution_exactness(V, *resolve(V, 0))
 
 
 def test_exactness_zero_module():
     V = zero_maps(LOOP, UNTWISTED, Q, [0])
-    report = check_resolution_exactness(*resolve(V, 2))
+    report = check_resolution_exactness(V, *resolve(V, 2))
     assert all_ok(report)
 
 
 def test_exactness_jordan_block():
     V = TwistedRep(LOOP, UNTWISTED, Q, [2],
                    [ExactMatrix(Q, 2, 2, [[0, 1], [0, 0]])])
-    assert all_ok(check_resolution_exactness(*resolve(V, 3)))
+    assert all_ok(check_resolution_exactness(V, *resolve(V, 3)))
 
 
 def _random_rep(rng, max_vertices=3, max_arrows=4, max_dim=3, max_twist=2):
@@ -122,7 +127,7 @@ def test_exactness_random_instances_all_degrees():
     for _ in range(8):
         V = _random_rep(rng)
         for n in range(1, 5):
-            assert all_ok(check_resolution_exactness(*resolve(V, n)))
+            assert all_ok(check_resolution_exactness(V, *resolve(V, n)))
 
 
 def test_exactness_random_rational_instance():
@@ -141,7 +146,7 @@ def test_exactness_random_rational_instance():
                                    [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                      for _ in range(cols)] for _ in range(rows)]))
         V = TwistedRep(q, tw, Q, dims, phi)
-        assert all_ok(check_resolution_exactness(*resolve(V, 3)))
+        assert all_ok(check_resolution_exactness(V, *resolve(V, 3)))
 
 
 def test_lift_zero_beta_gives_zero_alpha():
@@ -194,13 +199,13 @@ def test_composite_d_eps_vanishes():
     for _ in range(5):
         V = _random_rep(rng)
         eps, d = resolution_matrices(V, resolution_layout(V, 3))
-        assert (d @ eps).is_zero()
+        assert is_zero(d @ eps)
 
 
-def test_only_the_exactness_check_multiplies_matrices():
-    # eps and the lift walk the recursion in d's coordinates, cell by cell:
-    # neither makes a Kronecker or a matrix product.  The exactness check
-    # makes one, d @ eps, which compares eps's coding of phi with d's.
+def test_resolution_and_its_checks_make_no_matrix_product():
+    # eps, the lift and the exactness check walk the recursion in d's
+    # coordinates, cell by cell: none makes a Kronecker or a matrix product.
+    # The check compares d's rows with the walk instead of forming d @ eps.
     names = {linalg.kron.__code__: "kron", ExactMatrix.__matmul__.__code__: "matmul"}
     calls = collections.Counter()
 
@@ -217,16 +222,80 @@ def test_only_the_exactness_check_multiplies_matrices():
                 eps, d = resolution_matrices(V, layout)
                 assert lift_beta(V, layout, [1] * layout.g_total, d) is not None
                 assert calls == {}, seed
-                check_resolution_exactness(layout, eps, d)
-                assert calls == {"matmul": 1}, seed
-                calls.clear()
+                check_resolution_exactness(V, layout, eps, d)
+                assert calls == {}, seed
     finally:
         sys.setprofile(previous)
 
 
+def test_exactness_sees_a_disagreement_that_d_eps_hides():
+    # phi = 0 on a loop: eps's rows above degree 0 are empty, so an entry
+    # added to d in a column of degree 1 keeps d @ eps = 0, rank(d) and the
+    # nullity; only the comparison of d's rows with the recursion sees it
+    V = zero_maps(LOOP, UNTWISTED, F101, [2])
+    layout, eps, d = resolve(V, 2)
+    g, k = layout.g_offsets[(0, 1)], layout.f_offsets[(0, 1)]
+    rows = list(d.sparse_rows())
+    rows[g] = {**rows[g], k: 5}
+    stray = ExactMatrix._wrap(F101, tuple(rows), d.ncols)
+    assert is_zero(stray @ eps) and rank(stray) == rank(d)
+    assert all_ok(check_resolution_exactness(V, layout, eps, d))
+    report = check_resolution_exactness(V, layout, eps, stray)
+    assert report.eps_injective and report.d_surjective
+    assert not report.ker_d_eq_im_eps
+
+
+def test_exactness_check_makes_no_subtraction(monkeypatch):
+    # eps is ranked from its identity rows, each a pivot at once, and every
+    # row of d leads in a column of its own
+    calls = collections.Counter()
+    subtract = linalg._subtract_multiple
+
+    def counted(*args):
+        calls["subtract"] += 1
+        return subtract(*args)
+
+    monkeypatch.setattr(linalg, "_subtract_multiple", counted)
+    for seed in range(50):
+        for V in load_instance(generate_document(seed)).modules.values():
+            layout, eps, d = resolve(V, 4)
+            assert all_ok(check_resolution_exactness(V, layout, eps, d))
+    assert calls == {}
+
+
+def test_check_brings_no_coordinate_through_field_element(monkeypatch, tmp_path):
+    # check's inputs are ints, which every coercion takes by the inline rule
+    # x % p; FieldSpec.element is left for Fractions, strings and floats
+    calls = collections.Counter()
+    element = FieldSpec.element
+
+    def counted(self, value):
+        calls["element"] += 1
+        return element(self, value)
+
+    codes = []
+    monkeypatch.setattr(FieldSpec, "element", counted)
+    for seed in range(50):
+        path = tmp_path / f"gen-{seed}.json"
+        path.write_text(json.dumps(generate_document(seed)), encoding="utf-8")
+        for name in ("V", "W"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(["check", str(path), name, "--json"]))
+    assert codes == [cli.EXIT_OK] * 100
+    assert calls == {}
+
+
+def test_lift_rejects_a_float_coordinate():
+    V = simple_loop_module(F101)
+    layout, eps, d = resolve(V, 1)
+    with pytest.raises(TypeError):
+        lift_beta(V, layout, [1.0], d)
+
+
 # sha256 over the shape and sorted entries of eps and d at degree 4, for V and
-# W of gen vector seeds 0-49.  eps and d code phi independently, which the
-# d∘eps = 0 check relies on; this pins each of them on its own.
+# W of gen vector seeds 0-49.  d codes phi apart from the recursion that eps
+# is built from, and the exactness check compares the two codings entry by
+# entry; this pins each matrix on its own.
 RESOLUTION_DIGEST = "f2370ae2d28b7080faeee033d7fd637260557a8633048d492253c572dfa1a3b0"
 
 

@@ -25,8 +25,8 @@ from quivhom.sheaf import (
     tensor_bundles,
 )
 
-from oracles import (dense, euler_characteristic, euler_check, scale, sheaf_hom_ext_dims,
-                     submatrix)
+from oracles import (dense, euler_characteristic, euler_check, is_zero, scale,
+                     sheaf_hom_ext_dims, submatrix)
 
 F = FieldSpec.prime(101)
 LOOP = Quiver(1, [(0, 0)])
@@ -146,14 +146,14 @@ def test_sheaf_hom_ext_examples():
 def test_delta0_zero_maps():
     q = Quiver(2, [(1, 0)])
     V = QSheafP1.zero_maps(q, F, [SplitBundle([0])], [O, SplitBundle([1])])
-    assert delta0_matrix(hom_complex(V, V)).is_zero()
+    assert is_zero(delta0_matrix(hom_complex(V, V)))
 
 
 def test_delta0_higgs_zero_field():
     V = higgs_sheaf()
     d0 = delta0_matrix(hom_complex(V, V))
     assert d0.shape == (3, 1)          # h0(O(2)) = 3, h0(O) = 1
-    assert d0.is_zero()
+    assert is_zero(d0)
 
 
 def test_delta0_scalar_commutator():
@@ -169,7 +169,7 @@ def test_delta1_zero_maps_and_domain():
     # Hom(V, V) contains one O(-2) summand: domain dim 1; codomain has no H1
     assert d1.ncols == 1
     assert d1.nrows == 0
-    assert d1.is_zero()
+    assert is_zero(d1)
 
 
 def test_delta1_degenerate_empty_spaces():
@@ -198,7 +198,7 @@ def test_delta1_commutator_by_hand():
     assert cech_hyper(hom_complex(V, W)) == (0, 0, 0)
     # equal scalars commute: the map vanishes and Ext^1, Ext^2 survive
     W_eq = _scalar_loop_sheaf(SplitBundle([-2]), 2)
-    assert delta1_matrix(hom_complex(V, W_eq)).is_zero()
+    assert is_zero(delta1_matrix(hom_complex(V, W_eq)))
     r = ext_quiver_sheaf(hom_complex(V, W_eq))
     assert (r.ext0, r.ext1, r.ext2) == (0, 1, 1)
     assert cech_hyper(hom_complex(V, W_eq)) == (0, 1, 1)
