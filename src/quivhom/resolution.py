@@ -17,11 +17,12 @@ last arrow, then by the rest of the path).  A map alpha is fixed by its
 degree-0 part and by beta = d(alpha): on the block of a, alpha_ha = beta_a +
 phi_a·(I_m ⊗ alpha_ta).  _recursion walks this once, in the coordinates of
 d: each coordinate of alpha in degree >= 1 is a coordinate of beta plus a
-combination of coordinates of alpha one degree lower.  eps runs the walk
-over its rows with beta = 0, seeded in degree 0 by the projections V -> V_i,
-so that row x holds the action x·v; lift_beta runs it over field elements,
-seeded by 0.  _d_matrix writes phi_a on its own, so comparing d's rows with
-the walk, entry by entry, checks one coding of phi against the other.
+combination of coordinates of alpha one degree lower.  lift_beta runs the
+walk over field elements, seeded by 0.  Run over rows with beta = 0, seeded
+by the projections V -> V_i, it gives eps's full matrix (row x holds x·v),
+a test oracle in tests/oracles.py; the check ranks eps's degree-0 block.
+_d_matrix writes phi_a on its own, so comparing d's rows with the walk,
+entry by entry, checks one coding of phi against the other.
 
 Hom blocks are vectorised column-major.  ⊕ Hom(e_i A_l, V_i) is ordered by
 degree, highest first, then by vertex; the codomain by arrow, then degree.
@@ -105,16 +106,21 @@ def resolution_layout(V: TwistedRep, max_degree: int) -> ResolutionLayout:
 
 def resolution_matrices(V: TwistedRep, layout: ResolutionLayout
                         ) -> Tuple[ExactMatrix, ExactMatrix]:
-    """Matrices of eps and d on the truncation of layout."""
-    return _eps_matrix(V, layout), _d_matrix(V, layout)
+    """eps's degree-0 block, the identity (eps projects V onto each V_i), and
+    the matrix of d on the truncation of layout."""
+    total = V.total_dim()
+    eps = MatrixBuilder(V.field, total, total)
+    eps.add_run(0, 0, total, V.field.one())
+    return eps.build(), _d_matrix(V, layout)
 
 
 def _recursion(V: TwistedRep, layout: ResolutionLayout):
-    """Yield (k, g, terms) for each coordinate k of alpha in degree >= 1, by degree.
+    """Yield (k, g, base, cell) for each coordinate k of alpha in degree >= 1, by degree.
 
     alpha_ha = beta_a + phi_a·(I_m ⊗ alpha_ta) on the block of arrow a:
-    coordinate k of alpha is beta's coordinate g plus cf times coordinate k2
-    of alpha for each (cf, k2) in terms, all k2 one degree lower.
+    coordinate k of alpha is beta's coordinate g plus cf times coordinate
+    base + s of alpha for each (cf, s) in cell, all one degree lower.  Each
+    cell is built once per walk and shared by every coordinate that reads it.
     """
     basis = layout.basis
     # phi_a's entry (r, j·dt + s) takes alpha_ta's entry (s, x) to the entry
@@ -134,23 +140,9 @@ def _recursion(V: TwistedRep, layout: ResolutionLayout):
             for j in range(m):
                 for x in range(src):
                     e = (j * src + x) * dh
+                    base = col + x * dt
                     for r in range(dh):
-                        yield k0 + e + r, g0 + e + r, [(cf, col + x * dt + s)
-                                                       for cf, s in cells[a][j][r]]
-
-
-def _eps_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
-    # eps(v)(x) = x·v.  Degree 0 comes last, vertex by vertex: there eps
-    # projects V onto each V_i.  Higher rows follow the walk with beta = 0.
-    field, total = V.field, V.total_dim()
-    rows = [{}] * (layout.f_total - total) + [{v: field.one()} for v in range(total)]
-    for k, _, terms in _recursion(V, layout):
-        acc = {}
-        for cf, k2 in terms:
-            for v, y in rows[k2].items():
-                acc[v] = acc.get(v, 0) + cf * y
-        rows[k] = _canonical(field, acc)
-    return ExactMatrix._wrap(field, tuple(rows), total)
+                        yield k0 + e + r, g0 + e + r, base, cells[a][j][r]
 
 
 def _d_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
@@ -185,15 +177,18 @@ def check_resolution_exactness(V: TwistedRep, layout: ResolutionLayout, eps: Exa
                                d: ExactMatrix) -> ExactnessReport:
     """Checks that (eps, d) = resolution_matrices(V, layout) is exact, max_degree >= 1.
 
-    d·eps = 0 when row g of d is +1 at k and −cf at each k2 for each (k, g,
-    terms) of _recursion, which builds eps; eps is ranked from its identity rows up.
+    eps is injective when its degree-0 block has rank dim V.  d·eps = 0 when
+    row g of d is +1 at k and −cf at base + s for each (cf, s) in cell, for
+    each (k, g, base, cell) of _recursion, the walk that gives eps.  No
+    matrix is multiplied; lift_beta's re-check is d.apply, a matrix-vector
+    product.
     """
     if layout.basis.max_degree < 1:
         raise ValueError("exactness requires max_degree >= 1")
-    field, rows, total = V.field, d.sparse_rows(), eps.ncols
-    eps_injective = rank(ExactMatrix._wrap(field, eps.sparse_rows()[::-1], total)) == total
-    codings_agree = all(rows[g] == _canonical(field, {k: 1, **{k2: -cf for cf, k2 in terms}})
-                        for k, g, terms in _recursion(V, layout))
+    field, rows, total = V.field, d.sparse_rows(), V.total_dim()
+    eps_injective = rank(eps) == total
+    codings_agree = all(rows[g] == _canonical(field, {k: 1, **{base + s: -cf for cf, s in cell}})
+                        for k, g, base, cell in _recursion(V, layout))
     rank_d = rank(d)
     ker_d_eq_im_eps = codings_agree and d.ncols - rank_d == total
     return ExactnessReport(eps_injective, ker_d_eq_im_eps, rank_d == d.nrows)
@@ -207,17 +202,17 @@ def lift_beta(V: TwistedRep, layout: ResolutionLayout, beta: Sequence,
     is returned in the order of d's columns.  Degree 0 components vanish;
     on e_i A_l the components are defined by alpha_i(x_a ⊗ x) =
     x_a·alpha_ta(x) + beta_a(x_a ⊗ x).  The identity d·alpha = beta is
-    re-verified by matrix multiplication; None when it fails.
+    re-verified by d.apply, a matrix-vector product; None when it fails.
     """
     if len(beta) != layout.g_total:
         raise ValueError(f"beta has {len(beta)} coordinates, expected {layout.g_total}")
     field, p = V.field, V.field.modulus
     beta = [x % p if p is not None and type(x) is int else field.element(x) for x in beta]
     alpha = [field.zero()] * layout.f_total
-    for k, g, terms in _recursion(V, layout):
+    for k, g, base, cell in _recursion(V, layout):
         x = beta[g]
-        for cf, k2 in terms:
-            x += cf * alpha[k2]
+        for cf, s in cell:
+            x += cf * alpha[base + s]
         alpha[k] = x % p if p else x
     if d.apply(alpha) != beta:
         return None

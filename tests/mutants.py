@@ -126,11 +126,14 @@ MUTANTS = (
            "col + x * dt + s, -cf)", "col + x * dt + s, cf)",
            ("tests/test_resolution.py::test_exactness_jordan_block",
             "tests/test_acceptance.py::test_criterion_1_resolution_exactness")),
-    # check passes on this one: it compares d with the walk, not with eps's rows
-    Mutant("eps row merge sign", "src/quivhom/resolution.py",
-           "acc[v] = acc.get(v, 0) + cf * y", "acc[v] = acc.get(v, 0) - cf * y",
-           ("tests/test_resolution.py::test_composite_d_eps_vanishes",
-            "tests/test_resolution.py::test_eps_blocks_match_path_actions_on_generated_instances")),
+    # check itself exits 1 on these two: eps_injective and ker_d_eq_im_eps FAIL
+    Mutant("eps degree-0 seed", "src/quivhom/resolution.py",
+           "eps.add_run(0, 0, total, V.field.one())", "eps.add_run(0, 0, total, V.field.zero())",
+           ("tests/test_cli.py::test_check_passes_on_jordan",
+            "tests/test_cli.py::test_gen_check_pipeline")),
+    Mutant("walk base offset", "src/quivhom/resolution.py",
+           "base = col + x * dt", "base = col + x * dh",
+           ("tests/test_cli.py::test_check_passes_across_an_arrow_between_unequal_dimensions",)),
 )
 
 

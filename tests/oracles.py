@@ -7,7 +7,7 @@ with a single test caller lives in that test file instead.
 
 from quivhom.linalg import ExactMatrix, _canonical, _echelon, _reduce, rank
 from quivhom.rep import TwistedRep, delta_matrix, hom_complex
-from quivhom.resolution import ResolutionLayout, resolution_matrices
+from quivhom.resolution import ResolutionLayout, _recursion
 from quivhom.sheaf import ext_quiver_sheaf, h0_dim, h1_dim
 
 
@@ -177,6 +177,24 @@ def zero_maps(quiver, twist, field, dims) -> TwistedRep:
     return TwistedRep(quiver, twist, field, dims, phi)
 
 
+def eps_matrix(V, layout) -> ExactMatrix:
+    """The full matrix of eps: row k holds x·v for the basis element x of coordinate k.
+
+    eps(v)(x) = x·v.  Degree 0 comes last, vertex by vertex: there eps
+    projects V onto each V_i.  Higher rows follow resolution._recursion with
+    beta = 0, merging the rows one degree lower.
+    """
+    field, total = V.field, V.total_dim()
+    rows = [{}] * (layout.f_total - total) + [{v: field.one()} for v in range(total)]
+    for k, _, base, cell in _recursion(V, layout):
+        acc = {}
+        for cf, s in cell:
+            for v, y in rows[base + s].items():
+                acc[v] = acc.get(v, 0) + cf * y
+        rows[k] = _canonical(field, acc)
+    return ExactMatrix._wrap(field, tuple(rows), total)
+
+
 def path_actions(V, basis) -> dict:
     """The action x·v on V of each basis element x of e_i A_l of a GradedBasis.
 
@@ -185,7 +203,7 @@ def path_actions(V, basis) -> dict:
     lies in V_tail(x).  eps(v)(x) = x·v, so these are the rows of eps, regrouped.
     """
     layout = ResolutionLayout(basis, V.dims)
-    rows = resolution_matrices(V, layout)[0].sparse_rows()
+    rows = eps_matrix(V, layout).sparse_rows()
     total = V.total_dim()
     actions = {}
     for (i, l), start in layout.f_offsets.items():

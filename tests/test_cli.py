@@ -644,6 +644,19 @@ def test_preflight_passes_a_large_check_under_the_limit(tmp_path, capsys):
     assert code == 0
 
 
+def test_check_passes_across_an_arrow_between_unequal_dimensions(tmp_path, capsys):
+    # two loops give vertex 0 2^l paths of degree l; through the arrow 0 -> 1
+    # their blocks of alpha_0 lie dim V_0 = 2 apart, not dim V_1 = 3
+    f = tmp_path / "unequal.json"
+    f.write_text(json.dumps(_vector_doc([2, 3], [[0, 0], [0, 0], [0, 1]], [1, 1, 1])),
+                 encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(f), "V", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    for key in ("eps_injective", "ker_d_eq_im_eps", "d_surjective", "lift_roundtrip"):
+        assert result[key] == "pass"
+
+
 def test_deeply_nested_json_exit_2(tmp_path, capsys):
     f = tmp_path / "deep.json"
     f.write_text("[" * 100_000, encoding="utf-8")

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from quivhom.generate import generate_document
-from quivhom import cli, linalg
+from quivhom import cli, linalg, resolution
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, FieldSpec, MatrixBuilder, _echelon, rank
 from quivhom.quiver import Quiver
@@ -25,8 +25,8 @@ from quivhom.resolution import (
     resolution_matrices,
 )
 
-from oracles import (all_ok, arrows_into, column_list, is_zero, path_elements, scale, submatrix,
-                     zero_maps)
+from oracles import (all_ok, arrows_into, column_list, eps_matrix, is_zero, path_elements, scale,
+                     submatrix, zero_maps)
 from path_oracle import Path, enumerate_paths, path_matrix, path_tensor_dim
 
 Q = FieldSpec.rationals()
@@ -68,7 +68,7 @@ def test_polynomial_example_matrices():
     # eps(1) = (1, 0, 0) on the duals of 1, x, x^2; ker(d) is one-dimensional
     V = simple_loop_module()
     layout = resolution_layout(V, 2)
-    eps, d = resolution_matrices(V, layout)
+    eps, d = eps_matrix(V, layout), resolution_matrices(V, layout)[1]
     duals = [layout.f_offsets[(0, l)] for l in range(3)]    # of 1, x, x^2
     assert eps.shape == (3, 1)
     assert [column_list(eps, 0)[c] for c in duals] == [Fraction(1), Fraction(0),
@@ -198,7 +198,8 @@ def test_composite_d_eps_vanishes():
     rng = random.Random(21)
     for _ in range(5):
         V = _random_rep(rng)
-        eps, d = resolution_matrices(V, resolution_layout(V, 3))
+        layout = resolution_layout(V, 3)
+        eps, d = eps_matrix(V, layout), resolution_matrices(V, layout)[1]
         assert is_zero(d @ eps)
 
 
@@ -238,7 +239,7 @@ def test_exactness_sees_a_disagreement_that_d_eps_hides():
     rows = list(d.sparse_rows())
     rows[g] = {**rows[g], k: 5}
     stray = ExactMatrix._wrap(F101, tuple(rows), d.ncols)
-    assert is_zero(stray @ eps) and rank(stray) == rank(d)
+    assert is_zero(stray @ eps_matrix(V, layout)) and rank(stray) == rank(d)
     assert all_ok(check_resolution_exactness(V, layout, eps, d))
     report = check_resolution_exactness(V, layout, eps, stray)
     assert report.eps_injective and report.d_surjective
@@ -285,6 +286,34 @@ def test_check_brings_no_coordinate_through_field_element(monkeypatch, tmp_path)
     assert calls == {}
 
 
+def test_check_walks_twice_and_builds_only_eps_degree_zero_block(tmp_path, monkeypatch):
+    # a dense loop over F_101: check walks the recursion once to compare d's
+    # rows with it and once to lift beta, and ranks eps's degree-0 block,
+    # the identity on V, instead of building eps's path actions
+    n, rng = 40, random.Random(40)
+    phi = [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)]
+    path = tmp_path / "dense-loop.json"
+    path.write_text(json.dumps({
+        "field": {"fp": 101}, "quiver": {"vertices": 1, "arrows": [[0, 0]]},
+        "mode": "vector", "twists": [1], "modules": {"V": {"dims": [n], "phi": [phi]}}}),
+        encoding="utf-8")
+    walks, built = [], []
+    walk = resolution._recursion
+
+    def matrices(V, layout):
+        eps, d = resolution_matrices(V, layout)
+        built.append((V, eps))
+        return eps, d
+
+    monkeypatch.setattr(resolution, "_recursion", lambda *args: walks.append(1) or walk(*args))
+    monkeypatch.setattr(cli, "resolution_matrices", matrices)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", str(path), "V", "--max-degree", "4"]) == cli.EXIT_OK
+    assert len(walks) == 2
+    [(V, eps)] = built
+    assert len(list(eps.nonzeros())) == V.total_dim() == n
+
+
 def test_lift_rejects_a_float_coordinate():
     V = simple_loop_module(F101)
     layout, eps, d = resolve(V, 1)
@@ -292,10 +321,10 @@ def test_lift_rejects_a_float_coordinate():
         lift_beta(V, layout, [1.0], d)
 
 
-# sha256 over the shape and sorted entries of eps and d at degree 4, for V and
-# W of gen vector seeds 0-49.  d codes phi apart from the recursion that eps
-# is built from, and the exactness check compares the two codings entry by
-# entry; this pins each matrix on its own.
+# sha256 over the shape and sorted entries of eps (the full oracle matrix) and
+# d at degree 4, for V and W of gen vector seeds 0-49.  d codes phi apart from
+# the recursion that eps is built from, and the exactness check compares the
+# two codings entry by entry; this pins each matrix on its own.
 RESOLUTION_DIGEST = "f2370ae2d28b7080faeee033d7fd637260557a8633048d492253c572dfa1a3b0"
 
 
@@ -305,7 +334,8 @@ def test_resolution_matrices_pinned():
         instance = load_instance(generate_document(seed))
         for name in ("V", "W"):
             V = instance.modules[name]
-            eps, d = resolution_matrices(V, resolution_layout(V, 4))
+            layout = resolution_layout(V, 4)
+            eps, d = eps_matrix(V, layout), resolution_matrices(V, layout)[1]
             digest.update(repr((seed, name, eps.shape, sorted(eps.nonzeros()),
                                 d.shape, sorted(d.nonzeros()))).encode())
     assert digest.hexdigest() == RESOLUTION_DIGEST
@@ -350,7 +380,7 @@ def _check_blocks_against_path_actions(V, n):
             ((p, k) for p in paths for k in range(path_tensor_dim(V.twist, p))),
             key=repr)
 
-    eps, d = resolution_matrices(V, layout)
+    eps, d = eps_matrix(V, layout), resolution_matrices(V, layout)[1]
     total = V.total_dim()
     v_offsets = [sum(V.dims[:j]) for j in range(len(V.dims))]
     for (i, l), elems in listing.items():
