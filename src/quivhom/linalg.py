@@ -10,8 +10,9 @@ matrix is a tuple of rows, each row a `{column: value}` dict holding only
 the nonzero entries; no zero is ever stored, so equal matrices have equal
 rows.  The assembled matrices are about 1 % nonzero, which is why rows are
 sparse rather than dense.  MatrixBuilder keeps its rows in this form as it
-places each diagonal run whole, so building a matrix takes no second pass;
-it writes each cell once, without reading it, and checks that on build().
+places each diagonal run whole, or a whole list of single cells in one
+call, so building a matrix takes no second pass; it writes each cell once,
+without reading it, and checks that on build().
 
 Elimination is two passes.  `_echelon`, the forward pass, reduces each
 row in turn against the pivot rows found so far, leftmost column first,
@@ -22,7 +23,9 @@ subtraction first changes it, so a pivot row that needed none is the input
 row itself.  `_reduce`, the second pass, scales a copy of each pivot row to
 1 and back-substitutes to the reduced row echelon form.  Rank, consistency
 and cokernel representatives read only the pivot columns, so they run the
-forward pass alone; kernel bases and solutions read the reduced form.
+forward pass alone; kernel bases and solutions read the reduced form.  A
+pivot in the right-hand side's column proves a system inconsistent, so
+`solve` stops the forward pass at the first one.
 `solve` and `cokernel_representatives` build the rows of [m | b] and
 [m | I] themselves; a row with nothing appended is m's own row, shared.
 The pivot columns of any echelon form of a matrix are the columns where
@@ -305,6 +308,21 @@ class MatrixBuilder:
             row[j] = x
             j += 1
 
+    def add_cells(self, cells: Iterable):
+        """Write each (i, j, value) of cells as add(i, j, value) would, in one call."""
+        rows, p = self._rows or self._live_rows(), self.field.modulus
+        element, nrows, ncols, written = self.field.element, self.nrows, self.ncols, 0
+        for i, j, value in cells:
+            x = value % p if p is not None and type(value) is int else element(value)
+            if not x:
+                continue
+            if 0 <= i < nrows and 0 <= j < ncols:
+                rows[i][j] = x
+                written += 1
+            elif self._outside is None:
+                self._outside = f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix"
+        self._written += written
+
     def build(self) -> ExactMatrix:
         rows = self._live_rows()
         self._rows = None
@@ -317,21 +335,7 @@ class MatrixBuilder:
         return ExactMatrix._wrap(self.field, tuple(rows), self.ncols)
 
 
-# -- stacking and tensoring -----------------------------------------------
-
-def vstack(blocks: Iterable[ExactMatrix]) -> ExactMatrix:
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("vstack of no blocks")
-    cols = blocks[0].ncols
-    for b in blocks:
-        if b.ncols != cols:
-            raise ValueError("vstack blocks disagree on column count")
-        if b.field != blocks[0].field:
-            raise ValueError("vstack blocks over different fields")
-    rows = tuple(r for b in blocks for r in b._rows)
-    return ExactMatrix._wrap(blocks[0].field, rows, cols)
-
+# -- tensoring --------------------------------------------------------------
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; the left factor indexes the most significant blocks."""
@@ -358,17 +362,18 @@ def _subtract_multiple(row: dict, f: Element, prow: dict, p: Optional[int]):
             del row[j]
 
 
-def _echelon(m: ExactMatrix) -> list:
+def _echelon(m: ExactMatrix, stop: Optional[int] = None) -> list:
     """Pivot rows [(pivot column, row)] of an echelon form of m, by column.
 
     No pivot row has an entry left of its pivot column.  The rows are not
     scaled, and a row of m that needed no subtraction is returned as it is,
     the same dict; a row is copied when a subtraction first changes it.
+    Once a pivot lands in column stop, the pivots found so far are returned.
     """
     field, p = m.field, m.field.modulus
     pivots, invs = {}, {}
     for src in m._rows:
-        if len(pivots) == m.ncols:
+        if len(pivots) == m.ncols or stop in pivots:
             break
         row = src
         while row:
@@ -433,15 +438,16 @@ def solve(m: ExactMatrix, b: Sequence) -> Optional[list]:
 
     The forward pass runs on [m | b], whose row i is m's own row where b[i]
     is zero and a copy with b[i] appended at column n = m.ncols otherwise.
-    The system is inconsistent iff the last pivot lies in column n.  Only a
-    consistent system is reduced, and x is read off its column n.
+    The system is inconsistent iff a pivot lies in column n, so the pass
+    stops at the first such pivot.  Only a consistent system is reduced,
+    and x is read off its column n.
     """
     if len(b) != m.nrows:
         raise ValueError(f"right-hand side length {len(b)} != {m.nrows} rows")
     field, n = m.field, m.ncols
     rhs = _canonical(field, dict(enumerate(b)))
     aug = tuple({**r, n: rhs[i]} if i in rhs else r for i, r in enumerate(m._rows))
-    echelon = _echelon(ExactMatrix._wrap(field, aug, n + 1))
+    echelon = _echelon(ExactMatrix._wrap(field, aug, n + 1), n)
     if echelon and echelon[-1][0] == n:
         return None
     zero = field.zero()

@@ -29,7 +29,6 @@ from .linalg import (
     kron,
     solve,
     unvec_matrix,
-    vstack,
 )
 from .quiver import Quiver
 
@@ -238,10 +237,6 @@ def _length(order) -> int:
     return order.stop if isinstance(order, range) else len(order)
 
 
-def one_coordinate(d: int) -> int:
-    return 1
-
-
 def summand_offsets(twists: list, dim_of, *per_summand: list) -> list:
     """First coordinate of each summand, dim_of(d, *its per_summand items) each, then the total."""
     return list(accumulate(map(dim_of, twists, *per_summand), initial=0))
@@ -266,18 +261,17 @@ def connecting_matrix(C: HomComplex, dim_of, times) -> ExactMatrix:
     return out.build()
 
 
-def _scalar_times(d: int, cf) -> tuple:
-    return ((0, 0, 1, cf),)
-
-
 def delta_matrix(C: HomComplex) -> ExactMatrix:
     """Matrix of (f_i) -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta)), for C = hom_complex(V, W).
 
     Domain: ⊕_i Hom(V_i, W_i); codomain: ⊕_a Hom(M_a⊗V_ta, W_ha); both in
     column-major block coordinates, each block at C's block start.  Its
-    kernel is Hom(V, W) and its cokernel computes Ext^1 over a field.
+    kernel is Hom(V, W) and its cokernel computes Ext^1 over a field.  Every
+    summand is one coordinate, so entry (i, j, cf, sign) is the cell (i, j).
     """
-    return connecting_matrix(C, one_coordinate, _scalar_times)
+    out = MatrixBuilder(C.field, len(C.c1), len(C.c0))
+    out.add_cells((i, j, sign * cf) for i, j, cf, sign in C.entries)
+    return out.build()
 
 
 def hom_space(V: TwistedRep, W: TwistedRep) -> List[RepMorphism]:
@@ -348,7 +342,8 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
     """True iff some morphism s: V -> E satisfies proj ∘ s = id_V.
 
     Decided exactly, by solving the intertwining equations delta(V, E)·s = 0
-    stacked with the section condition proj_i ∘ s_i = id.
+    with the coordinates that proj_i ∘ s_i = id fixes pinned: their columns
+    leave delta, and the columns pinned to 1 move into the right-hand side.
     """
     V.compatible_with(W)
     E.compatible_with(V)
@@ -356,18 +351,19 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
         if e != W.dims[i] + V.dims[i]:
             raise ValueError(f"E has dimension {e} at vertex {i}, not {W.dims[i]} + {V.dims[i]}")
     C = hom_complex(V, E)
-    delta = delta_matrix(C)
-    section = MatrixBuilder(V.field, sum(d * d for d in V.dims), delta.ncols)
-    rhs = []
-    for i, (dw, dv) in enumerate(zip(W.dims, V.dims)):
-        # entry (r, c) of proj_i ∘ s_i is entry (dw + r, c) of s_i
-        for c in range(dv):
-            for r in range(dv):
-                section.add(len(rhs), C.vertex_start[i] + c * (dw + dv) + dw + r, 1)
-                rhs.append(int(r == c))
-    # the section rows first: each holds a single 1, so each is a pivot at once
-    rhs += [0] * delta.nrows
-    return solve(vstack([section.build(), delta]), rhs) is not None
+    # entry (r, c) of proj_i ∘ s_i is entry (dw + r, c) of s_i, pinned to r == c
+    pinned = {C.vertex_start[i] + c * (dw + dv) + dw + r: r == c
+              for i, (dw, dv) in enumerate(zip(W.dims, V.dims))
+              for c in range(dv) for r in range(dv)}
+    free, rhs = [], [0] * len(C.c1)
+    for entry in C.entries:
+        i, j, cf, sign = entry
+        value = pinned.get(j)
+        if value is None:
+            free.append(entry)
+        elif value:
+            rhs[i] -= sign * cf
+    return solve(delta_matrix(C._replace(entries=free)), rhs) is not None
 
 
 def ext1_classes(V: TwistedRep, W: TwistedRep) -> List[List[ExactMatrix]]:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix, MatrixBuilder, _canonical, rank
+from .linalg import ExactMatrix, MatrixBuilder, rank
 from .quiver import Quiver
 from .rep import TwistData, TwistedRep
 
@@ -150,19 +150,18 @@ def _d_matrix(V: TwistedRep, layout: ResolutionLayout) -> ExactMatrix:
     d_out = MatrixBuilder(V.field, layout.g_total, layout.f_total)
     for a, (t, h) in enumerate(V.quiver.arrows):
         dt, dh = V.dims[t], V.dims[h]
+        # −phi_a ∘ (I_m ⊗ alpha_ta): phi_a's entry (r, j·dt + s) takes
+        # alpha_ta's entry (s, x) to the entry (r, j·src + x)
+        minus_phi = [(r, *divmod(c, dt), -cf) for r, c, cf in V.phi[a].nonzeros()]
         for l in range(basis.max_degree):
             row = layout.g_offsets[(a, l)]
             src = basis.dim[(t, l)]
             # alpha_ha on the block of arrow a: an identity block
             col = layout.f_offsets[(h, l + 1)] + basis.block_offset[(a, l)] * dh
             d_out.add_run(row, col, V.twist[a] * src * dh, 1)
-            # −phi_a ∘ (I_m ⊗ alpha_ta): phi_a's entry (r, j·dt + s) takes
-            # alpha_ta's entry (s, x) to the entry (r, j·src + x)
             col = layout.f_offsets[(t, l)]
-            for r, c, cf in V.phi[a].nonzeros():
-                j, s = divmod(c, dt)
-                for x in range(src):
-                    d_out.add(row + (j * src + x) * dh + r, col + x * dt + s, -cf)
+            d_out.add_cells((row + (j * src + x) * dh + r, col + x * dt + s, neg)
+                            for r, j, s, neg in minus_phi for x in range(src))
     return d_out.build()
 
 
@@ -185,13 +184,28 @@ def check_resolution_exactness(V: TwistedRep, layout: ResolutionLayout, eps: Exa
     """
     if layout.basis.max_degree < 1:
         raise ValueError("exactness requires max_degree >= 1")
-    field, rows, total = V.field, d.sparse_rows(), V.total_dim()
+    total = V.total_dim()
     eps_injective = rank(eps) == total
-    codings_agree = all(rows[g] == _canonical(field, {k: 1, **{base + s: -cf for cf, s in cell}})
-                        for k, g, base, cell in _recursion(V, layout))
     rank_d = rank(d)
-    ker_d_eq_im_eps = codings_agree and d.ncols - rank_d == total
+    ker_d_eq_im_eps = _codings_agree(V, layout, d) and d.ncols - rank_d == total
     return ExactnessReport(eps_injective, ker_d_eq_im_eps, rank_d == d.nrows)
+
+
+def _codings_agree(V: TwistedRep, layout: ResolutionLayout, d: ExactMatrix) -> bool:
+    """d's rows against the walk, as check_resolution_exactness says; each −cf is made once."""
+    rows, p = d.sparse_rows(), V.field.modulus
+    negated = {}        # id(cell): [(s, −cf)]
+    for k, g, base, cell in _recursion(V, layout):
+        neg = negated.get(id(cell))
+        if neg is None:
+            neg = negated[id(cell)] = [(s, -cf % p if p else -cf) for cf, s in cell]
+        row = rows[g]
+        if len(row) != len(neg) + 1 or row.get(k) != 1:
+            return False
+        for s, x in neg:
+            if row.get(base + s) != x:
+                return False
+    return True
 
 
 def lift_beta(V: TwistedRep, layout: ResolutionLayout, beta: Sequence,

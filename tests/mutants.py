@@ -78,8 +78,8 @@ MUTANTS = (
     Mutant("extension eta offset", "src/quivhom/rep.py",
            "(eta[a], vt, 0, wt)", "(eta[a], vt, 0, 0)",
            ("tests/test_rep.py::test_build_extension_jordan_block",)),
-    Mutant("split section row", "src/quivhom/rep.py",
-           "+ dw + r, 1)", "+ r, 1)",
+    Mutant("split pinned coordinate", "src/quivhom/rep.py",
+           "+ dw + r: r == c", "+ r: r == c",
            ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta",)),
     Mutant("resolution walk copy index", "src/quivhom/resolution.py",
            "e = (j * src + x) * dh", "e = (x * m + j) * dh",
@@ -112,6 +112,10 @@ MUTANTS = (
            "pivots[c] = row",
            tuple(f"tests/test_linalg.py::test_elimination_never_writes_to_its_input[{f}]"
                  for f in ("F5", "F2305843009213693951", "Q"))),
+    Mutant("solve stops one column early", "src/quivhom/linalg.py",
+           "_echelon(ExactMatrix._wrap(field, aug, n + 1), n)",
+           "_echelon(ExactMatrix._wrap(field, aug, n + 1), n - 1)",
+           ("tests/test_linalg.py::test_solve_stops_at_the_first_pivot_in_its_last_column",)),
     Mutant("solve drops its right-hand side", "src/quivhom/linalg.py",
            "{**r, n: rhs[i]} if i in rhs else r", "r",
            ("tests/test_linalg.py::test_solve_examples",
@@ -123,7 +127,7 @@ MUTANTS = (
            "out.add_run(0, shift, n, 1)", "out.add_run(0, 0, n, 1)",
            ("tests/test_rep.py::test_build_extension_jordan_block",)),
     Mutant("d's phi sign", "src/quivhom/resolution.py",
-           "col + x * dt + s, -cf)", "col + x * dt + s, cf)",
+           "minus_phi = [(r, *divmod(c, dt), -cf)", "minus_phi = [(r, *divmod(c, dt), cf)",
            ("tests/test_resolution.py::test_exactness_jordan_block",
             "tests/test_acceptance.py::test_criterion_1_resolution_exactness")),
     # check itself exits 1 on these two: eps_injective and ker_d_eq_im_eps FAIL

@@ -5,8 +5,8 @@ tests/test_reachability.py keeps the package to what requests run.  A helper
 with a single test caller lives in that test file instead.
 """
 
-from quivhom.linalg import ExactMatrix, _canonical, _echelon, _reduce, rank
-from quivhom.rep import TwistedRep, delta_matrix, hom_complex
+from quivhom.linalg import ExactMatrix, MatrixBuilder, _canonical, _echelon, _reduce, rank, solve
+from quivhom.rep import TwistedRep, connecting_matrix, delta_matrix, hom_complex
 from quivhom.resolution import ResolutionLayout, _recursion
 from quivhom.sheaf import ext_quiver_sheaf, h0_dim, h1_dim
 
@@ -114,6 +114,20 @@ def submatrix(m: ExactMatrix, r0: int, r1: int, c0: int, c1: int) -> ExactMatrix
     return ExactMatrix._wrap(m.field, rows, c1 - c0)
 
 
+def vstack(blocks) -> ExactMatrix:
+    blocks = list(blocks)
+    if not blocks:
+        raise ValueError("vstack of no blocks")
+    cols = blocks[0].ncols
+    for b in blocks:
+        if b.ncols != cols:
+            raise ValueError("vstack blocks disagree on column count")
+        if b.field != blocks[0].field:
+            raise ValueError("vstack blocks over different fields")
+    rows = tuple(r for b in blocks for r in b.sparse_rows())
+    return ExactMatrix._wrap(blocks[0].field, rows, cols)
+
+
 def hstack(blocks) -> ExactMatrix:
     blocks = list(blocks)
     if not blocks:
@@ -175,6 +189,36 @@ def zero_maps(quiver, twist, field, dims) -> TwistedRep:
         for a, (t, h) in enumerate(quiver.arrows)
     ]
     return TwistedRep(quiver, twist, field, dims, phi)
+
+
+def one_coordinate(d: int) -> int:
+    return 1
+
+
+def scalar_times(d: int, cf) -> tuple:
+    return ((0, 0, 1, cf),)
+
+
+def generic_delta_matrix(C) -> ExactMatrix:
+    """delta_matrix(C) by the generic placement: one coordinate per summand, a scalar run each."""
+    return connecting_matrix(C, one_coordinate, scalar_times)
+
+
+def stacked_split(E, V, W) -> bool:
+    """is_split_extension by one solve of delta(V, E)·s = 0 stacked under the
+    section rows proj_i ∘ s_i = id, one row per entry of each id_{V_i}."""
+    C = hom_complex(V, E)
+    delta = delta_matrix(C)
+    section = MatrixBuilder(V.field, sum(d * d for d in V.dims), delta.ncols)
+    rhs = []
+    for i, (dw, dv) in enumerate(zip(W.dims, V.dims)):
+        # entry (r, c) of proj_i ∘ s_i is entry (dw + r, c) of s_i
+        for c in range(dv):
+            for r in range(dv):
+                section.add(len(rhs), C.vertex_start[i] + c * (dw + dv) + dw + r, 1)
+                rhs.append(int(r == c))
+    rhs += [0] * delta.nrows
+    return solve(vstack([section.build(), delta]), rhs) is not None
 
 
 def eps_matrix(V, layout) -> ExactMatrix:

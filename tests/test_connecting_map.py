@@ -23,7 +23,7 @@ from quivhom import linalg
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, kron, unvec_matrix
-from quivhom.rep import delta_matrix, hom_complex, hom_summands, one_coordinate, summand_offsets
+from quivhom.rep import delta_matrix, hom_complex, hom_summands, summand_offsets
 from quivhom.sheaf import (
     _cech_matrices,
     _cech_windows,
@@ -36,8 +36,8 @@ from quivhom.sheaf import (
     h1_dim,
 )
 
-from oracles import (add, column_list, dense, is_zero, sheaf_hom_ext_dims, sub, submatrix,
-                     transpose, vec_matrix)
+from oracles import (add, column_list, dense, generic_delta_matrix, is_zero, one_coordinate,
+                     sheaf_hom_ext_dims, sub, submatrix, transpose, vec_matrix)
 
 
 def _modules(seed, mode, field=None, **bounds):
@@ -46,6 +46,18 @@ def _modules(seed, mode, field=None, **bounds):
         doc["field"] = field
     inst = load_instance(doc)
     return inst.modules["V"], inst.modules["W"]
+
+
+@pytest.mark.parametrize("field", [None, "q"])
+def test_delta_matrix_matches_the_generic_placement(field):
+    # delta writes entry (i, j, cf, sign) at cell (i, j); connecting_matrix
+    # with one coordinate and one scalar run per summand is the route it replaced
+    for seed in range(50):
+        V, W = _modules(seed, "vector", field)
+        for C in (hom_complex(V, W), hom_complex(W, V)):
+            delta, generic = delta_matrix(C), generic_delta_matrix(C)
+            assert delta == generic
+            assert repr(sorted(delta.nonzeros())) == repr(sorted(generic.nonzeros()))
 
 
 @pytest.mark.parametrize("field", [None, "q"])

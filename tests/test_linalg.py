@@ -22,11 +22,10 @@ from quivhom.linalg import (
     kron,
     rank,
     solve,
-    vstack,
 )
 
 from oracles import (add, cokernel_dimension, column_list, hstack, is_zero, scale, solve_columns,
-                     sub, submatrix, transpose)
+                     sub, submatrix, transpose, vstack)
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -327,6 +326,11 @@ def test_builder_rejects_entries_outside_the_shape(i, j):
     builder.add_run(1, 2, 2, 1)
     with pytest.raises(IndexError):
         builder.build()
+    # add_cells names its first nonzero cell outside, and places the others
+    builder = MatrixBuilder(F5, 2, 3)
+    builder.add_cells([(i + 1, j, 5), (0, 0, 1), (i, j, 2), (i, j + 1, 3)])
+    with pytest.raises(IndexError, match=re.escape(f"entry ({i}, {j}) outside a 2x3 matrix")):
+        builder.build()
 
 
 def test_builder_builds_once():
@@ -335,7 +339,7 @@ def test_builder_builds_once():
     built = builder.build()
     # build() hands its rows to the matrix, so further use must not reach them
     for use in (lambda: builder.add(0, 0, 1), lambda: builder.add_run(0, 1, 2, 1),
-                lambda: builder.add_run(0, 0, 0, 1),
+                lambda: builder.add_run(0, 0, 0, 1), lambda: builder.add_cells([]),
                 builder.build):
         with pytest.raises(RuntimeError):
             use()
@@ -344,13 +348,14 @@ def test_builder_builds_once():
 
 @st.composite
 def _builder_script(draw):
-    """A field, a small shape and a sequence of add and add_run calls and blocks.
+    """A field, a small shape and a sequence of add, add_run and add_cells calls and blocks.
 
     In half the scripts every call fits inside the shape, save an add into
     a shape with no cells; in the others, starts reach one past each edge
     on either side or end a run exactly at the last row or column.  Runs
     may be empty or be followed by their negation, which writes their cells
-    a second time.  A block is written one add per nonzero.
+    a second time.  A block is written one add per nonzero.  One add_cells
+    call may write a cell twice or hold cells outside the shape.
     """
     field = draw(st.sampled_from([F5, F101, Q]))
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -367,7 +372,11 @@ def _builder_script(draw):
 
     ops = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["add", "run", "cancel", "block"]))
+        kind = draw(st.sampled_from(["add", "run", "cancel", "block", "cells"]))
+        if kind == "cells":
+            ops.append(("cells", [(start(rows, 1), start(cols, 1), draw(values))
+                                  for _ in range(draw(st.integers(0, 4)))]))
+            continue
         if kind == "block":
             h, w = (min(3, rows), min(3, cols)) if inside else (3, 3)
             lists = _sparse_lists(field, random.Random(draw(st.integers(0, 10**6))),
@@ -404,7 +413,12 @@ def test_builder_against_dense_reference(script):
             outside = (i, j)
 
     for op in ops:
-        if op[0] == "block":
+        if op[0] == "cells":
+            builder.add_cells(op[1])
+            for i, j, x in op[1]:
+                if field.element(x):
+                    place(i, j, x)
+        elif op[0] == "block":
             _, i, j, lists = op
             block = ExactMatrix(field, len(lists), len(lists[0]) if lists else 0, lists)
             for r, c, x in block.nonzeros():
@@ -561,6 +575,49 @@ def test_full_column_rank_stop_matches_list_reference(seed, field):
     assert kernel_basis(w) == _ref_kernel(field, wide, n + 2)
     assert cokernel_representatives(w) == _ref_cokernel(field, wide, n + 2)
     assert solve(w, bad) == _ref_solve(field, wide, n + 2, bad)
+
+
+def test_solve_stops_at_the_first_pivot_in_its_last_column(monkeypatch):
+    # a pivot in column n proves [m | b] inconsistent, so the forward pass takes
+    # no row after it; a consistent system gives the x of a pass without the stop
+    import quivhom.linalg as linalg
+    echelon, subtract = linalg._echelon, linalg._subtract_multiple
+    calls = []
+    monkeypatch.setattr(linalg, "_subtract_multiple",
+                        lambda *args: calls.append(1) or subtract(*args))
+
+    def counted(m, b, stop=True):
+        calls.clear()
+        with monkeypatch.context() as mp:
+            if not stop:
+                mp.setattr(linalg, "_echelon", lambda m, stop=None: echelon(m))
+            return solve(m, b), len(calls)
+
+    rng = random.Random(23)
+    saved = 0
+    for field in (F5, F101, Q):
+        for _ in range(60):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 5)
+            lists = _sparse_lists(field, rng, rows, cols)
+            m = ExactMatrix(field, rows, cols, lists)
+            good = m.apply([field.element(rng.randint(-4, 4)) for _ in range(cols)])
+            x = counted(m, good)[0]
+            assert x == counted(m, good, stop=False)[0] == _ref_solve(field, lists, cols, good)
+            assert m.apply(x) == good
+            bad = list(good)
+            k = rng.randrange(rows)
+            bad[k] = _reduce(field, bad[k] + 1)
+            (x, n_stopped), (full, n_full) = counted(m, bad), counted(m, bad, stop=False)
+            assert x == full == _ref_solve(field, lists, cols, bad)
+            if x is None:
+                # the pivot lands in column n on the row that ends the shortest
+                # inconsistent prefix; no subtraction is made after that row
+                k = next(k for k in range(1, rows + 1)
+                         if _ref_solve(field, lists[:k], cols, bad[:k]) is None)
+                prefix = ExactMatrix(field, k, cols, lists[:k])
+                assert n_stopped == counted(prefix, bad[:k], stop=False)[1] <= n_full
+                saved += n_full - n_stopped
+    assert saved > 0
 
 
 def test_rows_past_full_column_rank_are_not_reduced(monkeypatch):

@@ -10,8 +10,8 @@ import sympy
 
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
-from quivhom.linalg import (ExactMatrix, FieldSpec, cokernel_representatives, kernel_basis, rank,
-                            solve)
+from quivhom.linalg import (ExactMatrix, FieldSpec, MatrixBuilder, cokernel_representatives,
+                            kernel_basis, rank, solve, unvec_matrix)
 from quivhom.quiver import Quiver
 from quivhom.rep import (
     IncompatibleError,
@@ -27,7 +27,8 @@ from quivhom.rep import (
 )
 from quivhom.resolution import GradedBasis
 
-from oracles import ext1_dim, is_zero, path_actions, submatrix, vec_matrix, zero_maps
+from oracles import (add, ext1_dim, is_zero, path_actions, stacked_split, submatrix, vec_matrix,
+                     zero_maps)
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -310,6 +311,57 @@ def test_split_iff_eta_in_image_of_delta():
             assert not is_split_extension(E, V, W)
 
 
+def _etas(V, W, C, vec):
+    """The blocks eta_a of a vector of C1 = ⊕_a Hom(M_a⊗V_ta, W_ha), C = hom_complex(V, W)."""
+    return [unvec_matrix(V.field, vec, W.dims[h], V.twist[a] * V.dims[t], C.arrow_start[a])
+            for a, (t, h) in enumerate(V.quiver.arrows)]
+
+
+def _with_bottom_left(rng, E, V, W):
+    """E with a random block X_a added to each arrow map: [[psi, eta], [X, phi]]."""
+    phi = []
+    for a, (t, h) in enumerate(V.quiver.arrows):
+        wt, vt, wh = W.dims[t], V.dims[t], W.dims[h]
+        x = MatrixBuilder(V.field, E.dims[h], E.phi[a].ncols)
+        for i in range(V.dims[h]):
+            for col in range(V.twist[a] * wt):
+                j, s = divmod(col, wt)
+                x.add(wh + i, j * (wt + vt) + s, rng.choice([0, rng.randrange(1, 101)]))
+        phi.append(add(E.phi[a], x.build()))
+    return TwistedRep(E.quiver, E.twist, E.field, E.dims, phi)
+
+
+@pytest.mark.parametrize("field", [None, "q"])
+def test_split_agrees_with_the_stacked_solve(field):
+    # the pinned solve against the section rows stacked over delta(V, E):
+    # cokernel classes, image classes (which split), the zero class, and an
+    # E whose bottom-left block is nonzero, where W is no subrepresentation
+    rng = random.Random(7)
+    verdicts = {}
+    for seed in range(50):
+        doc = generate_document(seed)
+        if field is not None:
+            doc["field"] = field
+        modules = load_instance(doc).modules
+        for V, W in ((modules["V"], modules["W"]), (modules["W"], modules["V"])):
+            C = hom_complex(V, W)
+            delta = delta_matrix(C)
+            image = delta.apply([rng.randrange(101) for _ in range(delta.ncols)])
+            classes = [build_extension(V, W, etas) for etas in ext1_classes(V, W)]
+            zero = build_extension(V, W, _etas(V, W, C, [0] * delta.nrows))
+            cases = [("cokernel", E) for E in classes] + [
+                ("image", build_extension(V, W, _etas(V, W, C, image))), ("zero", zero)]
+            # a bottom-left block on the zero class and on the first cokernel class
+            cases += [("bottom-left", _with_bottom_left(rng, E, V, W))
+                      for E in [zero] + classes[:1]]
+            for kind, E in cases:
+                split = is_split_extension(E, V, W)
+                assert split == stacked_split(E, V, W), (seed, kind)
+                verdicts.setdefault(kind, set()).add(split)
+    assert verdicts == {"cokernel": {False}, "image": {True}, "zero": {True},
+                        "bottom-left": {False, True}}
+
+
 def test_ext1_classes_count_matches_dimension():
     rng = random.Random(17)
     q, tw = _random_instance(rng)
@@ -375,7 +427,8 @@ def test_split_sequence_builds_no_dense_matrix(monkeypatch):
     import quivhom.linalg as linalg
     seen = []
     echelon = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon", lambda m: seen.append(m.sparse_rows()) or echelon(m))
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda m, *args: seen.append(m.sparse_rows()) or echelon(m, *args))
     rng = random.Random(5)
     for _ in range(20):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)

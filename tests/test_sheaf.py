@@ -7,7 +7,7 @@ import pytest
 
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
-from quivhom.linalg import FieldSpec, rank, vstack
+from quivhom.linalg import FieldSpec, rank
 from quivhom.quiver import Quiver
 from quivhom.rep import hom_complex
 from quivhom.sheaf import (
@@ -26,7 +26,7 @@ from quivhom.sheaf import (
 )
 
 from oracles import (dense, euler_characteristic, euler_check, is_zero, scale,
-                     sheaf_hom_ext_dims, submatrix)
+                     sheaf_hom_ext_dims, submatrix, vstack)
 
 F = FieldSpec.prime(101)
 LOOP = Quiver(1, [(0, 0)])
