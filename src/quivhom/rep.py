@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -148,9 +148,9 @@ class HomComplex(NamedTuple):
     """The two-term complex C0 = ⊕_i Hom(V_i, W_i) -> C1 = ⊕_a Hom(M_a⊗V_ta, W_ha).
 
     c0, c1, vertex_start and arrow_start are as hom_twists gives them.  Entry
-    (i, j, cf, sign): the stored coefficient cf of phi_a or psi_a, or on a
-    loop a their difference, sends summand j of C0 to sign·cf times summand
-    i of C1.  No pair (i, j) has two entries, so no two share a matrix cell.
+    (i, j, value) sends summand j of C0 to value times summand i of C1; value
+    is a coefficient of phi_a, one of psi_a negated, or on a loop a their
+    difference.  No pair (i, j) has two entries, so no two share a cell.
     """
     field: FieldSpec
     c0: list
@@ -179,8 +179,8 @@ def hom_twists(V, W) -> Tuple[list, list, list, list]:
 def hom_complex(V, W) -> HomComplex:
     """The one walk over the summands of f -> (f_ha ∘ phi_a − psi_a ∘ (1⊗f_ta))_a.
 
-    Each stored entry cf of phi_a or psi_a sends the (r, s) entry of some
-    f_i into the (r2, c) entry of the arrow-a component, c indexing
+    Each stored entry cf of phi_a, or −cf of psi_a, sends the (r, s) entry of
+    some f_i into the (r2, c) entry of the arrow-a component, c indexing
     M_a⊗V_ta in stored order.  Only on a loop can a phi and a psi term meet
     one pair; the walk keeps their difference in the phi term's entry.
     """
@@ -195,7 +195,7 @@ def hom_complex(V, W) -> HomComplex:
         for s in range(v_sizes[h]):
             for c, cf in phi[a][s].items():
                 for r in range(wh):
-                    entries.append((start + c * wh + r, vertex_start[h] + s * wh + r, cf, 1))
+                    entries.append((start + c * wh + r, vertex_start[h] + s * wh + r, cf))
         on_phi = {e[:2]: k for k, e in enumerate(entries[first:], first)} if t == h else None
         # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
         # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
@@ -209,16 +209,16 @@ def hom_complex(V, W) -> HomComplex:
                         pair = (start + c * wh + r2, vertex_start[t] + s * wt + r)
                         k = on_phi.get(pair) if on_phi else None
                         if k is None:
-                            entries.append((*pair, cf, -1))
+                            entries.append((*pair, _minus(p, 0, cf)))
                         else:
-                            entries[k] = (*pair, _minus(p, entries[k][2], cf), 1)
+                            entries[k] = (*pair, _minus(p, entries[k][2], cf))
     return HomComplex(V.field, c0, c1, vertex_start, arrow_start, entries)
 
 
 def _minus(p: Optional[int], f, g):
-    """f − g of two field elements, or of two coefficient tuples of one form degree."""
-    if isinstance(f, tuple):
-        return tuple(_minus(p, x, y) for x, y in zip(f, g))
+    """f − g of two field elements or of two form coefficient tuples; f = 0 negates g."""
+    if isinstance(g, tuple):
+        return tuple([(x - y) % p if p else x - y for x, y in zip(f or repeat(0), g)])
     return (f - g) % p if p else f - g
 
 
@@ -245,19 +245,19 @@ def summand_offsets(twists: list, dim_of, *per_summand: list) -> list:
 def connecting_matrix(C: HomComplex, dim_of, times) -> ExactMatrix:
     """The map C0 -> C1 on dim_of(d) coordinates per summand of twist d.
 
-    times(d, cf) lists the diagonal runs (k, k2, n, x) of acting by cf on a
-    C0 summand of twist d: coordinate k + e of it goes to x times
-    coordinate k2 + e of the C1 summand, 0 <= e < n.
+    times(d, cf) lists the diagonal runs (k, k2, n, x) of acting by an
+    entry's value cf on a C0 summand of twist d: coordinate k + e of it goes
+    to x times coordinate k2 + e of the C1 summand, 0 <= e < n.
     """
     rows, cols = summand_offsets(C.c1, dim_of), summand_offsets(C.c0, dim_of)
     out = MatrixBuilder(C.field, rows[-1], cols[-1])
     c0, put = C.c0, out.add_run
-    for i, j, cf, sign in C.entries:
+    for i, j, cf in C.entries:
         row, col = rows[i], cols[j]
         if row == rows[i + 1] or col == cols[j + 1]:
             continue        # the block has no rows or no columns
         for k, k2, n, x in times(c0[j], cf):
-            put(row + k2, col + k, n, sign * x)
+            put(row + k2, col + k, n, x)
     return out.build()
 
 
@@ -267,10 +267,10 @@ def delta_matrix(C: HomComplex) -> ExactMatrix:
     Domain: ⊕_i Hom(V_i, W_i); codomain: ⊕_a Hom(M_a⊗V_ta, W_ha); both in
     column-major block coordinates, each block at C's block start.  Its
     kernel is Hom(V, W) and its cokernel computes Ext^1 over a field.  Every
-    summand is one coordinate, so entry (i, j, cf, sign) is the cell (i, j).
+    summand is one coordinate, so C's entries are its cells.
     """
     out = MatrixBuilder(C.field, len(C.c1), len(C.c0))
-    out.add_cells((i, j, sign * cf) for i, j, cf, sign in C.entries)
+    out.add_cells(C.entries)
     return out.build()
 
 
@@ -357,12 +357,12 @@ def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
               for c in range(dv) for r in range(dv)}
     free, rhs = [], [0] * len(C.c1)
     for entry in C.entries:
-        i, j, cf, sign = entry
+        i, j, cf = entry
         value = pinned.get(j)
         if value is None:
             free.append(entry)
         elif value:
-            rhs[i] -= sign * cf
+            rhs[i] -= cf
     return solve(delta_matrix(C._replace(entries=free)), rhs) is not None
 
 

@@ -18,12 +18,13 @@ assembled from the connecting maps on H0 and H1 (ext_quiver_sheaf), and the
 hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
 per summand (cech_hyper).  They must agree.  Both read one rep.HomComplex,
-the output of the one summand walk rep.hom_complex: delta0 and delta1 are
-placed from its entries by rep.connecting_matrix, the Cech differentials by
-a loop of their own, the horizontal maps from its entries and the vertical
-differences from its twists and windows.  So their agreement cross-checks
-the cohomology models but not the shared complex; tests/test_connecting_map.py
-checks that.
+the output of the one summand walk rep.hom_complex, whose entries are the
+signed cells (C1 summand, C0 summand, form) of the connecting map: delta0
+and delta1 are placed from them by rep.connecting_matrix, the Cech
+differentials by a loop of their own, the horizontal maps from the cells
+and the vertical differences from its twists and windows.  So their
+agreement cross-checks the cohomology models but not the shared complex;
+tests/test_connecting_map.py checks that.
 """
 
 from __future__ import annotations
@@ -67,12 +68,11 @@ class SplitBundle:
 class TensorBundle:
     """Sorted form of M ⊗ V with the permutation recording the sort.
 
-    perm[k] is the natural index (M most significant) of the k-th sorted
-    summand; inv_perm inverts it.
+    inv_perm[k] is the sorted position of the summand of natural index k
+    (M most significant).
     """
 
     bundle: SplitBundle
-    perm: Tuple[int, ...]
     inv_perm: Tuple[int, ...]
 
 
@@ -82,8 +82,7 @@ def tensor_bundle(m: SplitBundle, v: SplitBundle) -> TensorBundle:
     inv = [0] * len(natural)
     for pos, k in enumerate(order):
         inv[k] = pos
-    return TensorBundle(SplitBundle(tuple(natural[k] for k in order)),
-                        tuple(order), tuple(inv))
+    return TensorBundle(SplitBundle(tuple(natural[k] for k in order)), tuple(inv))
 
 
 def tensor_bundles(quiver: Quiver, twist_bundles: Sequence[SplitBundle],
@@ -344,7 +343,7 @@ def _cech_windows(C: HomComplex, extra_window: int):
     extra = _extra(extra_window)
     u0, l0 = [max(d, 0) + extra for d in C.c0], [max(-d - 1, 0) + extra for d in C.c0]
     u1, l1 = [max(d, 0) + extra for d in C.c1], [max(-d - 1, 0) + extra for d in C.c1]
-    for i, j, _, _ in C.entries:
+    for i, j, _ in C.entries:
         u0[j], l1[i] = max(u0[j], u1[i]), max(l1[i], l0[j])
     return (u0, l0), (u1, l1)
 
@@ -371,17 +370,16 @@ def _cech_matrices(C: HomComplex, extra_window: int):
         put1(over, chart + u + 1, l + d + 1, -1)
     # the monomial t^k2 of a form sends t^e of summand j to t^(e+k2) of
     # summand i: chart 0 and the overlap keep e + k2 <= U_i, chart 1 every e
-    for i, j, form, sign in C.entries:
+    for i, j, form in C.entries:
         u, l = u1[i], l0[j]
         row0, col0 = charts0[j], c0_overlap + charts1[i]
         row1, col1, n1 = row0 + u0[j] + 1, col0 + u + 1 + l1[i] - l, l + C.c0[j] + 1
         row2, col2 = overlaps1[i] + l1[i] - l, c1_charts + overlaps0[j]
         for k2, cf in enumerate(reversed(form)):
             if cf != 0:
-                x = sign * cf
-                put0(row0, col0 + k2, u + 1 - k2, x)        # chart 0
-                put0(row1, col1 + k2, n1, x)                # chart 1
-                put1(row2 + k2, col2, u + l + 1 - k2, -x)   # overlap, with the sign of d1
+                put0(row0, col0 + k2, u + 1 - k2, cf)        # chart 0
+                put0(row1, col1 + k2, n1, cf)                # chart 1
+                put1(row2 + k2, col2, u + l + 1 - k2, -cf)   # overlap, with the sign of d1
     return d0t.build(), d1.build()
 
 

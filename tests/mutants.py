@@ -39,17 +39,18 @@ class Mutant:
 
 CECH_COMPOSE = tuple(f"tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[{k}]"
                      for k in ("gen", "loops", "wide"))
+FROBENIUS = "tests/test_hom_oracle.py::test_one_loop_hom_is_frobenius_formula"
 
 MUTANTS = (
     Mutant("psi sign in hom_complex", "src/quivhom/rep.py",
-           "entries.append((*pair, cf, -1))", "entries.append((*pair, cf, 1))",
-           ("tests/test_hom_oracle.py::test_hom_count_is_p_to_the_nullity_of_delta",)),
+           "entries.append((*pair, _minus(p, 0, cf)))", "entries.append((*pair, cf))",
+           (FROBENIUS, "tests/test_hom_oracle.py::test_hom_count_is_p_to_the_nullity_of_delta")),
     Mutant("Cech overlap sign", "src/quivhom/sheaf.py",
-           "put1(row2 + k2, col2, u + l + 1 - k2, -x)",
-           "put1(row2 + k2, col2, u + l + 1 - k2, x)",
+           "put1(row2 + k2, col2, u + l + 1 - k2, -cf)",
+           "put1(row2 + k2, col2, u + l + 1 - k2, cf)",
            ("tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[gen]",)),
     Mutant("Cech chart-1 sign", "src/quivhom/sheaf.py",
-           "put0(row1, col1 + k2, n1, x)", "put0(row1, col1 + k2, n1, -x)",
+           "put0(row1, col1 + k2, n1, cf)", "put0(row1, col1 + k2, n1, -cf)",
            ("tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[gen]",)),
     Mutant("Hom coordinate split", "src/quivhom/rep.py",
            "m, s = divmod(pos, v_sizes[t])", "m, s = 0, pos % v_sizes[t]",
@@ -68,7 +69,7 @@ MUTANTS = (
            ("tests/test_sheaf.py::test_delta1_commutator_by_hand",)),
     Mutant("loop merge sign", "src/quivhom/rep.py",
            "_minus(p, entries[k][2], cf)", "_minus(p, cf, entries[k][2])",
-           ("tests/test_connecting_map.py::test_delta_column_by_column",)),
+           ("tests/test_connecting_map.py::test_delta_column_by_column", FROBENIUS)),
     Mutant("gen form length", "src/quivhom/generate.py",
            "range(dr - dc + 1)", "range(dr - dc + 2)",
            ("tests/test_cli.py::test_gen_hyper_verify_pipeline",)),
@@ -104,7 +105,7 @@ MUTANTS = (
            "u0[j], l1[i] = u0[j], max(l1[i], l0[j])",
            CECH_COMPOSE),
     Mutant("Cech chart-1 run shifted", "src/quivhom/sheaf.py",
-           "put0(row1, col1 + k2, n1, x)", "put0(row1, col1 + k2 + 1, n1, x)",
+           "put0(row1, col1 + k2, n1, cf)", "put0(row1, col1 + k2 + 1, n1, cf)",
            CECH_COMPOSE),
     Mutant("reduce scales in place", "src/quivhom/linalg.py",
            "pivots[c] = {j: x * inv % p if p else x * inv for j, x in row.items()}",

@@ -50,7 +50,7 @@ def _modules(seed, mode, field=None, **bounds):
 
 @pytest.mark.parametrize("field", [None, "q"])
 def test_delta_matrix_matches_the_generic_placement(field):
-    # delta writes entry (i, j, cf, sign) at cell (i, j); connecting_matrix
+    # delta writes entry (i, j, value) at cell (i, j); connecting_matrix
     # with one coordinate and one scalar run per summand is the route it replaced
     for seed in range(50):
         V, W = _modules(seed, "vector", field)
@@ -58,6 +58,16 @@ def test_delta_matrix_matches_the_generic_placement(field):
             delta, generic = delta_matrix(C), generic_delta_matrix(C)
             assert delta == generic
             assert repr(sorted(delta.nonzeros())) == repr(sorted(generic.nonzeros()))
+
+
+@pytest.mark.parametrize("field", [None, "q"])
+def test_hom_complex_entries_are_the_cells_of_delta(field):
+    # psi's sign is applied once, in hom_complex: each entry is (i, j, value)
+    # with the value delta holds at (i, j), so no consumer signs it again
+    for seed in range(50):
+        V, W = _modules(seed, "vector", field)
+        for C in (hom_complex(V, W), hom_complex(W, V)):
+            assert sorted(C.entries) == sorted(delta_matrix(C).nonzeros())
 
 
 @pytest.mark.parametrize("field", [None, "q"])
@@ -287,7 +297,7 @@ def test_cech_dims_bound_the_built_complex(seed):
 def _serre_dual(C):
     return C._replace(c0=[-d - 2 for d in C.c1], c1=[-d - 2 for d in C.c0],
                       vertex_start=C.arrow_start, arrow_start=C.vertex_start,
-                      entries=[(j, i, cf, sign) for i, j, cf, sign in C.entries])
+                      entries=[(j, i, cf) for i, j, cf in C.entries])
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -376,7 +386,7 @@ def test_hom_complex_has_one_entry_per_summand_pair(mode):
             inst = load_instance(generate_document(seed, mode=mode, max_vertices=max_vertices))
             V, W = inst.modules["V"], inst.modules["W"]
             for X, Y in ((V, W), (W, V), (V, V)):
-                pairs = [(i, j) for i, j, _, _ in hom_complex(X, Y).entries]
+                pairs = [(i, j) for i, j, _ in hom_complex(X, Y).entries]
                 assert len(pairs) == len(set(pairs)), (seed, max_vertices)
             loops += sum(t == h for t, h in inst.quiver.arrows)
     assert loops >= 300

@@ -129,12 +129,13 @@ def test_tensor_bundle_sorting_and_permutation():
     t = tensor_bundle(SplitBundle([1, -1]), SplitBundle([2, 0]))
     # natural order (M major): 1+2, 1+0, -1+2, -1+0 = 3, 1, 1, -1
     assert t.bundle.twists == (3, 1, 1, -1)
-    assert t.perm == (0, 1, 2, 3)      # stable sort keeps the tied pair in order
+    # both sort orders are involutions, so inv_perm equals the order itself
+    assert t.inv_perm == (0, 1, 2, 3)      # stable sort keeps the tied pair in order
     t2 = tensor_bundle(SplitBundle([0, 0]), SplitBundle([1, -1]))
     assert t2.bundle.twists == (1, 1, -1, -1)
-    assert t2.perm == (0, 2, 1, 3)
-    for pos, k in enumerate(t2.perm):
-        assert t2.inv_perm[k] == pos
+    assert t2.inv_perm == (0, 2, 1, 3)
+    for t3 in (t, t2):
+        assert sorted(t3.inv_perm) == list(range(4))
 
 
 def test_sheaf_hom_ext_examples():
@@ -450,8 +451,8 @@ def test_p1_routes_do_not_depend_on_the_summand_order(seed):
             c0[perm0[k]] = d
         for k, d in enumerate(C.c1):
             c1[perm1[k]] = d
-        D = C._replace(c0=c0, c1=c1, entries=[(perm1[i], perm0[j], cf, sign)
-                                              for i, j, cf, sign in C.entries])
+        D = C._replace(c0=c0, c1=c1, entries=[(perm1[i], perm0[j], cf)
+                                              for i, j, cf in C.entries])
         r, s = ext_quiver_sheaf(C), ext_quiver_sheaf(D)
         assert (s.ext0, s.ext1, s.ext2) == (r.ext0, r.ext1, r.ext2) == cech_hyper(D) == cech_hyper(C)
 
