@@ -298,7 +298,7 @@ def build_extension(V: TwistedRep, W: TwistedRep,
 
     E_i = W_i ⊕ V_i and each M_a-block of the arrow map is
     [[psi_a, eta_a], [0, phi_a]].  The canonical inclusion and projection
-    are verified to be morphisms.
+    are verified to be morphisms by reading E's arrow maps back.
     """
     V.compatible_with(W)
     if len(eta) != V.quiver.n_arrows:
@@ -323,19 +323,31 @@ def build_extension(V: TwistedRep, W: TwistedRep,
                 out.add(row0 + i, j * (wt + vt) + offset + s, x)
         phi.append(out.build())
     E = TwistedRep(V.quiver, V.twist, field, dims, phi)
-    inclusion = [_unit_block(field, e, w, 0, w) for e, w in zip(dims, W.dims)]
-    projection = [_unit_block(field, v, e, w, v) for e, w, v in zip(dims, W.dims, V.dims)]
-    if not (RepMorphism(W, E, inclusion).is_morphism()
-            and RepMorphism(E, V, projection).is_morphism()):
+    if not _blocks_read_back(E, V, W):
         raise CrossCheckError("the extension's inclusion or projection is not a morphism")
     return E
 
 
-def _unit_block(field: FieldSpec, rows: int, cols: int, shift: int, n: int) -> ExactMatrix:
-    """The rows x cols matrix with a 1 at each (r, r + shift), r < n: W_i -> E_i, E_i -> V_i."""
-    out = MatrixBuilder(field, rows, cols)
-    out.add_run(0, shift, n, 1)
-    return out.build()
+def _blocks_read_back(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
+    """True iff the inclusion W -> E and the projection E -> V are morphisms: each cell of
+    E.phi[a] outside eta_a's block is the entry of psi_a or phi_a placed there, none missing."""
+    matched = 0
+    for a, (t, h) in enumerate(V.quiver.arrows):
+        wt, vt, wh = W.dims[t], V.dims[t], W.dims[h]
+        psi, phi = W.phi[a].sparse_rows(), V.phi[a].sparse_rows()
+        for i, row in enumerate(E.phi[a].sparse_rows()):
+            for col, x in row.items():
+                j, q = divmod(col, wt + vt)
+                if q < wt:
+                    want = psi[i].get(j * wt + q) if i < wh else None
+                elif i >= wh:
+                    want = phi[i - wh].get(j * vt + q - wt)
+                else:
+                    continue        # eta_a's block, which neither map constrains
+                if want != x:
+                    return False
+                matched += 1
+    return matched == sum(len(r) for m in W.phi + V.phi for r in m.sparse_rows())
 
 
 def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:

@@ -9,18 +9,22 @@ exactly once, so an entry goes stale loudly when its code is rewritten.
 
 copies `src/` to a temporary directory once per mutant, applies the mutant
 there, runs only its named tests with `-x` against the copy, and prints a
-kill table.  It first runs every named test against an unmutated copy, since
-a kill means nothing if the test fails anyway.  The exit code is 0 when
-every mutant is killed.
+kill table in ledger order, then the total wall time.  It first runs every
+named test against an unmutated copy, since a kill means nothing if the test
+fails anyway.  Two mutants run at once; each run writes only under its own
+directory (pytest's temporary files, Hypothesis's database, no bytecode).
+The exit code is 0 when every mutant is killed.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -79,6 +83,12 @@ MUTANTS = (
     Mutant("extension eta offset", "src/quivhom/rep.py",
            "(eta[a], vt, 0, wt)", "(eta[a], vt, 0, 0)",
            ("tests/test_rep.py::test_build_extension_jordan_block",)),
+    Mutant("extension psi offset", "src/quivhom/rep.py",
+           "(W.phi[a], wt, 0, 0)", "(W.phi[a], wt, 0, 1)",
+           ("tests/test_rep.py::test_read_back_agrees_with_the_unit_block_route[None]",)),
+    Mutant("read-back drops its row test", "src/quivhom/rep.py",
+           "elif i >= wh:", "elif True:",
+           ("tests/test_rep.py::test_build_extension_jordan_block",)),
     Mutant("split pinned coordinate", "src/quivhom/rep.py",
            "+ dw + r: r == c", "+ r: r == c",
            ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta",)),
@@ -124,9 +134,6 @@ MUTANTS = (
     Mutant("cokernel identity column offset", "src/quivhom/linalg.py",
            "{**r, n + i: one}", "{**r, n + i - 1: one}",
            ("tests/test_linalg.py::test_cokernel_representatives_complete_column_space",)),
-    Mutant("unit block at column 0", "src/quivhom/rep.py",
-           "out.add_run(0, shift, n, 1)", "out.add_run(0, 0, n, 1)",
-           ("tests/test_rep.py::test_build_extension_jordan_block",)),
     Mutant("d's phi sign", "src/quivhom/resolution.py",
            "minus_phi = [(r, *divmod(c, dt), -cf)", "minus_phi = [(r, *divmod(c, dt), cf)",
            ("tests/test_resolution.py::test_exactness_jordan_block",
@@ -156,16 +163,23 @@ def _copy_src(into: Path, mutant: Optional[Mutant] = None) -> Path:
 
 
 def _run_tests(src: Path, node_ids) -> tuple:
-    """(passed, seconds) of the named tests, stopping at the first failure, on the package in src."""
+    """(passed, seconds) of the named tests, stopping at the first failure, on the package in src.
+
+    The run writes only beside src: no bytecode, and pytest's temporary
+    files and Hypothesis's database under src's parent.
+    """
     t0 = time.perf_counter()
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "HYPOTHESIS_STORAGE_DIRECTORY": str(src.parent / "hypothesis")}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "-o", f"pythonpath={src}", *node_ids],
-        cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+         "--basetemp", str(src.parent / "pytest"), "-o", f"pythonpath={src}", *node_ids],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return proc.returncode == 0, time.perf_counter() - t0
 
 
 def main() -> int:
+    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         clean = _copy_src(Path(tmp) / "clean")
         node_ids = sorted({t for m in MUTANTS for t in m.killed_by})
@@ -174,16 +188,20 @@ def main() -> int:
               f"{'pass' if passed else 'FAIL'} ({seconds:.1f} s)")
         if not passed:
             return 1
-        rows = []
-        for k, mutant in enumerate(MUTANTS):
-            src = _copy_src(Path(tmp) / f"mutant-{k}", mutant)
-            passed, seconds = _run_tests(src, mutant.killed_by)
-            rows.append((mutant.name, mutant.file, "survived" if passed else "killed",
-                         f"{seconds:.1f} s", ", ".join(mutant.killed_by)))
+
+        def verdict(k: int, mutant: Mutant) -> tuple:
+            passed, seconds = _run_tests(_copy_src(Path(tmp) / f"mutant-{k}", mutant),
+                                         mutant.killed_by)
+            return (mutant.name, mutant.file, "survived" if passed else "killed",
+                    f"{seconds:.1f} s", ", ".join(mutant.killed_by))
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            rows = list(pool.map(verdict, range(len(MUTANTS)), MUTANTS))
     header = ("mutant", "file", "verdict", "time", "tests")
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
     for row in [header] + rows:
         print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    print(f"{len(rows)} mutants, two at a time: {time.perf_counter() - t0:.1f} s in all")
     return 0 if all(r[2] == "killed" for r in rows) else 1
 
 

@@ -6,7 +6,7 @@ with a single test caller lives in that test file instead.
 """
 
 from quivhom.linalg import ExactMatrix, MatrixBuilder, _canonical, _echelon, _reduce, rank, solve
-from quivhom.rep import TwistedRep, connecting_matrix, delta_matrix, hom_complex
+from quivhom.rep import RepMorphism, TwistedRep, connecting_matrix, delta_matrix, hom_complex
 from quivhom.resolution import ResolutionLayout, _recursion
 from quivhom.sheaf import ext_quiver_sheaf, h0_dim, h1_dim
 
@@ -219,6 +219,22 @@ def stacked_split(E, V, W) -> bool:
                 rhs.append(int(r == c))
     rhs += [0] * delta.nrows
     return solve(vstack([section.build(), delta]), rhs) is not None
+
+
+def unit_block(field, rows: int, cols: int, shift: int, n: int) -> ExactMatrix:
+    """The rows x cols matrix with a 1 at each (r, r + shift), r < n: W_i -> E_i, E_i -> V_i."""
+    out = MatrixBuilder(field, rows, cols)
+    out.add_run(0, shift, n, 1)
+    return out.build()
+
+
+def unit_block_verdict(E, V, W) -> bool:
+    """build_extension's check by products: the canonical inclusion W -> E and
+    projection E -> V, E_i = W_i ⊕ V_i, pass RepMorphism.is_morphism."""
+    inclusion = [unit_block(E.field, e, w, 0, w) for e, w in zip(E.dims, W.dims)]
+    projection = [unit_block(E.field, v, e, w, v) for e, w, v in zip(E.dims, W.dims, V.dims)]
+    return (RepMorphism(W, E, inclusion).is_morphism()
+            and RepMorphism(E, V, projection).is_morphism())
 
 
 def eps_matrix(V, layout) -> ExactMatrix:

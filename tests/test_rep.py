@@ -10,14 +10,16 @@ import sympy
 
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
-from quivhom.linalg import (ExactMatrix, FieldSpec, MatrixBuilder, cokernel_representatives,
-                            kernel_basis, rank, solve, unvec_matrix)
+from quivhom.linalg import (CrossCheckError, ExactMatrix, FieldSpec, MatrixBuilder,
+                            cokernel_representatives, kernel_basis, kron, rank, solve,
+                            unvec_matrix)
 from quivhom.quiver import Quiver
 from quivhom.rep import (
     IncompatibleError,
     RepMorphism,
     TwistData,
     TwistedRep,
+    _blocks_read_back,
     build_extension,
     delta_matrix,
     ext1_classes,
@@ -27,8 +29,8 @@ from quivhom.rep import (
 )
 from quivhom.resolution import GradedBasis
 
-from oracles import (add, ext1_dim, is_zero, path_actions, stacked_split, submatrix, vec_matrix,
-                     zero_maps)
+from oracles import (add, ext1_dim, is_zero, path_actions, stacked_split, submatrix,
+                     unit_block_verdict, vec_matrix, zero_maps)
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -269,6 +271,17 @@ def test_build_extension_field_check():
         build_extension(V, V, [ExactMatrix(Q, 1, 1, [[Fraction(1, 2)]])])
 
 
+def _gen_pairs(field=None):
+    """(seed, V, W) for gen's vector seeds 0-49 in both orders, over field if it is given."""
+    for seed in range(50):
+        doc = generate_document(seed)
+        if field is not None:
+            doc["field"] = field
+        modules = load_instance(doc).modules
+        for V, W in ((modules["V"], modules["W"]), (modules["W"], modules["V"])):
+            yield seed, V, W
+
+
 # sha256 over the shape and sorted nonzeros of every arrow map of E, for
 # every Ext^1 class of gen's vector seeds 0-49 in both orders (525 classes)
 EXTENSION_DIGEST = "c0e4eb667dd8acc32212071a41e5046b63fb488a7bd2ec8501d0d9cddd375399"
@@ -276,13 +289,112 @@ EXTENSION_DIGEST = "c0e4eb667dd8acc32212071a41e5046b63fb488a7bd2ec8501d0d9cddd37
 
 def test_extensions_pinned():
     digest = hashlib.sha256()
-    for seed in range(50):
-        modules = load_instance(generate_document(seed)).modules
-        for V, W in ((modules["V"], modules["W"]), (modules["W"], modules["V"])):
-            for etas in ext1_classes(V, W):
-                for m in build_extension(V, W, etas).phi:
-                    digest.update(repr((m.shape, sorted(m.nonzeros()))).encode())
+    for _, V, W in _gen_pairs():
+        for etas in ext1_classes(V, W):
+            for m in build_extension(V, W, etas).phi:
+                digest.update(repr((m.shape, sorted(m.nonzeros()))).encode())
     assert digest.hexdigest() == EXTENSION_DIGEST
+
+
+def _with_cells(E, a, cells):
+    """E with the {(row, column): value} cells as its arrow map phi[a]."""
+    out = MatrixBuilder(E.field, *E.phi[a].shape)
+    out.add_cells((i, j, x) for (i, j), x in cells.items())
+    phi = list(E.phi)
+    phi[a] = out.build()
+    return TwistedRep(E.quiver, E.twist, E.field, E.dims, phi)
+
+
+def _perturbed(rng, E, V, W) -> dict:
+    """{kind: E with one cell perturbed} for each kind that E has a cell for.  Each
+    copy breaks W -> E or E -> V, whatever eta is."""
+    sites = {"psi changed": [], "psi moved": [], "phi dropped": [], "phi moved left": [],
+             "bottom-left added": []}
+    for a, (t, h) in enumerate(V.quiver.arrows):
+        wt, vt, wh, ncols = W.dims[t], V.dims[t], W.dims[h], E.phi[a].ncols
+        for i, row in enumerate(E.phi[a].sparse_rows()):
+            for col in row:
+                if col % (wt + vt) < wt:
+                    sites["psi changed"].append((a, i, col))
+                    if col + 1 < ncols and col + 1 not in row:
+                        sites["psi moved"].append((a, i, col))
+                elif i >= wh:
+                    sites["phi dropped"].append((a, i, col))
+                    if wt and col % (wt + vt) == wt:    # into the bottom-left block
+                        sites["phi moved left"].append((a, i, col))
+        sites["bottom-left added"] += [(a, i, col) for i in range(wh, E.dims[h])
+                                       for col in range(ncols) if col % (wt + vt) < wt]
+    out = {}
+    for kind, found in sites.items():
+        if found:
+            a, i, col = rng.choice(found)
+            cells = {(r, c): x for r, c, x in E.phi[a].nonzeros()}
+            if kind == "psi changed":
+                cells[i, col] *= 2
+            elif kind == "psi moved":
+                cells[i, col + 1] = cells.pop((i, col))
+            elif kind == "phi dropped":
+                del cells[i, col]
+            elif kind == "phi moved left":
+                cells[i, col - 1] = cells.pop((i, col))
+            else:
+                cells[i, col] = rng.randrange(1, 101)
+            out[kind] = _with_cells(E, a, cells)
+    return out
+
+
+@pytest.mark.parametrize("field", [None, "q"])
+def test_read_back_agrees_with_the_unit_block_route(field):
+    # build_extension reads E's blocks back where the unit-block route checks
+    # W -> E -> V by products: both accept every Ext^1 class and refuse each
+    # copy of it with one cell changed, dropped, added or moved.  A phi cell
+    # moved into the bottom-left block leaves the cell count as it was, so
+    # only the test that W's columns are empty below row wh refuses it
+    rng = random.Random(31)
+    kinds = set()
+    for seed, V, W in _gen_pairs(field):
+        for etas in ext1_classes(V, W):
+            E = build_extension(V, W, etas)
+            assert (_blocks_read_back(E, V, W), unit_block_verdict(E, V, W)) == (True, True)
+            for kind, bad in _perturbed(rng, E, V, W).items():
+                verdicts = (_blocks_read_back(bad, V, W), unit_block_verdict(bad, V, W))
+                assert verdicts == (False, False), (seed, kind)
+                kinds.add(kind)
+    assert kinds == {"psi changed", "psi moved", "phi dropped", "phi moved left",
+                     "bottom-left added"}
+
+
+def test_build_extension_refuses_a_misplaced_cell(monkeypatch):
+    # a placement whose offsets are one column off, every cell moved right
+    # cyclically: build_extension raises exactly when the unit-block route
+    # refuses the E it placed
+    import quivhom.rep as rep_module
+    built = []
+
+    class Shifted(MatrixBuilder):
+        def add(self, i, j, value):
+            super().add(i, (j + 1) % self.ncols, value)
+
+        def build(self):
+            built.append(super().build())
+            return built[-1]
+
+    verdicts = []
+    for _, V, W in _gen_pairs():
+        for etas in ext1_classes(V, W):
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(rep_module, "MatrixBuilder", Shifted)
+                try:
+                    build_extension(V, W, etas)
+                    refused = False
+                except CrossCheckError:
+                    refused = True
+            E = TwistedRep(V.quiver, V.twist, V.field, [w + v for w, v in zip(W.dims, V.dims)],
+                           built)
+            assert refused == (not unit_block_verdict(E, V, W))
+            verdicts.append(refused)
+    assert len(verdicts) == 525 and any(verdicts)
 
 
 def test_split_iff_eta_in_image_of_delta():
@@ -338,26 +450,21 @@ def test_split_agrees_with_the_stacked_solve(field):
     # E whose bottom-left block is nonzero, where W is no subrepresentation
     rng = random.Random(7)
     verdicts = {}
-    for seed in range(50):
-        doc = generate_document(seed)
-        if field is not None:
-            doc["field"] = field
-        modules = load_instance(doc).modules
-        for V, W in ((modules["V"], modules["W"]), (modules["W"], modules["V"])):
-            C = hom_complex(V, W)
-            delta = delta_matrix(C)
-            image = delta.apply([rng.randrange(101) for _ in range(delta.ncols)])
-            classes = [build_extension(V, W, etas) for etas in ext1_classes(V, W)]
-            zero = build_extension(V, W, _etas(V, W, C, [0] * delta.nrows))
-            cases = [("cokernel", E) for E in classes] + [
-                ("image", build_extension(V, W, _etas(V, W, C, image))), ("zero", zero)]
-            # a bottom-left block on the zero class and on the first cokernel class
-            cases += [("bottom-left", _with_bottom_left(rng, E, V, W))
-                      for E in [zero] + classes[:1]]
-            for kind, E in cases:
-                split = is_split_extension(E, V, W)
-                assert split == stacked_split(E, V, W), (seed, kind)
-                verdicts.setdefault(kind, set()).add(split)
+    for seed, V, W in _gen_pairs(field):
+        C = hom_complex(V, W)
+        delta = delta_matrix(C)
+        image = delta.apply([rng.randrange(101) for _ in range(delta.ncols)])
+        classes = [build_extension(V, W, etas) for etas in ext1_classes(V, W)]
+        zero = build_extension(V, W, _etas(V, W, C, [0] * delta.nrows))
+        cases = [("cokernel", E) for E in classes] + [
+            ("image", build_extension(V, W, _etas(V, W, C, image))), ("zero", zero)]
+        # a bottom-left block on the zero class and on the first cokernel class
+        cases += [("bottom-left", _with_bottom_left(rng, E, V, W))
+                  for E in [zero] + classes[:1]]
+        for kind, E in cases:
+            split = is_split_extension(E, V, W)
+            assert split == stacked_split(E, V, W), (seed, kind)
+            verdicts.setdefault(kind, set()).add(split)
     assert verdicts == {"cokernel": {False}, "image": {True}, "zero": {True},
                         "bottom-left": {False, True}}
 
@@ -398,30 +505,40 @@ def test_only_a_read_reduced_form_is_reduced(monkeypatch):
     assert reductions(split_sequence, modules["V"], modules["W"]) == 0
 
 
+def _split_sequence_calls(*codes) -> list:
+    """The callers' names of each call to a code object in codes while build_extension
+    and is_split_extension run on every Ext^1 class of gen's vector seeds 0-49."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_back.f_code.co_name)
+
+    classes = 0
+    for _, V, W in _gen_pairs():
+        for etas in ext1_classes(V, W):
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                is_split_extension(build_extension(V, W, etas), V, W)
+            finally:
+                sys.setprofile(previous)
+            classes += 1
+    assert classes == 525
+    return calls
+
+
+def test_split_sequence_multiplies_no_matrix():
+    # build_extension checks W -> E -> V by reading E's blocks back, with no
+    # product: neither the split sequence's check nor its solve multiplies
+    assert _split_sequence_calls(ExactMatrix.__matmul__.__code__, kron.__code__) == []
+
+
 def test_split_sequence_builds_no_dense_matrix(monkeypatch):
     # build_extension and is_split_extension place their cells with
     # MatrixBuilder, and solve appends its right-hand side to m's own rows:
     # no class of the split sequence fills a dense list for ExactMatrix()
-    dense = ExactMatrix.__init__.__code__
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is dense:
-            calls.append(frame.f_back.f_code.co_name)
-
-    classes = 0
-    for seed in range(50):
-        modules = load_instance(generate_document(seed)).modules
-        for V, W in ((modules["V"], modules["W"]), (modules["W"], modules["V"])):
-            for etas in ext1_classes(V, W):
-                previous = sys.getprofile()
-                sys.setprofile(profile)
-                try:
-                    is_split_extension(build_extension(V, W, etas), V, W)
-                finally:
-                    sys.setprofile(previous)
-                classes += 1
-    assert classes == 525 and calls == []
+    assert _split_sequence_calls(ExactMatrix.__init__.__code__) == []
 
     # a row of [m | b] with nothing appended is m's own row, not a copy
     import quivhom.linalg as linalg
