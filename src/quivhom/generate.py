@@ -14,10 +14,9 @@ from typing import List
 
 from .instances import Instance, InstanceError, load_instance
 from .linalg import CrossCheckError, FieldSpec
-from .quiver import Quiver
 from .rep import TwistedRep
 from .resolution import resolution_layout
-from .sheaf import QSheafP1, SplitBundle, cech_dims
+from .sheaf import QSheafP1, cech_dims
 
 GEN_FIELD = FieldSpec.prime(101)
 
@@ -81,35 +80,33 @@ def _p1_size_ok(V: QSheafP1, W: QSheafP1) -> bool:
 
 def generate_p1_document(rng: random.Random, max_vertices: int, max_arrows: int,
                          max_dim: int, max_twist: int) -> dict:
-    field, p = GEN_FIELD, GEN_FIELD.modulus
+    p = GEN_FIELD.modulus
     while True:
         n = rng.randint(1, max_vertices)
         n_arrows = rng.randint(1, max_arrows)
         arrows = [[rng.randrange(n), rng.randrange(n)] for _ in range(n_arrows)]
         m_twists = [_sorted_twists(rng, rng.randint(1, max_dim), max_twist)
                     for _ in range(n_arrows)]
-        quiver = Quiver(n, arrows)
-        m_bundles = [SplitBundle(tw) for tw in m_twists]
-        sheaves = []
-        for _ in ("V", "W"):
+        modules = {}
+        for name in ("V", "W"):
             v_twists = [_sorted_twists(rng, rng.randint(0, max_dim), max_twist)
                         for _ in range(n)]
             if all(not tw for tw in v_twists):
                 v_twists[rng.randrange(n)] = _sorted_twists(
                     rng, rng.randint(1, max_dim), max_twist)
-            # the twist data alone, as a sheaf with zero maps
-            sheaves.append(QSheafP1.zero_maps(quiver, field, m_bundles,
-                                              [SplitBundle(tw) for tw in v_twists]))
-        if not _p1_size_ok(*sheaves):
+            # the twist data alone: phi_a is rank V_h x rank (M_a ⊗ V_t), every entry null
+            phi = [[[None] * (len(m_twists[a]) * len(v_twists[t]))] * len(v_twists[h])
+                   for a, (t, h) in enumerate(arrows)]
+            modules[name] = {"twists": v_twists, "phi": phi}
+        sheaves = _checked(_document("p1", n, arrows, m_twists, modules)).modules
+        if not _p1_size_ok(sheaves["V"], sheaves["W"]):
             continue
-        modules = {}
-        for name, sheaf in zip(("V", "W"), sheaves):
+        for name, sheaf in sheaves.items():
             # entry (r, c) of phi_a: a form of degree dst[r] − src[c], or null
-            phi = [[[None if dr < dc else [rng.randrange(p) for _ in range(dr - dc + 1)]
-                     for dc in tb.bundle.twists] for dr in sheaf.vertex_bundles[h].twists]
-                   for tb, (_, h) in zip(sheaf.tensors, arrows)]
-            modules[name] = {"twists": [list(b.twists) for b in sheaf.vertex_bundles],
-                             "phi": phi}
+            modules[name]["phi"] = [
+                [[None if dr < dc else [rng.randrange(p) for _ in range(dr - dc + 1)]
+                  for dc in tb.bundle.twists] for dr in sheaf.vertex_bundles[h].twists]
+                for tb, (_, h) in zip(sheaf.tensors, arrows)]
         document = _document("p1", n, arrows, m_twists, modules)
         _checked(document)
         return document

@@ -235,7 +235,7 @@ def _parse_p1_module(field: FieldSpec, quiver: Quiver,
             rows.append({c: _parse_form(field, f, dst.twists[r] - src.twists[c],
                                         lambda: f"{mpath}[{r}][{c}]")
                          for c, f in enumerate(row) if f is not None})
-        phi.append(FormMatrix._wrap(field, src, dst, rows))
+        phi.append(FormMatrix(field, src, dst, rows))
     return QSheafP1(quiver, field, twist_bundles, bundles, phi, _tensors=tensors)
 
 

@@ -5,8 +5,9 @@ non-increasing; morphisms are matrices of homogeneous binary forms, the
 (r, s) entry having degree target[r] − source[s] (the zero form when that
 is negative).  A form is the tuple of its coefficients of x^d, x^(d-1)y,
 ..., y^d, with () the zero form of any degree; a FormMatrix stores its
-rows once, as {column: form} dicts.  Cohomology is the explicit two-chart
-calculus:
+rows once, as {column: form} dicts, and its one constructor checks each
+stored form's length against its degree.  Cohomology is the explicit
+two-chart calculus:
 
   H0(O(d)) has basis the monomials x^k y^(d-k), 0 <= k <= d;
   H1(O(d)) has basis the overlap classes x^(-i) y^(-j), i, j >= 1,
@@ -36,7 +37,8 @@ from typing import List, Sequence, Tuple
 
 from .linalg import ExactMatrix, FieldSpec, MatrixBuilder, rank
 from .quiver import Quiver
-from .rep import HomComplex, connecting_matrix, hom_twists, summand_offsets
+from .rep import (HomComplex, IncompatibleError, connecting_matrix, hom_twists,
+                  summand_offsets)
 
 
 def h0_dim(d: int) -> int:
@@ -93,51 +95,31 @@ def tensor_bundles(quiver: Quiver, twist_bundles: Sequence[SplitBundle],
 
 
 class FormMatrix:
-    """Matrix of binary forms between split bundles, entry degrees enforced.
+    """Matrix of binary forms between split bundles, entry degrees checked.
 
     A form of degree d is the tuple of its coefficients of x^d, x^(d-1)y,
     ..., y^d, and () is the zero form of any degree.  Entry (r, s) has degree
-    target[r] − source[s]; an entry of negative degree must be all zero and
-    is dropped.  Every coefficient is brought into the field, as in an
-    ExactMatrix.  The matrix is stored once, as rows: one {s: form} dict per
-    row holding every entry that is not ().  All-zero tuples such as (0, 0)
-    are kept as read.
+    target[r] − source[s].  The rows, one {s: form} dict per target summand
+    holding every entry that is not (), are adopted without a copy; all-zero
+    tuples such as (0, 0) are kept as read.  Each stored s must lie in
+    0..source.rank − 1 and each form have target[r] − source[s] + 1 ≥ 1
+    coefficients, or ValueError is raised.  Coefficients are not brought
+    into the field: the loader has already done that for each one it read.
     """
 
     def __init__(self, field: FieldSpec, source: SplitBundle, target: SplitBundle,
-                 entries: Sequence[Sequence[Sequence]]):
-        if len(entries) != target.rank or any(len(r) != source.rank for r in entries):
-            raise ValueError(
-                f"entries do not form a {target.rank}x{source.rank} matrix"
-            )
-        rows = []
-        for r, row in enumerate(entries):
-            rows.append({})
-            for s, f in enumerate(row):
-                f = tuple(map(field.element, f))
-                want = target.twists[r] - source.twists[s]
-                if want < 0:
-                    if any(f):
-                        raise ValueError(f"entry ({r},{s}) must vanish (degree {want})")
-                elif f:
-                    if len(f) != want + 1:
-                        raise ValueError(
-                            f"entry ({r},{s}) has degree {len(f) - 1}, expected {want}"
-                        )
-                    rows[-1][s] = f
+                 rows: Sequence[dict]):
+        if len(rows) != target.rank:
+            raise ValueError(f"expected {target.rank} rows, got {len(rows)}")
+        n, src = source.rank, source.twists
+        for r, (dr, row) in enumerate(zip(target.twists, rows)):
+            for s, f in row.items():
+                if not 0 <= s < n:
+                    raise ValueError(f"entry ({r},{s}) lies outside {n} columns")
+                if not 0 < len(f) == dr - src[s] + 1:
+                    raise ValueError(f"entry ({r},{s}) has {len(f)} coefficients, "
+                                     f"expected {dr - src[s] + 1} (at least 1)")
         self.field, self.source, self.target, self.rows = field, source, target, tuple(rows)
-
-    @classmethod
-    def _wrap(cls, field: FieldSpec, source: SplitBundle, target: SplitBundle,
-              rows: list) -> "FormMatrix":
-        """Adopt rows {s: form} of field elements, checked by the caller, without copying them."""
-        m = cls.__new__(cls)
-        m.field, m.source, m.target, m.rows = field, source, target, tuple(rows)
-        return m
-
-    @staticmethod
-    def zero(field: FieldSpec, source: SplitBundle, target: SplitBundle) -> "FormMatrix":
-        return FormMatrix(field, source, target, [[()] * source.rank] * target.rank)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormMatrix):
@@ -147,7 +129,11 @@ class FormMatrix:
 
 
 class QSheafP1:
-    """A twisted quiver sheaf on the projective line with split-bundle data."""
+    """A twisted quiver sheaf on the projective line with split-bundle data.
+
+    The loader builds every one in a request and passes _tensors, the
+    tensor_bundles(quiver, twist_bundles, vertex_bundles) it has built.
+    """
 
     def __init__(self, quiver: Quiver, field: FieldSpec,
                  twist_bundles: Sequence[SplitBundle],
@@ -163,7 +149,6 @@ class QSheafP1:
         self.field = field
         self.twist_bundles = tuple(twist_bundles)
         self.vertex_bundles = tuple(vertex_bundles)
-        # _tensors: the caller's tensor_bundles(quiver, twist_bundles, vertex_bundles)
         self.tensors = (tensor_bundles(quiver, twist_bundles, vertex_bundles)
                         if _tensors is None else tuple(_tensors))
         for a, (t, h) in enumerate(quiver.arrows):
@@ -175,15 +160,6 @@ class QSheafP1:
                     f"phi[{a}] must map {self.tensors[a].bundle} to {vertex_bundles[h]}"
                 )
         self.phi = tuple(phi)
-
-    @staticmethod
-    def zero_maps(quiver: Quiver, field: FieldSpec,
-                  twist_bundles: Sequence[SplitBundle],
-                  vertex_bundles: Sequence[SplitBundle]) -> "QSheafP1":
-        tensors = tensor_bundles(quiver, twist_bundles, vertex_bundles)
-        phi = [FormMatrix.zero(field, tb.bundle, vertex_bundles[h])
-               for tb, (_, h) in zip(tensors, quiver.arrows)]
-        return QSheafP1(quiver, field, twist_bundles, vertex_bundles, phi, _tensors=tensors)
 
     def summand_data(self):
         """Input of hom_complex: summands are the line bundles.
@@ -203,7 +179,7 @@ class QSheafP1:
     def compatible_with(self, other: "QSheafP1") -> None:
         if (self.quiver != other.quiver or self.field != other.field
                 or self.twist_bundles != other.twist_bundles):
-            raise ValueError(
+            raise IncompatibleError(
                 "sheaves live over different quivers, fields or twist bundles"
             )
 

@@ -146,6 +146,28 @@ MUTANTS = (
     Mutant("walk base offset", "src/quivhom/resolution.py",
            "base = col + x * dt", "base = col + x * dh",
            ("tests/test_cli.py::test_check_passes_across_an_arrow_between_unequal_dimensions",)),
+    Mutant("is_morphism never fails", "src/quivhom/rep.py",
+           "if lhs != rhs:", "if False:",
+           ("tests/test_rep.py::test_read_back_agrees_with_the_unit_block_route[None]",
+            "tests/test_rep.py::test_read_back_agrees_with_the_unit_block_route[q]",
+            "tests/test_rep.py::test_build_extension_refuses_a_misplaced_cell")),
+    Mutant("d_surjective without rank d", "src/quivhom/resolution.py",
+           "ExactnessReport(eps_injective, ker_d_eq_im_eps, rank_d == d.nrows)",
+           "ExactnessReport(eps_injective, ker_d_eq_im_eps, True)",
+           ("tests/test_resolution.py::test_exactly_one_exactness_field_fails[d_surjective]",)),
+    Mutant("ker_d_eq_im_eps without the nullity", "src/quivhom/resolution.py",
+           "_codings_agree(V, layout, d) and d.ncols - rank_d == total",
+           "_codings_agree(V, layout, d)",
+           ("tests/test_resolution.py::test_exactly_one_exactness_field_fails[ker_d_eq_im_eps]",)),
+    Mutant("eps_injective without rank eps", "src/quivhom/resolution.py",
+           "eps_injective = rank(eps) == total", "eps_injective = True",
+           ("tests/test_resolution.py::test_exactly_one_exactness_field_fails[eps_injective]",)),
+    Mutant("FormMatrix coefficient count", "src/quivhom/sheaf.py",
+           "0 < len(f) == dr - src[s] + 1", "0 < len(f)",
+           ("tests/test_sheaf.py::test_form_matrix_coefficient_count",)),
+    Mutant("gen null document row width", "src/quivhom/generate.py",
+           "[None] * (len(m_twists[a]) * len(v_twists[t]))", "[None] * len(v_twists[t])",
+           ("tests/test_cli.py::test_gen_hyper_verify_pipeline",)),
 )
 
 

@@ -268,8 +268,9 @@ def _limit_memory():
 @pytest.mark.parametrize("mode", ["vector", "p1"])
 @pytest.mark.parametrize("flag", GEN_FLAGS)
 def test_gen_huge_bound_exits_3_in_bounded_time(mode, flag):
-    # without the cap the draws and the zero-map sheaves of the size guard
-    # are built in full, so the child runs under a time and memory limit
+    # without the cap the draws and the null-map documents that the size
+    # guards load are built in full, so the child runs under a time and
+    # memory limit
     proc = _python("-c", "import sys, quivhom.cli; sys.exit(quivhom.cli.main(sys.argv[1:]))",
                    "gen", "--mode", mode, flag, "400000",
                    timeout=20, preexec_fn=_limit_memory)

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -244,6 +245,31 @@ def test_exactness_sees_a_disagreement_that_d_eps_hides():
     report = check_resolution_exactness(V, layout, eps, stray)
     assert report.eps_injective and report.d_surjective
     assert not report.ker_d_eq_im_eps
+
+
+# One wrong input per field of the exactness report.  The walk of
+# _codings_agree never visits the row or column added, so the codings of phi
+# still agree and only the field named fails.
+EXACTNESS_BREAKS = {
+    # a zero row more in d: rank d falls short of its rows
+    "d_surjective": lambda eps, d: (eps, ExactMatrix._wrap(d.field, d.sparse_rows() + ({},),
+                                                           d.ncols)),
+    # a zero column more in d: its nullity exceeds dim V by one
+    "ker_d_eq_im_eps": lambda eps, d: (eps, ExactMatrix._wrap(d.field, d.sparse_rows(),
+                                                              d.ncols + 1)),
+    # eps's first row emptied: rank eps is dim V − 1
+    "eps_injective": lambda eps, d: (ExactMatrix._wrap(eps.field, ({},) + eps.sparse_rows()[1:],
+                                                       eps.ncols), d),
+}
+
+
+@pytest.mark.parametrize("field", EXACTNESS_BREAKS)
+def test_exactly_one_exactness_field_fails(field):
+    for seed in range(50):
+        for V in load_instance(generate_document(seed)).modules.values():
+            layout, eps, d = resolve(V, 4)
+            report = check_resolution_exactness(V, layout, *EXACTNESS_BREAKS[field](eps, d))
+            assert dataclasses.asdict(report) == {f: f != field for f in EXACTNESS_BREAKS}
 
 
 def test_exactness_check_makes_no_subtraction(monkeypatch):

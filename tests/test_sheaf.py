@@ -9,7 +9,7 @@ from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import FieldSpec, rank
 from quivhom.quiver import Quiver
-from quivhom.rep import hom_complex
+from quivhom.rep import IncompatibleError, hom_complex
 from quivhom.sheaf import (
     FormMatrix,
     QSheafP1,
@@ -33,13 +33,28 @@ LOOP = Quiver(1, [(0, 0)])
 O = SplitBundle([0])
 
 
+def form_matrix(field, source, target, entries) -> FormMatrix:
+    """The FormMatrix of dense entries: coefficients brought into the field, () dropped."""
+    return FormMatrix(field, source, target,
+                      [{s: tuple(map(field.element, f)) for s, f in enumerate(row) if f}
+                       for row in entries])
+
+
+def zero_map_sheaf(quiver, twist_bundles, vertex_bundles) -> QSheafP1:
+    """The sheaf over F with the given bundles and every map zero."""
+    tensors = tensor_bundles(quiver, twist_bundles, vertex_bundles)
+    phi = [FormMatrix(F, tb.bundle, vertex_bundles[h], [{}] * vertex_bundles[h].rank)
+           for tb, (_, h) in zip(tensors, quiver.arrows)]
+    return QSheafP1(quiver, F, twist_bundles, vertex_bundles, phi, _tensors=tensors)
+
+
 def higgs_sheaf(vertex_bundle=O, forms=None):
     m = [SplitBundle([-2])]
     if forms is None:
-        return QSheafP1.zero_maps(LOOP, F, m, [vertex_bundle])
+        return zero_map_sheaf(LOOP, m, [vertex_bundle])
     src = tensor_bundle(m[0], vertex_bundle).bundle
     return QSheafP1(LOOP, F, m, [vertex_bundle],
-                    [FormMatrix(F, src, vertex_bundle, forms)])
+                    [form_matrix(F, src, vertex_bundle, forms)])
 
 
 def split_bundle(twists) -> SplitBundle:
@@ -50,7 +65,7 @@ def split_bundle(twists) -> SplitBundle:
 def scale_form_matrix(f: FormMatrix, c) -> FormMatrix:
     c = f.field.element(c)
     rows = [[tuple(c * x for x in form) for form in row] for row in dense(f)]
-    return FormMatrix(f.field, f.source, f.target, rows)
+    return form_matrix(f.field, f.source, f.target, rows)
 
 
 def scale_forms(V: QSheafP1, c) -> QSheafP1:
@@ -62,7 +77,7 @@ def shift_vertex_twists(V: QSheafP1, t: int) -> QSheafP1:
     """Twist every vertex bundle by O(t); the form data is unchanged."""
     shifted = [SplitBundle(tuple(d + t for d in b.twists)) for b in V.vertex_bundles]
     tensors = tensor_bundles(V.quiver, V.twist_bundles, shifted)
-    phi = [FormMatrix(V.field, tb.bundle, shifted[h], dense(f))
+    phi = [form_matrix(V.field, tb.bundle, shifted[h], dense(f))
            for tb, (_, h), f in zip(tensors, V.quiver.arrows, V.phi)]
     return QSheafP1(V.quiver, V.field, V.twist_bundles, shifted, phi, _tensors=tensors)
 
@@ -79,44 +94,68 @@ def test_split_bundle_rejects_float_twists():
         SplitBundle([1.5, 0.2])
 
 
+def _loaded_loop_phi(field, m_twist: int, form) -> FormMatrix:
+    """phi of the one-loop sheaf V = O with M = O(m_twist) and one form, as loaded."""
+    document = {"field": field, "quiver": {"vertices": 1, "arrows": [[0, 0]]}, "mode": "p1",
+                "twists": [[m_twist]], "modules": {"V": {"twists": [[0]], "phi": [[[form]]]}}}
+    return load_instance(document).modules["V"].phi[0]
+
+
 def test_form_matrix_coefficient_count():
     # a form of degree d lists the d + 1 coefficients of x^d, ..., y^d
     src, dst = SplitBundle([0]), SplitBundle([2])
-    with pytest.raises(ValueError):
-        FormMatrix(F, src, dst, [[(1, 2)]])
-    with pytest.raises(ValueError):
-        FormMatrix(F, src, dst, [[(1, 2, 3, 4)]])
-    fm = FormMatrix(F, src, dst, [[(1, 2, 3)]])         # x^2 + 2xy + 3y^2
+    with pytest.raises(ValueError, match="coefficients"):
+        FormMatrix(F, src, dst, [{0: (1, 2)}])
+    with pytest.raises(ValueError, match="coefficients"):
+        FormMatrix(F, src, dst, [{0: (1, 2, 3, 4)}])
+    fm = FormMatrix(F, src, dst, [{0: (1, 2, 3)}])      # x^2 + 2xy + 3y^2
     assert fm.rows == ({0: (1, 2, 3)},)
 
 
 def test_form_matrix_degree_enforcement():
-    src = SplitBundle([1])
-    dst = SplitBundle([0])
-    with pytest.raises(ValueError):
-        FormMatrix(F, src, dst, [[(1,)]])   # degree -1 entry must vanish
-    fm = FormMatrix(F, src, dst, [[()]])
-    assert fm.rows == ({},)
-    with pytest.raises(ValueError):
-        FormMatrix(F, SplitBundle([0]), SplitBundle([2]), [[(1, 0)]])
+    # an entry of degree -1 is the zero form, which is not stored
+    src, dst = SplitBundle([1]), SplitBundle([0])
+    for form in ((1,), (0,), ()):
+        with pytest.raises(ValueError, match="coefficients"):
+            FormMatrix(F, src, dst, [{0: form}])
+    assert FormMatrix(F, src, dst, [{}]).rows == ({},)
+    assert form_matrix(F, src, dst, [[()]]).rows == ({},)
+
+
+def test_form_matrix_refuses_a_column_or_row_count_out_of_shape():
+    src, dst = SplitBundle([0, 0]), SplitBundle([0])
+    for column in (2, -1):
+        with pytest.raises(ValueError, match="columns"):
+            FormMatrix(F, src, dst, [{column: (1,)}])
+    for rows in ([], [{}, {}]):
+        with pytest.raises(ValueError, match="rows"):
+            FormMatrix(F, src, dst, rows)
 
 
 def test_form_matrix_reduces_coefficients_mod_p():
     F7 = FieldSpec.prime(7)
-    m = FormMatrix(F7, O, O, [[(9,)]])
+    m = _loaded_loop_phi({"fp": 7}, 0, [9])
     assert m.rows == ({0: (2,)},)
-    assert m == FormMatrix(F7, O, O, [[(2,)]])
+    assert m == FormMatrix(F7, O, O, [{0: (2,)}])
 
 
 def test_form_matrix_scale_by_one_is_the_identity():
-    m = FormMatrix(FieldSpec.prime(7), O, O, [[(9,)]])
+    m = form_matrix(FieldSpec.prime(7), O, O, [[(9,)]])
     assert scale_form_matrix(m, 1) == m
 
 
 def test_form_matrix_coefficients_over_q_are_fractions():
-    m = FormMatrix(FieldSpec.rationals(), O, SplitBundle([1]), [[(3, "3/2")]])
+    m = _loaded_loop_phi("q", -1, [3, "3/2"])
     assert m.rows == ({0: (Fraction(3), Fraction(3, 2))},)
     assert [type(c) for c in m.rows[0][0]] == [Fraction, Fraction]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_loaded_form_matrices_equal_their_dense_rebuild(seed):
+    inst = load_instance(generate_document(seed, mode="p1"))
+    for X in inst.modules.values():
+        for f in X.phi:
+            assert f == form_matrix(f.field, f.source, f.target, dense(f))
 
 
 def test_summand_data_hands_over_the_stored_rows():
@@ -146,7 +185,7 @@ def test_sheaf_hom_ext_examples():
 
 def test_delta0_zero_maps():
     q = Quiver(2, [(1, 0)])
-    V = QSheafP1.zero_maps(q, F, [SplitBundle([0])], [O, SplitBundle([1])])
+    V = zero_map_sheaf(q, [SplitBundle([0])], [O, SplitBundle([1])])
     assert is_zero(delta0_matrix(hom_complex(V, V)))
 
 
@@ -176,14 +215,14 @@ def test_delta1_zero_maps_and_domain():
 def test_delta1_degenerate_empty_spaces():
     # one arrow 1 -> 0, M = O, V_1 = O(-2), V_0 the zero sheaf
     q = Quiver(2, [(1, 0)])
-    V = QSheafP1.zero_maps(q, F, [O], [SplitBundle([]), SplitBundle([-2])])
+    V = zero_map_sheaf(q, [O], [SplitBundle([]), SplitBundle([-2])])
     d1 = delta1_matrix(hom_complex(V, V))
     assert d1.shape == (0, 0)
 
 
 def _scalar_loop_sheaf(bundle, scalar):
     src = tensor_bundle(O, bundle).bundle
-    phi = FormMatrix(F, src, bundle, [[(scalar,)]])
+    phi = form_matrix(F, src, bundle, [[(scalar,)]])
     return QSheafP1(LOOP, F, [O], [bundle], [phi])
 
 
@@ -225,7 +264,7 @@ def test_ext_higgs_example():
 
 def test_ext_zero_sheaf():
     q = Quiver(2, [(1, 0)])
-    V = QSheafP1.zero_maps(q, F, [O], [SplitBundle([]), SplitBundle([])])
+    V = zero_map_sheaf(q, [O], [SplitBundle([]), SplitBundle([])])
     r = ext_quiver_sheaf(hom_complex(V, V))
     assert (r.ext0, r.ext1, r.ext2) == (0, 0, 0)
     assert cech_hyper(hom_complex(V, V)) == (0, 0, 0)
@@ -234,7 +273,7 @@ def test_ext_zero_sheaf():
 def test_ext_triple_example():
     q = Quiver(2, [(1, 0)])
     src = tensor_bundle(O, O).bundle
-    phi = FormMatrix(F, src, O, [[(1,)]])
+    phi = form_matrix(F, src, O, [[(1,)]])
     V = QSheafP1(q, F, [O], [O, O], [phi])
     r = ext_quiver_sheaf(hom_complex(V, V))
     assert (r.ext0, r.ext1, r.ext2) == (1, 0, 0)
@@ -249,7 +288,7 @@ def test_cech_higgs_example():
 
 def test_cech_single_bundle_no_arrows():
     q = Quiver(1, [])
-    V = QSheafP1.zero_maps(q, F, [], [SplitBundle([-2])])
+    V = zero_map_sheaf(q, [], [SplitBundle([-2])])
     # Hom(O(-2), O(-2)) = O, so (1, 0, 0)
     assert cech_hyper(hom_complex(V, V)) == (1, 0, 0)
     r = ext_quiver_sheaf(hom_complex(V, V))
@@ -263,8 +302,8 @@ def test_cech_matches_line_bundle_cohomology():
     for _ in range(10):
         e = split_bundle([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
         f = split_bundle([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
-        V = QSheafP1.zero_maps(q, F, [], [e])
-        W = QSheafP1.zero_maps(q, F, [], [f])
+        V = zero_map_sheaf(q, [], [e])
+        W = zero_map_sheaf(q, [], [f])
         hom, ext1 = sheaf_hom_ext_dims(e, f)
         assert cech_hyper(hom_complex(V, W)) == (hom, ext1, 0)
 
@@ -304,7 +343,7 @@ def _random_pair(rng, max_vertices=3, max_arrows=3, max_rank=2, max_twist=3):
                     else:
                         row.append(tuple(rng.randrange(101) for _ in range(deg + 1)))
                 rows.append(row)
-            phi.append(FormMatrix(F, src, dst, rows))
+            phi.append(form_matrix(F, src, dst, rows))
         return phi
 
     vb, wb = bundles(), bundles()
@@ -367,8 +406,8 @@ def test_hom_dimension_consistency_with_kernel():
 
 def test_incompatible_sheaves_rejected():
     V = higgs_sheaf()
-    W = QSheafP1.zero_maps(LOOP, F, [SplitBundle([-1])], [O])
-    with pytest.raises(ValueError):
+    W = zero_map_sheaf(LOOP, [SplitBundle([-1])], [O])
+    with pytest.raises(IncompatibleError):
         delta0_matrix(hom_complex(V, W))
 
 
