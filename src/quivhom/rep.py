@@ -149,8 +149,9 @@ class HomComplex(NamedTuple):
 
     c0, c1, vertex_start and arrow_start are as hom_twists gives them.  Entry
     (i, j, value) sends summand j of C0 to value times summand i of C1; value
-    is a coefficient of phi_a, one of psi_a negated, or on a loop a their
-    difference.  No pair (i, j) has two entries, so no two share a cell.
+    is a coefficient of phi_a, one of psi_a negated, or on a loop their
+    difference.  Each pair (i, j) has at most one entry and no value is zero,
+    so the entries are exactly the nonzero cells of the connecting map.
     """
     field: FieldSpec
     c0: list
@@ -181,22 +182,22 @@ def hom_complex(V, W) -> HomComplex:
 
     Each stored entry cf of phi_a, or −cf of psi_a, sends the (r, s) entry of
     some f_i into the (r2, c) entry of the arrow-a component, c indexing
-    M_a⊗V_ta in stored order.  Only on a loop can a phi and a psi term meet
-    one pair; the walk keeps their difference in the phi term's entry.
+    M_a⊗V_ta in stored order.  Every term writes one table of cells keyed by
+    (C1 summand, C0 summand), a loop's psi term subtracting in its phi term's
+    cell, and the entries are the table's cells whose value is not zero.
     """
     c0, c1, vertex_start, arrow_start = hom_twists(V, W)
     v_sizes, v_order, phi = V.summand_data()
     w_sizes, w_order, psi = W.summand_data()
     p = V.field.modulus
-    entries = []
+    cells = {}
     for a, (t, h) in enumerate(V.quiver.arrows):
-        wh, wt, start, first = w_sizes[h], w_sizes[t], arrow_start[a], len(entries)
+        wh, wt, start = w_sizes[h], w_sizes[t], arrow_start[a]
         # f_ha ∘ phi_a: row s of phi_a feeds column c of the product
         for s in range(v_sizes[h]):
             for c, cf in phi[a][s].items():
                 for r in range(wh):
-                    entries.append((start + c * wh + r, vertex_start[h] + s * wh + r, cf))
-        on_phi = {e[:2]: k for k, e in enumerate(entries[first:], first)} if t == h else None
+                    cells[start + c * wh + r, vertex_start[h] + s * wh + r] = cf
         # psi_a ∘ (1⊗f_ta): f_ta's entry (r, s) in tensor copy m links the
         # tensor summand (m, s) of M_a⊗V_ta to (m, r) of M_a⊗W_ta
         for pos, c in enumerate(v_order[a]):
@@ -207,16 +208,14 @@ def hom_complex(V, W) -> HomComplex:
                     cf = psi[a][r2].get(j)
                     if cf is not None:
                         pair = (start + c * wh + r2, vertex_start[t] + s * wt + r)
-                        k = on_phi.get(pair) if on_phi else None
-                        if k is None:
-                            entries.append((*pair, _minus(p, 0, cf)))
-                        else:
-                            entries[k] = (*pair, _minus(p, entries[k][2], cf))
+                        cells[pair] = _minus(p, cells.get(pair, 0), cf)
+    entries = [(i, j, x) for (i, j), x in cells.items() if (any(x) if type(x) is tuple else x)]
     return HomComplex(V.field, c0, c1, vertex_start, arrow_start, entries)
 
 
 def _minus(p: Optional[int], f, g):
-    """f − g of two field elements or of two form coefficient tuples; f = 0 negates g."""
+    """f − g of two field elements or of two form coefficient tuples; f = 0 negates g,
+    as for a psi term of hom_complex on a pair that no phi term reached."""
     if isinstance(g, tuple):
         return tuple([(x - y) % p if p else x - y for x, y in zip(f or repeat(0), g)])
     return (f - g) % p if p else f - g

@@ -20,12 +20,12 @@ hypercohomology of the two-term complex of sheaf Homs computed as a Cech
 total complex on the standard two-chart cover with a finite Laurent window
 per summand (cech_hyper).  They must agree.  Both read one rep.HomComplex,
 the output of the one summand walk rep.hom_complex, whose entries are the
-signed cells (C1 summand, C0 summand, form) of the connecting map: delta0
-and delta1 are placed from them by rep.connecting_matrix, the Cech
-differentials by a loop of their own, the horizontal maps from the cells
-and the vertical differences from its twists and windows.  So their
-agreement cross-checks the cohomology models but not the shared complex;
-tests/test_connecting_map.py checks that.
+nonzero signed cells (C1 summand, C0 summand, form) of the connecting map,
+a loop's phi − psi in one cell: delta0 and delta1 are placed from them by
+rep.connecting_matrix, the Cech differentials by a loop of their own, the
+horizontal maps from the cells and the vertical differences from its twists
+and windows.  So their agreement cross-checks the cohomology models but not
+the shared complex; tests/test_connecting_map.py checks that.
 """
 
 from __future__ import annotations

@@ -44,10 +44,11 @@ class Mutant:
 CECH_COMPOSE = tuple(f"tests/test_connecting_map.py::test_cech_differentials_compose_to_zero[{k}]"
                      for k in ("gen", "loops", "wide"))
 FROBENIUS = "tests/test_hom_oracle.py::test_one_loop_hom_is_frobenius_formula"
+SPLIT_BY_ENDOMORPHISMS = "tests/test_rep.py::test_split_iff_no_endomorphism_is_lost"
 
 MUTANTS = (
     Mutant("psi sign in hom_complex", "src/quivhom/rep.py",
-           "entries.append((*pair, _minus(p, 0, cf)))", "entries.append((*pair, cf))",
+           "_minus(p, cells.get(pair, 0), cf)", "_minus(p, cf, cells.get(pair, 0))",
            (FROBENIUS, "tests/test_hom_oracle.py::test_hom_count_is_p_to_the_nullity_of_delta")),
     Mutant("Cech overlap sign", "src/quivhom/sheaf.py",
            "put1(row2 + k2, col2, u + l + 1 - k2, -cf)",
@@ -72,7 +73,7 @@ MUTANTS = (
            "h1_dim(d + len(form) - 1)", "h1_dim(d + len(form))",
            ("tests/test_sheaf.py::test_delta1_commutator_by_hand",)),
     Mutant("loop merge sign", "src/quivhom/rep.py",
-           "_minus(p, entries[k][2], cf)", "_minus(p, cf, entries[k][2])",
+           "cells.get(pair, 0)", "0",
            ("tests/test_connecting_map.py::test_delta_column_by_column", FROBENIUS)),
     Mutant("gen form length", "src/quivhom/generate.py",
            "range(dr - dc + 1)", "range(dr - dc + 2)",
@@ -91,7 +92,7 @@ MUTANTS = (
            ("tests/test_rep.py::test_build_extension_jordan_block",)),
     Mutant("split pinned coordinate", "src/quivhom/rep.py",
            "+ dw + r: r == c", "+ r: r == c",
-           ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta",)),
+           ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta", SPLIT_BY_ENDOMORPHISMS)),
     Mutant("resolution walk copy index", "src/quivhom/resolution.py",
            "e = (j * src + x) * dh", "e = (x * m + j) * dh",
            ("tests/test_resolution.py::test_composite_d_eps_vanishes",
@@ -130,7 +131,7 @@ MUTANTS = (
     Mutant("solve drops its right-hand side", "src/quivhom/linalg.py",
            "{**r, n: rhs[i]} if i in rhs else r", "r",
            ("tests/test_linalg.py::test_solve_examples",
-            "tests/test_rep.py::test_split_iff_eta_in_image_of_delta")),
+            "tests/test_rep.py::test_split_iff_eta_in_image_of_delta", SPLIT_BY_ENDOMORPHISMS)),
     Mutant("cokernel identity column offset", "src/quivhom/linalg.py",
            "{**r, n + i: one}", "{**r, n + i - 1: one}",
            ("tests/test_linalg.py::test_cokernel_representatives_complete_column_space",)),
@@ -168,6 +169,24 @@ MUTANTS = (
     Mutant("gen null document row width", "src/quivhom/generate.py",
            "[None] * (len(m_twists[a]) * len(v_twists[t]))", "[None] * len(v_twists[t])",
            ("tests/test_cli.py::test_gen_hyper_verify_pipeline",)),
+    Mutant("LES Ext^1 without rank delta1", "src/quivhom/sheaf.py",
+           "ext1=(h0_G - r0) + (h1_F - r1)", "ext1=(h0_G - r0) + h1_F",
+           ("tests/test_sheaf.py::test_delta1_commutator_by_hand",
+            "tests/test_sheaf.py::test_les_equals_hypercohomology_random")),
+    Mutant("C1 twist sign", "src/quivhom/rep.py",
+           "c1 = [[dr - ds for ds in mv[a]", "c1 = [[ds - dr for ds in mv[a]",
+           ("tests/test_sheaf.py::test_ext_higgs_example",
+            "tests/test_connecting_map.py::"
+            "test_p1_layout_blocks_hold_the_cohomology_of_each_hom_bundle[0]")),
+    Mutant("h1 dimension one too many", "src/quivhom/sheaf.py",
+           "return max(-d - 1, 0)", "return max(-d, 0)",
+           ("tests/test_sheaf.py::test_cech_matches_line_bundle_cohomology",
+            "tests/test_sheaf.py::test_sheaf_hom_ext_examples")),
+    Mutant("H0 product reads the form from x^d", "src/quivhom/sheaf.py",
+           "h0_dim(d), cf) for k2, cf in enumerate(reversed(form))",
+           "h0_dim(d), cf) for k2, cf in enumerate(form)",
+           tuple(f"tests/test_connecting_map.py::test_delta0_column_by_column[{seed}]"
+                 for seed in (0, 1))),
 )
 
 

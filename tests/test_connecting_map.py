@@ -23,7 +23,8 @@ from quivhom import linalg
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, kron, unvec_matrix
-from quivhom.rep import delta_matrix, hom_complex, hom_summands, summand_offsets
+from quivhom.rep import (build_extension, delta_matrix, ext1_classes, hom_complex, hom_summands,
+                         summand_offsets)
 from quivhom.sheaf import (
     _cech_matrices,
     _cech_windows,
@@ -63,11 +64,17 @@ def test_delta_matrix_matches_the_generic_placement(field):
 @pytest.mark.parametrize("field", [None, "q"])
 def test_hom_complex_entries_are_the_cells_of_delta(field):
     # psi's sign is applied once, in hom_complex: each entry is (i, j, value)
-    # with the value delta holds at (i, j), so no consumer signs it again
+    # with the value delta holds at (i, j), so no consumer signs it again; and
+    # no entry is zero, not where a loop's phi and psi terms cancel on Hom(V, V),
+    # nor in the split-decision complexes Hom(V, E) of every Ext^1 class
     for seed in range(50):
         V, W = _modules(seed, "vector", field)
-        for C in (hom_complex(V, W), hom_complex(W, V)):
-            assert sorted(C.entries) == sorted(delta_matrix(C).nonzeros())
+        pairs = [(V, W), (W, V), (V, V)]
+        for X, Y in ((V, W), (W, V)):
+            pairs += [(X, build_extension(X, Y, etas)) for etas in ext1_classes(X, Y)]
+        for X, Y in pairs:
+            C = hom_complex(X, Y)
+            assert sorted(C.entries) == sorted(delta_matrix(C).nonzeros()), seed
 
 
 @pytest.mark.parametrize("field", [None, "q"])
@@ -379,14 +386,19 @@ def test_cech_assembly_places_canonical_rows(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["vector", "p1"])
 def test_hom_complex_has_one_entry_per_summand_pair(mode):
-    # only a loop's phi and psi terms can meet one pair; one vertex forces loops
+    # only a loop's phi and psi terms can meet one pair; one vertex forces loops.
+    # No entry is zero: not where those terms cancel, nor where the p1 loader
+    # kept an all-zero form as read
     loops = 0
     for seed in range(100):
         for max_vertices in (4, 1):
             inst = load_instance(generate_document(seed, mode=mode, max_vertices=max_vertices))
             V, W = inst.modules["V"], inst.modules["W"]
             for X, Y in ((V, W), (W, V), (V, V)):
-                pairs = [(i, j) for i, j, _ in hom_complex(X, Y).entries]
+                entries = hom_complex(X, Y).entries
+                pairs = [(i, j) for i, j, _ in entries]
                 assert len(pairs) == len(set(pairs)), (seed, max_vertices)
+                nonzero = [any(x) if mode == "p1" else x for _, _, x in entries]
+                assert all(nonzero), (seed, max_vertices)
             loops += sum(t == h for t, h in inst.quiver.arrows)
     assert loops >= 300
