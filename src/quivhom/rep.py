@@ -15,6 +15,7 @@ of sheaf.py alike; every connecting map is read off that complex.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -349,42 +350,76 @@ def _blocks_read_back(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
     return matched == sum(len(r) for m in W.phi + V.phi for r in m.sparse_rows())
 
 
+# the free system that is_split_extension built last: its key, C1's arrow starts, its matrix
+_FREE_SYSTEM = [None, None, None]
+
+
 def is_split_extension(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> bool:
     """True iff some morphism s: V -> E satisfies proj ∘ s = id_V.
 
-    Decided exactly, by solving the intertwining equations delta(V, E)·s = 0
-    with the coordinates that proj_i ∘ s_i = id fixes pinned: their columns
-    leave delta, and the columns pinned to 1 move into the right-hand side.
+    s is s0 = [0; id_V_i] at each vertex plus a W part x, so E splits iff
+    delta(V, E)·x = −delta(V, E)(s0) holds for some x, decided by one solve.
+    The right-hand side is read off E's cells; the matrix comes from one walk
+    of hom_complex(V, E) per free system, kept for the classes that share it
+    (see _split_system).
+    """
+    return solve(*_split_system(E, V, W)) is not None
+
+
+def _split_system(E: TwistedRep, V: TwistedRep, W: TwistedRep) -> Tuple[ExactMatrix, list]:
+    """delta(V, E) on the W part of s, whose columns are free, and −delta(V, E)(s0).
+
+    One pass sorts E's cells by column.  Those in W columns (psi_a, and any
+    bottom-left block) fix the matrix and key it: it is read off the walk
+    hom_complex(V, E) only when the key differs from the one built last.
+    Those in V columns, less phi_a on V's rows, are the right-hand side:
+    entry (r2, c) of arrow a's term is coordinate arrow_start[a] + c·e_h + r2.
     """
     V.compatible_with(W)
     E.compatible_with(V)
     for i, e in enumerate(E.dims):
         if e != W.dims[i] + V.dims[i]:
             raise ValueError(f"E has dimension {e} at vertex {i}, not {W.dims[i]} + {V.dims[i]}")
-    C = hom_complex(V, E)
-    # entry (r, c) of proj_i ∘ s_i is entry (dw + r, c) of s_i, pinned to r == c
-    pinned = {C.vertex_start[i] + c * (dw + dv) + dw + r: r == c
-              for i, (dw, dv) in enumerate(zip(W.dims, V.dims))
-              for c in range(dv) for r in range(dv)}
-    free, rhs = [], [0] * len(C.c1)
-    for entry in C.entries:
-        i, j, cf = entry
-        value = pinned.get(j)
-        if value is None:
-            free.append(entry)
-        elif value:
-            rhs[i] -= cf
-    return solve(delta_matrix(C._replace(entries=free)), rhs) is not None
+    w_cells, v_cells = [], []
+    for a, (t, h) in enumerate(V.quiver.arrows):
+        wt, vt, wh, eh = W.dims[t], V.dims[t], W.dims[h], E.dims[h]
+        for r2, row in enumerate(E.phi[a].sparse_rows()):
+            for col, x in row.items():
+                j, q = divmod(col, wt + vt)
+                if q < wt:
+                    w_cells.append((a, r2, col, x))
+                else:
+                    v_cells.append((a, (j * vt + q - wt) * eh + r2, x))
+        v_cells += [(a, c * eh + wh + r, -x) for r, c, x in V.phi[a].nonzeros()]
+    key = (V.quiver, V.twist, V.field, V.dims, V.phi, E.dims, w_cells)
+    stored, start, matrix = _FREE_SYSTEM     # one read: another thread may refill the slot
+    if stored != key:
+        C = hom_complex(V, E)
+        w_part = {C.vertex_start[i] + c * (dw + dv) + r      # entry (r, c) of s_i, r < dw
+                  for i, (dw, dv) in enumerate(zip(W.dims, V.dims))
+                  for c in range(dv) for r in range(dw)}
+        start, matrix = C.arrow_start, delta_matrix(
+            C._replace(entries=[cell for cell in C.entries if cell[1] in w_part]))
+        _FREE_SYSTEM[:] = key, start, matrix
+    rhs = [0] * matrix.nrows
+    for a, k, x in v_cells:
+        rhs[start[a] + k] += x
+    return matrix, rhs
 
 
 def ext1_classes(V: TwistedRep, W: TwistedRep) -> List[List[ExactMatrix]]:
-    """Representatives eta = (eta_a) of a basis of coker(delta) = Ext^1(V, W)."""
+    """Representatives eta = (eta_a) of a basis of coker(delta) = Ext^1(V, W), each placed
+    from its nonzero coordinates: arrow_start[a] + c·dim W_ha + r is entry (r, c) of eta_a."""
     C = hom_complex(V, W)
+    arrows = V.quiver.arrows
     classes = []
     for vec in cokernel_representatives(delta_matrix(C)):
-        etas = []
-        for a, (t, h) in enumerate(V.quiver.arrows):
-            m = V.twist[a]
-            etas.append(unvec_matrix(V.field, vec, W.dims[h], m * V.dims[t], C.arrow_start[a]))
-        classes.append(etas)
+        etas = [MatrixBuilder(V.field, W.dims[h], V.twist[a] * V.dims[t])
+                for a, (t, h) in enumerate(arrows)]
+        for k, x in enumerate(vec):
+            if x:
+                a = bisect_right(C.arrow_start, k) - 1
+                c, r = divmod(k - C.arrow_start[a], W.dims[arrows[a][1]])
+                etas[a].add(r, c, x)
+        classes.append([eta.build() for eta in etas])
     return classes

@@ -91,8 +91,16 @@ MUTANTS = (
            "elif i >= wh:", "elif True:",
            ("tests/test_rep.py::test_build_extension_jordan_block",)),
     Mutant("split pinned coordinate", "src/quivhom/rep.py",
-           "+ dw + r: r == c", "+ r: r == c",
+           "c * (dw + dv) + r", "c * (dw + dv) + dw + r",
            ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta", SPLIT_BY_ENDOMORPHISMS)),
+    Mutant("split rhs column offset", "src/quivhom/rep.py",
+           "(j * vt + q - wt) * eh", "(j * vt + q - wt - 1) * eh",
+           ("tests/test_rep.py::test_split_iff_eta_in_image_of_delta",
+            "tests/test_rep.py::test_split_system_is_read_off_e[None-50]")),
+    Mutant("section key drops E's W columns", "src/quivhom/rep.py",
+           "E.dims, w_cells)", "E.dims)",
+           tuple(f"tests/test_rep.py::test_split_agrees_with_the_stacked_solve[{f}]"
+                 for f in ("None", "q"))),
     Mutant("resolution walk copy index", "src/quivhom/resolution.py",
            "e = (j * src + x) * dh", "e = (x * m + j) * dh",
            ("tests/test_resolution.py::test_composite_d_eps_vanishes",

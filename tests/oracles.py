@@ -221,6 +221,26 @@ def stacked_split(E, V, W) -> bool:
     return solve(vstack([section.build(), delta]), rhs) is not None
 
 
+def pinned_split_system(E, V, W) -> tuple:
+    """is_split_extension's system by filtering one walk over hom_complex(V, E):
+    the coordinates that proj_i ∘ s_i = id fixes leave delta, and the columns
+    pinned to 1 move into the right-hand side.  Returns (matrix, right-hand side)."""
+    C = hom_complex(V, E)
+    # entry (r, c) of proj_i ∘ s_i is entry (dw + r, c) of s_i, pinned to r == c
+    pinned = {C.vertex_start[i] + c * (dw + dv) + dw + r: r == c
+              for i, (dw, dv) in enumerate(zip(W.dims, V.dims))
+              for c in range(dv) for r in range(dv)}
+    free, rhs = [], [0] * len(C.c1)
+    for entry in C.entries:
+        i, j, cf = entry
+        value = pinned.get(j)
+        if value is None:
+            free.append(entry)
+        elif value:
+            rhs[i] -= cf
+    return delta_matrix(C._replace(entries=free)), rhs
+
+
 def unit_block(field, rows: int, cols: int, shift: int, n: int) -> ExactMatrix:
     """The rows x cols matrix with a 1 at each (r, r + shift), r < n: W_i -> E_i, E_i -> V_i."""
     out = MatrixBuilder(field, rows, cols)

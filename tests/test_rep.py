@@ -10,7 +10,7 @@ import sympy
 
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
-from quivhom.linalg import (CrossCheckError, ExactMatrix, FieldSpec, MatrixBuilder,
+from quivhom.linalg import (CrossCheckError, ExactMatrix, FieldSpec, MatrixBuilder, _canonical,
                             cokernel_representatives, kernel_basis, kron, rank, solve,
                             unvec_matrix)
 from quivhom.quiver import Quiver
@@ -20,6 +20,7 @@ from quivhom.rep import (
     TwistData,
     TwistedRep,
     _blocks_read_back,
+    _split_system,
     build_extension,
     delta_matrix,
     ext1_classes,
@@ -29,8 +30,8 @@ from quivhom.rep import (
 )
 from quivhom.resolution import GradedBasis
 
-from oracles import (add, ext1_dim, is_zero, path_actions, stacked_split, submatrix,
-                     unit_block_verdict, vec_matrix, zero_maps)
+from oracles import (add, ext1_dim, is_zero, path_actions, pinned_split_system, stacked_split,
+                     submatrix, unit_block_verdict, vec_matrix, zero_maps)
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -443,13 +444,22 @@ def _with_bottom_left(rng, E, V, W):
     return TwistedRep(E.quiver, E.twist, E.field, E.dims, phi)
 
 
+def _reads_the_pinned_system(E, V, W) -> bool:
+    """_split_system's free matrix, and its right-hand side read off E, equal
+    those that the pinned-column filter of hom_complex(V, E) gives."""
+    (free, rhs), (pinned, pinned_rhs) = _split_system(E, V, W), pinned_split_system(E, V, W)
+    return (free == pinned and len(rhs) == len(pinned_rhs) and _canonical(
+        V.field, dict(enumerate(rhs))) == _canonical(V.field, dict(enumerate(pinned_rhs))))
+
+
 @pytest.mark.parametrize("field", [None, "q"])
 def test_split_agrees_with_the_stacked_solve(field):
-    # the pinned solve against the section rows stacked over delta(V, E):
+    # the split decision against the section rows stacked over delta(V, E):
     # cokernel classes, image classes (which split), the zero class, and an
     # E whose bottom-left block is nonzero, where W is no subrepresentation
     rng = random.Random(7)
     verdicts = {}
+    draws = []
     for seed, V, W in _gen_pairs(field):
         C = hom_complex(V, W)
         delta = delta_matrix(C)
@@ -465,8 +475,46 @@ def test_split_agrees_with_the_stacked_solve(field):
             split = is_split_extension(E, V, W)
             assert split == stacked_split(E, V, W), (seed, kind)
             verdicts.setdefault(kind, set()).add(split)
+            if kind != "cokernel":
+                assert _reads_the_pinned_system(E, V, W), (seed, kind)
+            draws.append((seed, kind, E, V, W, split))
     assert verdicts == {"cokernel": {False}, "image": {True}, "zero": {True},
                         "bottom-left": {False, True}}
+    # the same draws in a shuffled order: the stored free system serves only
+    # a draw of its own key, and a bottom-left draw differs from its class in
+    # W columns alone
+    random.Random(13).shuffle(draws)
+    for seed, kind, E, V, W, split in draws:
+        assert is_split_extension(E, V, W) == split, (seed, kind)
+
+
+@pytest.mark.parametrize("field, seeds", [(None, 50), ("q", 10)])
+def test_split_system_is_read_off_e(field, seeds):
+    # for every class, the right-hand side read off E's V columns, and the
+    # free system stored by key, are those of the pinned walk over hom_complex(V, E)
+    classes = 0
+    for seed, V, W in _gen_pairs(field, seeds):
+        for etas in ext1_classes(V, W):
+            assert _reads_the_pinned_system(build_extension(V, W, etas), V, W), seed
+            classes += 1
+    assert classes == (525 if field is None else 77)
+
+
+def test_split_sequence_walks_once_per_pair(monkeypatch):
+    # the free system depends on V and on E's W columns, which every class of
+    # one pair shares: the split sequence walks hom_complex(V, E) once per pair
+    # that has classes, not once per class
+    import quivhom.rep as rep
+    sequences = [(V, W, ext1_classes(V, W)) for _, V, W in _gen_pairs()]
+    walks = []
+    walk = rep.hom_complex
+    monkeypatch.setattr(rep, "_FREE_SYSTEM", [None, None, None])
+    monkeypatch.setattr(rep, "hom_complex", lambda V, E: walks.append(E) or walk(V, E))
+    for V, W, classes in sequences:
+        for etas in classes:
+            assert not is_split_extension(build_extension(V, W, etas), V, W)
+    assert sum(len(classes) for _, _, classes in sequences) == 525
+    assert len(walks) == sum(1 for _, _, classes in sequences if classes) == 61
 
 
 def _hom_dim(X, Y) -> int:
@@ -543,8 +591,9 @@ def test_only_a_read_reduced_form_is_reduced(monkeypatch):
 
 
 def _split_sequence_calls(*codes) -> list:
-    """The callers' names of each call to a code object in codes while build_extension
-    and is_split_extension run on every Ext^1 class of gen's vector seeds 0-49."""
+    """The callers' names of each call to a code object in codes while ext1_classes,
+    then build_extension and is_split_extension on every class, run on gen's
+    vector seeds 0-49."""
     calls = []
 
     def profile(frame, event, arg):
@@ -553,14 +602,14 @@ def _split_sequence_calls(*codes) -> list:
 
     classes = 0
     for _, V, W in _gen_pairs():
-        for etas in ext1_classes(V, W):
-            previous = sys.getprofile()
-            sys.setprofile(profile)
-            try:
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for etas in ext1_classes(V, W):
                 is_split_extension(build_extension(V, W, etas), V, W)
-            finally:
-                sys.setprofile(previous)
-            classes += 1
+                classes += 1
+        finally:
+            sys.setprofile(previous)
     assert classes == 525
     return calls
 
@@ -572,9 +621,9 @@ def test_split_sequence_multiplies_no_matrix():
 
 
 def test_split_sequence_builds_no_dense_matrix(monkeypatch):
-    # build_extension and is_split_extension place their cells with
-    # MatrixBuilder, and solve appends its right-hand side to m's own rows:
-    # no class of the split sequence fills a dense list for ExactMatrix()
+    # ext1_classes, build_extension and is_split_extension place their cells
+    # with MatrixBuilder, and solve appends its right-hand side to m's own
+    # rows: no step of the split sequence fills a dense list for ExactMatrix()
     assert _split_sequence_calls(ExactMatrix.__init__.__code__) == []
 
     # a row of [m | b] with nothing appended is m's own row, not a copy
