@@ -46,7 +46,7 @@ MAX_DIM = 25_000
 class InstanceError(Exception):
     """Validation failure, carrying the JSON path of the offending value."""
 
-    def __init__(self, message: str, path: str = "$"):
+    def __init__(self, message: str, path: str):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.reason = message

@@ -84,32 +84,28 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: the rationals or the prime field of a given modulus."""
+    """Ground field: the prime field of the given modulus, or the rationals when it is None."""
 
-    kind: str
     modulus: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind == "rationals":
-            if self.modulus is not None:
-                raise ValueError("rationals take no modulus")
-        elif self.kind == "prime_field":
-            if self.modulus is None or self.modulus < 2 or not _is_prime(self.modulus):
-                raise ValueError(f"modulus must be a prime >= 2, got {self.modulus}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        p = self.modulus
+        if p is not None and (p < 2 or not _is_prime(p)):
+            raise ValueError(f"modulus must be a prime >= 2, got {p}")
 
     @staticmethod
     def rationals() -> "FieldSpec":
-        return FieldSpec("rationals")
+        return FieldSpec()
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        return FieldSpec("prime_field", p)
+        if p is None:
+            raise ValueError("modulus must be a prime >= 2, got None")
+        return FieldSpec(p)
 
     @property
     def is_prime_field(self) -> bool:
-        return self.kind == "prime_field"
+        return self.modulus is not None
 
     def element(self, value) -> Element:
         """Coerce an int, string ("3/2", "7") or Fraction into the field; a
@@ -485,7 +481,7 @@ def cokernel_representatives(m: ExactMatrix) -> list:
 # entry X[r, c] sits at coordinate c*nrows + r.
 
 def unvec_matrix(field: FieldSpec, vec: Sequence, rows: int, cols: int,
-                 offset: int = 0) -> ExactMatrix:
+                 offset: int) -> ExactMatrix:
     """The rows x cols matrix whose column-major vectorisation starts at vec[offset]."""
     return ExactMatrix(field, rows, cols, [[vec[offset + c * rows + r] for c in range(cols)]
                                            for r in range(rows)])

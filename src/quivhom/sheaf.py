@@ -268,14 +268,15 @@ def ext_quiver_sheaf(C: HomComplex) -> ExtReport:
 # section t^0..t^U, then a chart-1 section t^-L..t^d, U+L+2+d chart
 # coordinates; a Cech 1-cochain an overlap section t^-L..t^U, U+L+1 overlap
 # coordinates.  On C1, U = max(d, 0); on C0, L = max(-d-1, 0); a C0 summand's
-# U and a C1 summand's L reach those of every summand an entry links it to;
-# extra_window is added to all.  The window keeps the hypercohomology: the
-# horizontal maps only raise exponents, and along every entry U falls and L
-# rises, so {e >= -L} is a subcomplex of the untruncated double complex and
-# {e > U} a subcomplex of it.  Above U >= d chart 1 is empty and s0 − s1
-# identifies chart 0 with the overlap; below -L <= min(0, d + 1) chart 0 is
-# empty and s0 − s1 identifies chart 1 with it.  So both pieces cut away have
-# an isomorphism as vertical map, and are acyclic.  The total complex is
+# U and a C1 summand's L reach those of every summand an entry links it to.
+# This least window keeps the hypercohomology, as it does with every U and L
+# raised by one k >= 0 (tests widen it so): the horizontal maps only raise
+# exponents, and along every entry U falls and L rises, so {e >= -L} is a
+# subcomplex of the untruncated double complex and {e > U} a subcomplex of
+# it.  Above U >= d chart 1 is empty and s0 − s1 identifies chart 0 with the
+# overlap; below -L <= min(0, d + 1) chart 0 is empty and s0 − s1 identifies
+# chart 1 with it.  So both pieces cut away have an isomorphism as vertical
+# map, and are acyclic.  The total complex is
 #
 #   T0 = Cech0(C0)  -d0->  T1 = Cech1(C0) ⊕ Cech0(C1)  -d1->  T2 = Cech1(C1),
 #
@@ -299,34 +300,27 @@ def ext_quiver_sheaf(C: HomComplex) -> ExtReport:
 # entry in a column of its own, except at d < e < 0: those rows are the H1
 # classes.
 
-def _extra(extra_window: int) -> int:
-    if extra_window < 0:
-        raise ValueError(f"extra_window must be non-negative, got {extra_window}")
-    return extra_window
-
-
-def cech_dims(V: QSheafP1, W: QSheafP1, extra_window: int = 0) -> Tuple[int, int, int]:
+def cech_dims(V: QSheafP1, W: QSheafP1) -> Tuple[int, int, int]:
     """Twist-only upper bound on the dimensions T0, T1, T2 of cech_hyper's total complex: those
-    at the uniform window [-T, T] around every summand's, T = max |twist| + 2 + extra_window."""
+    at the uniform window [-T, T] around every summand's, T = max |twist| + 2."""
     c0, c1, _, _ = hom_twists(V, W)
-    overlap = 2 * (max(map(abs, chain(c0, c1)), default=0) + 2 + _extra(extra_window)) + 1
+    overlap = 2 * (max(map(abs, chain(c0, c1)), default=0) + 2) + 1
     charts0, charts1 = (sum(overlap + 1 + d for d in twists) for twists in (c0, c1))
     return charts0, len(c0) * overlap + charts1, len(c1) * overlap
 
 
-def _cech_windows(C: HomComplex, extra_window: int):
+def _cech_windows(C: HomComplex):
     """(U, L), two lists, for the summands of C0, then for those of C1."""
-    extra = _extra(extra_window)
-    u0, l0 = [max(d, 0) + extra for d in C.c0], [max(-d - 1, 0) + extra for d in C.c0]
-    u1, l1 = [max(d, 0) + extra for d in C.c1], [max(-d - 1, 0) + extra for d in C.c1]
+    u0, l0 = [max(d, 0) for d in C.c0], [max(-d - 1, 0) for d in C.c0]
+    u1, l1 = [max(d, 0) for d in C.c1], [max(-d - 1, 0) for d in C.c1]
     for i, j, _ in C.entries:
         u0[j], l1[i] = max(u0[j], u1[i]), max(l1[i], l0[j])
     return (u0, l0), (u1, l1)
 
 
-def _cech_matrices(C: HomComplex, extra_window: int):
+def _cech_matrices(C: HomComplex):
     """d0ᵀ and d1, in the column orders above, each placed by one builder."""
-    (u0, l0), (u1, l1) = _cech_windows(C, extra_window)
+    (u0, l0), (u1, l1) = _cech_windows(C)
     charts0 = summand_offsets(C.c0, lambda d, u, l: u + l + 2 + d, u0, l0)
     overlaps0, overlaps1 = (summand_offsets(twists, lambda d, u, l: u + l + 1, us, ls)
                             for twists, us, ls in ((C.c0, u0, l0), (C.c1, u1, l1)))
@@ -359,16 +353,14 @@ def _cech_matrices(C: HomComplex, extra_window: int):
     return d0t.build(), d1.build()
 
 
-def cech_hyper(C: HomComplex, extra_window: int = 0) -> Tuple[int, int, int]:
+def cech_hyper(C: HomComplex) -> Tuple[int, int, int]:
     """Hypercohomology dimensions of the two-term complex C = hom_complex(V, W).
 
     Computed from the total complex of the Cech double complex on the
     two-chart cover, each Hom summand's Laurent exponents truncated to its
-    own window [-L, U] (see above), widened on both sides by extra_window.
-    Enlarging the window never changes the result; a negative extra_window
-    raises ValueError.
+    own least window [-L, U] (see above).
     """
-    d0t, d1 = _cech_matrices(C, extra_window)
+    d0t, d1 = _cech_matrices(C)
     (t0, t1), t2 = d0t.shape, d1.nrows
     r0, r1 = rank(d0t), rank(d1)
     return t0 - r0, (t1 - r1) - r0, t2 - r1

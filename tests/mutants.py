@@ -45,6 +45,7 @@ CECH_COMPOSE = tuple(f"tests/test_connecting_map.py::test_cech_differentials_com
                      for k in ("gen", "loops", "wide"))
 FROBENIUS = "tests/test_hom_oracle.py::test_one_loop_hom_is_frobenius_formula"
 SPLIT_BY_ENDOMORPHISMS = "tests/test_rep.py::test_split_iff_no_endomorphism_is_lost"
+DEGREE_ZERO_SLICE = "tests/test_hom_oracle.py::test_vector_ext_is_the_degree_zero_slice_of_p1"
 
 MUTANTS = (
     Mutant("psi sign in hom_complex", "src/quivhom/rep.py",
@@ -190,6 +191,18 @@ MUTANTS = (
            "return max(-d - 1, 0)", "return max(-d, 0)",
            ("tests/test_sheaf.py::test_cech_matches_line_bundle_cohomology",
             "tests/test_sheaf.py::test_sheaf_hom_ext_examples")),
+    # in vector mode, only the degree-0 slice test loads Q entries such as "1/2"
+    Mutant("vector loader drops non-integer rationals", "src/quivhom/instances.py",
+           "out.append({c: x for c, x in enumerate(coefficients) if x})",
+           "out.append({c: x for c, x in enumerate(coefficients) if x and x == int(x)})",
+           (DEGREE_ZERO_SLICE,)),
+    Mutant("vector loader floors rationals", "src/quivhom/instances.py",
+           "out.append({c: x for c, x in enumerate(coefficients) if x})",
+           "out.append({c: x - x % 1 for c, x in enumerate(coefficients) if x - x % 1})",
+           (DEGREE_ZERO_SLICE,)),
+    Mutant("Cech size bound one exponent short", "src/quivhom/sheaf.py",
+           "+ 2) + 1", "+ 1) + 1",
+           ("tests/test_connecting_map.py::test_cech_dims_match_the_two_chart_windows",)),
     Mutant("H0 product reads the form from x^d", "src/quivhom/sheaf.py",
            "h0_dim(d), cf) for k2, cf in enumerate(reversed(form))",
            "h0_dim(d), cf) for k2, cf in enumerate(form)",

@@ -5,6 +5,9 @@ tests/test_reachability.py keeps the package to what requests run.  A helper
 with a single test caller lives in that test file instead.
 """
 
+from contextlib import contextmanager
+
+from quivhom import sheaf
 from quivhom.linalg import ExactMatrix, MatrixBuilder, _canonical, _echelon, _reduce, rank, solve
 from quivhom.rep import RepMorphism, TwistedRep, connecting_matrix, delta_matrix, hom_complex
 from quivhom.resolution import ResolutionLayout, _recursion
@@ -309,6 +312,23 @@ def all_ok(report) -> bool:
 def dense(f) -> list:
     """The entries of a FormMatrix as a list of rows, () where nothing is stored."""
     return [[row.get(s, ()) for s in range(f.source.rank)] for row in f.rows]
+
+
+@contextmanager
+def widened_cech_windows(k: int):
+    """While the block runs, every Cech window has each U and L raised by k >= 0.
+
+    cech_hyper and sheaf._cech_matrices read the windows through
+    sheaf._cech_windows, which this wraps; the widened windows keep the
+    hypercohomology (see the window comment in sheaf.py).
+    """
+    least = sheaf._cech_windows
+    sheaf._cech_windows = lambda C: tuple(([u + k for u in us], [l + k for l in ls])
+                                          for us, ls in least(C))
+    try:
+        yield
+    finally:
+        sheaf._cech_windows = least
 
 
 def sheaf_hom_ext_dims(e, f) -> tuple:

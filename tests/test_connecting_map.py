@@ -19,7 +19,7 @@ import hashlib
 
 import pytest
 
-from quivhom import linalg
+from quivhom import linalg, sheaf
 from quivhom.generate import generate_document
 from quivhom.instances import load_instance
 from quivhom.linalg import ExactMatrix, kron, unvec_matrix
@@ -27,7 +27,6 @@ from quivhom.rep import (build_extension, delta_matrix, ext1_classes, hom_comple
                          summand_offsets)
 from quivhom.sheaf import (
     _cech_matrices,
-    _cech_windows,
     cech_dims,
     cech_hyper,
     delta0_matrix,
@@ -38,7 +37,8 @@ from quivhom.sheaf import (
 )
 
 from oracles import (add, column_list, dense, generic_delta_matrix, is_zero, one_coordinate,
-                     sheaf_hom_ext_dims, sub, submatrix, transpose, vec_matrix)
+                     sheaf_hom_ext_dims, sub, submatrix, transpose, vec_matrix,
+                     widened_cech_windows)
 
 
 def _modules(seed, mode, field=None, **bounds):
@@ -206,7 +206,7 @@ def test_pinned_cech_digests():
     for seed in range(50):
         V, W = _modules(seed, "p1")
         for X, Y in ((V, W), (W, V)):
-            d0t, d1 = _cech_matrices(hom_complex(X, Y), 0)
+            d0t, d1 = _cech_matrices(hom_complex(X, Y))
             for name, m in zip(CECH_PINNED, (transpose(d0t), d1)):
                 got[name].update(repr((m.shape, sorted(m.nonzeros()))).encode())
     assert {name: h.hexdigest() for name, h in got.items()} == CECH_PINNED
@@ -262,13 +262,13 @@ def test_p1_layout_blocks_hold_the_cohomology_of_each_hom_bundle(seed):
         assert m.shape == (summand_offsets(C.c1, dim_of)[-1], summand_offsets(C.c0, dim_of)[-1])
 
 
-def _cech_dims_by_hand(V, W, extra):
+def _cech_dims_by_hand(V, W):
     # Hom-bundle twists of the vertex blocks (C0) and the arrow blocks (C1)
     c0 = [dr - ds for i in range(V.quiver.n_vertices)
           for ds in V.vertex_bundles[i].twists for dr in W.vertex_bundles[i].twists]
     c1 = [dr - dc for a, (_, h) in enumerate(V.quiver.arrows)
           for dc in V.tensors[a].bundle.twists for dr in W.vertex_bundles[h].twists]
-    w = max((abs(d) for d in c0 + c1), default=0) + 2 + extra
+    w = max((abs(d) for d in c0 + c1), default=0) + 2
     cech0 = [(w + 1) + max(min(d, w) + w + 1, 0) for d in c0 + c1]
     return (sum(cech0[:len(c0)]), sum(cech0[len(c0):]) + len(c0) * (2 * w + 1),
             len(c1) * (2 * w + 1))
@@ -278,8 +278,7 @@ def _cech_dims_by_hand(V, W, extra):
 def test_cech_dims_match_the_two_chart_windows(seed):
     V, W = _modules(seed, "p1")
     for X, Y in ((V, W), (W, V)):
-        for extra in (0, 3):
-            assert cech_dims(X, Y, extra) == _cech_dims_by_hand(X, Y, extra)
+        assert cech_dims(X, Y) == _cech_dims_by_hand(X, Y)
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -287,10 +286,9 @@ def test_cech_dims_bound_the_built_complex(seed):
     # the size guard reads cech_dims before anything is built
     V, W = _modules(seed, "p1")
     for X, Y in ((V, W), (W, V)):
-        for extra in (0, 3):
-            t0, t1, t2 = cech_dims(X, Y, extra)
-            d0t, d1 = _cech_matrices(hom_complex(X, Y), extra)
-            assert d0t.nrows <= t0 and d1.nrows <= t2 and d0t.ncols == d1.ncols <= t1
+        t0, t1, t2 = cech_dims(X, Y)
+        d0t, d1 = _cech_matrices(hom_complex(X, Y))
+        assert d0t.nrows <= t0 and d1.nrows <= t2 and d0t.ncols == d1.ncols <= t1
 
 
 # -- Serre duality: a third route over the same complex ----------------------
@@ -330,8 +328,9 @@ def test_summand_windows_keep_the_hypercohomology(bounds, field):
             C = hom_complex(X, Y)
             r, D = ext_quiver_sheaf(C), _serre_dual(C)
             for extra in (0, 1):
-                assert ((r.ext0, r.ext1, r.ext2) == cech_hyper(C, extra)
-                        == cech_hyper(D, extra)[::-1]), (seed, X is V, Y is W, extra)
+                with widened_cech_windows(extra):
+                    assert ((r.ext0, r.ext1, r.ext2) == cech_hyper(C)
+                            == cech_hyper(D)[::-1]), (seed, X is V, Y is W, extra)
 
 
 # -- the Cech total complex is a complex -------------------------------------
@@ -339,14 +338,14 @@ def test_summand_windows_keep_the_hypercohomology(bounds, field):
 # Equal ranks on both routes do not see a wrong sign in one Cech map: the
 # ranks of d0 and d1 alone can survive it.  d1 ∘ d0 = 0 does not.
 
-def _d1_after_d0(C, extra):
-    """d1·d0 of the Cech total complex of C, computed blockwise.
+def _d1_after_d0(C):
+    """d1·d0 of the Cech total complex of C, computed blockwise, at the windows in use.
 
     d0ᵀ has columns Cech1(C0) then Cech0(C1) and d1 has Cech0(C1) then
     Cech1(C0), so with d0 = [X; Y] and d1 = [A | B], d1·d0 = B·X + A·Y.
     """
-    d0t, d1 = _cech_matrices(C, extra)
-    (u0, l0), _ = _cech_windows(C, extra)
+    d0t, d1 = _cech_matrices(C)
+    (u0, l0), _ = sheaf._cech_windows(C)
     n = sum(u + l + 1 for u, l in zip(u0, l0))      # the Cech1(C0) coordinates
     (t0, t1), t2 = d0t.shape, d1.nrows
     X, Y = transpose(submatrix(d0t, 0, t0, 0, n)), transpose(submatrix(d0t, 0, t0, n, t1))
@@ -366,7 +365,8 @@ def test_cech_differentials_compose_to_zero(bounds):
             C = hom_complex(X, Y)
             for K in (C, _serre_dual(C)):
                 for extra in (0, 1):
-                    assert is_zero(_d1_after_d0(K, extra)), (seed, X is V, K is C, extra)
+                    with widened_cech_windows(extra):
+                        assert is_zero(_d1_after_d0(K)), (seed, X is V, K is C, extra)
 
 
 def test_cech_assembly_places_canonical_rows(monkeypatch):
@@ -378,7 +378,7 @@ def test_cech_assembly_places_canonical_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_canonical",
                         lambda field, acc: calls.append(1) or canonical(field, acc))
     for V, W in pairs:
-        _cech_matrices(hom_complex(V, W), 0)
+        _cech_matrices(hom_complex(V, W))
         delta0_matrix(hom_complex(V, W))
         delta1_matrix(hom_complex(V, W))
     assert len(calls) == 0

@@ -12,7 +12,8 @@ Draws take 1 to 3 vertices and 1 to 3 arrows, loops and parallel arrows
 included, twist dimensions 1 or 2 and vertex dimensions up to 2, and 1 to
 12 Hom entries over F_2 (2^12 tuples at most) or 1 to 8 over F_3 (3^8).
 A second oracle, below, checks Frobenius's formula for one-loop modules at
-sizes no count reaches.
+sizes no count reaches, and a property test last runs vector pairs through
+both p1 routes, as the degree-0 slice of p1 mode.
 """
 
 import random
@@ -150,14 +151,19 @@ def _invariant_factors(ring, a):
         (n, n), ring))
 
 
-def _one_loop_document(field, mode, phi, psi):
-    if mode == "vector":
-        modules = {name: {"dims": [len(m)], "phi": [m]} for name, m in (("V", phi), ("W", psi))}
-    else:
-        modules = {name: {"twists": [[0] * len(m)], "phi": [[[[x] for x in row] for row in m]]}
-                   for name, m in (("V", phi), ("W", psi))}
-    return {"field": field, "quiver": {"vertices": 1, "arrows": [[0, 0]]}, "mode": mode,
-            "twists": [1 if mode == "vector" else [0]], "modules": modules}
+def _one_loop_document(field, phi, psi):
+    modules = {name: {"dims": [len(m)], "phi": [m]} for name, m in (("V", phi), ("W", psi))}
+    return {"field": field, "quiver": {"vertices": 1, "arrows": [[0, 0]]}, "mode": "vector",
+            "twists": [1], "modules": modules}
+
+
+def _degree_zero_slice(document):
+    """The p1 document of a vector one: twists 0 and each entry x the form [x]."""
+    modules = {name: {"twists": [[0] * d for d in m["dims"]],
+                      "phi": [[[[x] for x in row] for row in phi] for phi in m["phi"]]}
+               for name, m in document["modules"].items()}
+    return {**document, "mode": "p1", "twists": [[0] * m for m in document["twists"]],
+            "modules": modules}
 
 
 @pytest.mark.parametrize("field", sorted(FROBENIUS_FIELDS))
@@ -170,11 +176,61 @@ def test_one_loop_hom_is_frobenius_formula(field):
         phi, psi = _jordan_conjugate(rng, n), _jordan_conjugate(rng, m)
         want = sum(ring.gcd(f, g).degree()
                    for f in _invariant_factors(ring, phi) for g in _invariant_factors(ring, psi))
-        vector = load_instance(_one_loop_document(spec, "vector", phi, psi)).modules
-        p1 = load_instance(_one_loop_document(spec, "p1", phi, psi)).modules
+        document = _one_loop_document(spec, phi, psi)
+        vector = load_instance(document).modules
+        p1 = load_instance(_degree_zero_slice(document)).modules
         for X, Y in (("V", "W"), ("W", "V")):
             V, W = vector[X], vector[Y]
             assert len(hom_space(V, W)) == len(ext1_classes(V, W)) == want, (n, m, X)
             C = hom_complex(p1[X], p1[Y])
             r = ext_quiver_sheaf(C)
             assert (r.ext0, r.ext1, r.ext2) == cech_hyper(C) == (want, want, 0), (n, m, X)
+
+
+# -- vector mode is the degree-0 slice of p1 mode -------------------------------
+#
+# A vector document is a p1 document in which every twist is 0 and every
+# entry x is the degree-0 form [x].  There H1(O) = 0, so the long exact
+# sequence reduces to delta0 = delta, and Ext^2 vanishes: (hom, ext1, 0) of
+# the vector pair, read off delta as its nullity and corank, must come out of
+# both p1 routes.  _degree_zero_slice embeds the documents, so each mode goes
+# through its own loader.  Draws are cycles through every vertex, n = 1 a
+# loop, with up to two more arrows, loops and parallel arrows included, and
+# sparse small entries, since dense ones almost always give Hom = 0.
+
+ENTRIES = {"F101": [1, -1, 2, 50, 100, 203], "Q": [1, -1, 2, "1/2", "-3/5", "7"]}
+
+
+@st.composite
+def vector_documents(draw):
+    field = draw(st.sampled_from(sorted(ENTRIES)))
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    arrows = [[k, (k + 1) % n] for k in range(n)] + draw(
+        st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=2))
+    twist = draw(st.lists(st.integers(1, 2), min_size=len(arrows), max_size=len(arrows)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    modules = {}
+    for name in "VW":
+        dims = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        modules[name] = {"dims": dims, "phi": [
+            [[rng.choice(ENTRIES[field]) if rng.random() < 0.3 else 0
+              for _ in range(m * dims[t])] for _ in range(dims[h])]
+            for m, (t, h) in zip(twist, arrows)]}
+    return {"field": FROBENIUS_FIELDS[field], "quiver": {"vertices": n, "arrows": arrows},
+            "mode": "vector", "twists": twist, "modules": modules}
+
+
+@seed(35)
+@settings(max_examples=300, deadline=None, database=None)
+@given(vector_documents())
+def test_vector_ext_is_the_degree_zero_slice_of_p1(document):
+    vector = load_instance(document).modules
+    p1 = load_instance(_degree_zero_slice(document)).modules
+    for X, Y in (("V", "W"), ("W", "V"), ("V", "V")):
+        delta = delta_matrix(hom_complex(vector[X], vector[Y]))
+        r = rank(delta)
+        C = hom_complex(p1[X], p1[Y])
+        les = ext_quiver_sheaf(C)
+        assert ((delta.ncols - r, delta.nrows - r, 0) == (les.ext0, les.ext1, les.ext2)
+                == cech_hyper(C)), X + Y

@@ -39,7 +39,7 @@ def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec.prime(1)
     with pytest.raises(ValueError):
-        FieldSpec("prime_field", None)
+        FieldSpec.prime(None)
     assert Q.element("3/2") == Fraction(3, 2)
     assert F5.element(7) == 2
     assert F5.element(-1) == 4

@@ -16,7 +16,6 @@ from quivhom.sheaf import (
     SplitBundle,
     _cech_matrices,
     _cech_windows,
-    cech_dims,
     cech_hyper,
     delta0_matrix,
     delta1_matrix,
@@ -26,7 +25,7 @@ from quivhom.sheaf import (
 )
 
 from oracles import (dense, euler_characteristic, euler_check, is_zero, scale,
-                     sheaf_hom_ext_dims, submatrix, vstack)
+                     sheaf_hom_ext_dims, submatrix, vstack, widened_cech_windows)
 
 F = FieldSpec.prime(101)
 LOOP = Quiver(1, [(0, 0)])
@@ -367,19 +366,11 @@ def test_window_stability():
     for _ in range(8):
         V, W = _random_pair(rng)
         C = hom_complex(V, W)
-        assert cech_hyper(C) == cech_hyper(C, extra_window=2)
-
-
-@pytest.mark.parametrize("entry", [
-    pytest.param(lambda V, W, extra: cech_hyper(hom_complex(V, W), extra), id="cech_hyper"),
-    pytest.param(cech_dims, id="cech_dims")])
-def test_negative_window_rejected(entry):
-    # below the window its truncation argument needs; cech_hyper raised
-    # IndexError from assembly on some generated pairs
-    for seed in (1, 7, 18):
-        inst = load_instance(generate_document(seed, mode="p1"))
-        with pytest.raises(ValueError, match="extra_window"):
-            entry(inst.modules["V"], inst.modules["W"], -3)
+        with widened_cech_windows(2):
+            wide, (d0t, _) = cech_hyper(C), _cech_matrices(C)
+        # chart 0 (t^0..t^U) and chart 1 (t^-L..t^d) of each C0 summand gain 2 each
+        assert d0t.nrows == _cech_matrices(C)[0].nrows + 4 * len(C.c0)
+        assert cech_hyper(C) == wide
 
 
 def test_global_twist_shift_invariance():
@@ -421,9 +412,9 @@ def test_cech_d0_lists_its_unit_pivot_rows_first(seed):
     V, W = inst.modules["V"], inst.modules["W"]
     for X, Y in ((V, W), (W, V)):
         C = hom_complex(X, Y)
-        (u0, l0), _ = _cech_windows(C, 0)
+        (u0, l0), _ = _cech_windows(C)
         n_vertical = sum(u + l + 1 for u, l in zip(u0, l0))   # dim Cech1(C0)
-        d0t, _ = _cech_matrices(C, 0)
+        d0t, _ = _cech_matrices(C)
         units = {X.field.one(), X.field.element(-1)}
         for row in d0t.sparse_rows():
             vertical = [(j, x) for j, x in row.items() if j < n_vertical]
@@ -449,7 +440,7 @@ def test_cech_rank_work_stays_bounded(monkeypatch):
         inst = load_instance(generate_document(seed, mode="p1"))
         V, W = inst.modules["V"], inst.modules["W"]
         for X, Y in ((V, W), (W, V)):
-            for m in _cech_matrices(hom_complex(X, Y), 0):
+            for m in _cech_matrices(hom_complex(X, Y)):
                 rank(m)
     assert 0 < len(calls) <= 3000
 
@@ -469,7 +460,7 @@ def test_cech_rank_entries_touched_stay_bounded(monkeypatch):
         inst = load_instance(generate_document(seed, mode="p1"))
         V, W = inst.modules["V"], inst.modules["W"]
         for X, Y in ((V, W), (W, V)):
-            for m in _cech_matrices(hom_complex(X, Y), 0):
+            for m in _cech_matrices(hom_complex(X, Y)):
                 rank(m)
     assert 0 < sum(touched) <= 30_000
 
@@ -505,7 +496,7 @@ def test_cech_cells_stay_bounded():
         inst = load_instance(generate_document(seed, mode="p1"))
         V, W = inst.modules["V"], inst.modules["W"]
         for X, Y in ((V, W), (W, V)):
-            for m in _cech_matrices(hom_complex(X, Y), 0):
+            for m in _cech_matrices(hom_complex(X, Y)):
                 rows += m.nrows
                 nonzeros += sum(map(len, m.sparse_rows()))
     assert 0 < rows <= 12000 and 0 < nonzeros <= 80000
